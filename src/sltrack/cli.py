@@ -10,13 +10,14 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import io as slio
 from .detect import Calibration, CalibrationError, calibrate
 from .geometry import RigConfig, WorldPosition
 from .pipeline import (PositionEstimate, SmootherConfig, evaluate,
-                       track_frame, track_stream)
+                       track_stream)
 from .stream import PositionStreamer
 from .synth import SceneState, render
 
@@ -77,23 +78,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sorted_frame_paths(frames_dir: str) -> list[Path]:
-    paths = sorted(Path(frames_dir).glob("*.pgm"))
-    if not paths:
-        raise slio.ConfigError(f"no .pgm frames in {frames_dir}")
-    return paths
-
-
 def cmd_track(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     cal = read_calibration(args.calibration, cfg.rig)
-    rate = cfg.trajectory.rate_hz
-    frames = []
-    for i, path in enumerate(_sorted_frame_paths(args.frames_dir)):
-        frame = slio.read_pgm(str(path))
-        frame.index = i
-        frame.timestamp_ms = round(i * 1000.0 / rate)
-        frames.append(frame)
+    frames = slio.iter_pgm_dir(args.frames_dir, cfg.trajectory.rate_hz)
 
     smoother = cfg.smoother
     if args.smooth:
@@ -163,22 +151,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise slio.ConfigError("bench: need at least one frame")
     cfg = _load_config(args.config)
     states = cfg.trajectory.materialize(cfg.rig)
+    rate = cfg.trajectory.rate_hz
     # pre-render outside the timed region; the benchmark covers only the
-    # detection + triangulation path
+    # detection + triangulation path. Frames past the end of the trajectory
+    # replay it with timestamps that keep counting up.
     frames = [
-        render(cfg.rig, states[i % len(states)], cfg.noise, cfg.intensity, index=i)
+        render(cfg.rig, replace(states[i % len(states)],
+                                timestamp_ms=round(i * 1000.0 / rate)),
+               cfg.noise, cfg.intensity, index=i)
         for i in range(args.frames)
     ]
     empty = render(cfg.rig, SceneState(user=None), cfg.noise, cfg.intensity,
                    index=args.frames)
     cal = calibrate(empty)
     start = time.perf_counter()
-    detected = 0
-    for frame in frames:
-        est = track_frame(frame, cfg.rig, cal, cfg.detect)
-        detected += est.pos is not None
+    estimates = track_stream(frames, cfg.rig, cal, cfg.detect)
     elapsed = time.perf_counter() - start
     fps = args.frames / elapsed if elapsed > 0 else float("inf")
+    detected = sum(1 for e in estimates if e.pos is not None)
     print(f"{args.frames} frames in {elapsed:.4f} s -> {fps:.1f} fps "
           f"({detected} detections)")
     return 0

@@ -30,7 +30,6 @@ class Calibration:
     """
 
     v_b: int
-    captured_at: int = 0
     width: int = 0
     height: int = 0
 
@@ -92,8 +91,7 @@ def calibrate(frame: Frame) -> Calibration:
         raise CalibrationError("no wall line: brightest row within noise of the mean")
     if not 0 < v_b < frame.height - 1:
         raise CalibrationError(f"wall line at border row {v_b} leaves no scan domain")
-    return Calibration(v_b=v_b, captured_at=frame.timestamp_ms,
-                       width=frame.width, height=frame.height)
+    return Calibration(v_b=v_b, width=frame.width, height=frame.height)
 
 
 def ath(delta_v: float, p: DetectParams) -> float:

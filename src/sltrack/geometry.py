@@ -54,10 +54,7 @@ class RigConfig:
             object.__setattr__(self, "u0", self.width / 2.0)
         if self.v0 is None:
             object.__setattr__(self, "v0", self.height / 2.0)
-        for name in ("d", "f", "z_b"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name}: must be > 0")
-        for name in ("width", "height"):
+        for name in ("d", "f", "z_b", "width", "height"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name}: must be > 0")
         if not 0 <= self.u0 < self.width:

@@ -1,23 +1,27 @@
 """File formats: binary PGM frames, JSON run configuration, CSV tables.
 
 The config file is strict JSON: every section and key is validated, and
-unknown keys are rejected so experiment configs stay reproducible. See the
-README for the full schema and ``configs/reference.json`` for a worked
-example.
+unknown keys are rejected so experiment configs stay reproducible. A
+section's keys and types are the fields of the dataclass it builds, a
+trajectory's those of its kind's path builder in ``synth.TRAJECTORIES``.
+``configs/reference.json`` is a worked example.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import IO, Any, BinaryIO, Mapping, Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, replace
+from pathlib import Path
+from typing import (IO, Any, BinaryIO, Iterator, Mapping, Sequence, get_args,
+                    get_type_hints)
 
 import numpy as np
 
 from .detect import DetectParams
 from .geometry import RigConfig, WorldPosition
 from .pipeline import PositionEstimate, SmootherConfig
-from .synth import (TRAJECTORY_KINDS, Frame, IntensityModel, NoiseParams,
+from .synth import (TRAJECTORIES, Frame, IntensityModel, NoiseParams, Point,
                     SceneState, make_trajectory)
 
 ESTIMATES_HEADER = "frame,timestamp_ms,detected,u_f,v_f,x_cm,z_cm"
@@ -36,17 +40,24 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending key."""
 
 
+@contextmanager
+def _opened(target: str | IO, mode: str, **kwargs: Any) -> Iterator[IO]:
+    """A file object as it is, or a path opened for the block and closed after."""
+    if hasattr(target, "read") or hasattr(target, "write"):
+        yield target
+    else:
+        with open(target, mode, **kwargs) as fh:
+            yield fh
+
+
 # --- PGM (binary P5, maxval 255) -----------------------------------------
 
 def write_pgm(frame: Frame, sink: str | BinaryIO) -> None:
     """Write a frame as binary PGM: ``P5\\n<w> <h>\\n255\\n`` + raw rows."""
     header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
     payload = frame.pixels.tobytes()
-    if hasattr(sink, "write"):
-        sink.write(header + payload)
-    else:
-        with open(sink, "wb") as fh:
-            fh.write(header + payload)
+    with _opened(sink, "wb") as fh:
+        fh.write(header + payload)
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -75,11 +86,8 @@ def read_pgm(source: str | BinaryIO) -> Frame:
     Timestamp and index are not part of the format and come back as 0;
     callers sequencing frames from disk assign them.
     """
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
+    with _opened(source, "rb") as fh:
+        data = fh.read()
 
     magic, pos = _next_token(data, 0)
     if magic != b"P5":
@@ -107,6 +115,21 @@ def read_pgm(source: str | BinaryIO) -> Frame:
         )
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
     return Frame(width=width, height=height, pixels=pixels.copy())
+
+
+def iter_pgm_dir(frames_dir: str, rate_hz: float) -> Iterator[Frame]:
+    """The ``*.pgm`` files of a directory as a frame sequence, in name order.
+
+    Frames are read one at a time as the iterator is consumed. Frame i gets
+    index i and timestamp round(i * 1000/rate_hz) ms. An empty directory
+    raises :class:`ConfigError` here, before any frame is read.
+    """
+    paths = sorted(Path(frames_dir).glob("*.pgm"))
+    if not paths:
+        raise ConfigError(f"no .pgm frames in {frames_dir}")
+    return (replace(read_pgm(str(path)), index=i,
+                    timestamp_ms=round(i * 1000.0 / rate_hz))
+            for i, path in enumerate(paths))
 
 
 # --- run configuration -----------------------------------------------------
@@ -164,12 +187,16 @@ def _boolean(section: Mapping[str, Any], section_name: str, key: str) -> bool:
     return value
 
 
-def _point(section: Mapping[str, Any], section_name: str, key: str) -> tuple[float, float]:
+def _point(section: Mapping[str, Any], section_name: str, key: str) -> Point:
     value = _require(section, section_name, key)
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
         raise ConfigError(f"{section_name}.{key}: expected [x_cm, z_cm]")
     return float(value[0]), float(value[1])
+
+
+# value parser per annotated type of a config field or trajectory parameter
+_PARSERS = {float: _number, int: _integer, bool: _boolean, Point: _point}
 
 
 def _reject_unknown(section: Mapping[str, Any], section_name: str,
@@ -186,43 +213,52 @@ def _section(root: Mapping[str, Any], name: str) -> Mapping[str, Any]:
     return value
 
 
-_TRAJ_PARAM_KEYS = {
-    "stationary": {"position"},
-    "stroll": {"a", "b", "speed"},
-    "circle": {"center", "radius", "omega"},
+# config section -> the dataclass it builds and the prefix put before that
+# dataclass's own ValueError messages
+_SECTIONS = {
+    "rig": (RigConfig, "rig."),
+    "detect": (DetectParams, "detect: "),
+    "noise": (NoiseParams, "noise."),
+    "intensity": (IntensityModel, "intensity."),
+    "smoother": (SmootherConfig, "smoother."),
 }
+
+
+def _build_section(section: Mapping[str, Any], name: str) -> Any:
+    """Build a section's dataclass with one key per field, parsed by the
+    field's type; a field whose default is None may be left out."""
+    cls, prefix = _SECTIONS[name]
+    hints = get_type_hints(cls)
+    _reject_unknown(section, name, {f.name for f in fields(cls)})
+    values = {}
+    for f in fields(cls):
+        kind = hints[f.name]
+        if f.default is None:
+            if f.name not in section:
+                continue
+            kind = get_args(kind)[0]  # ``T | None`` -> T
+        values[f.name] = _PARSERS[kind](section, name, f.name)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def _build_trajectory(section: Mapping[str, Any]) -> TrajectorySpec:
     name = "trajectory"
     kind = _require(section, name, "kind")
-    if kind not in TRAJECTORY_KINDS:
+    if not isinstance(kind, str) or kind not in TRAJECTORIES:
         raise ConfigError(f"{name}.kind: unknown kind {kind!r}")
-    _reject_unknown(section, name,
-                    {"kind", "rate_hz", "duration_s", "foot_width"}
-                    | _TRAJ_PARAM_KEYS[kind])
-    rate = _number(section, name, "rate_hz")
-    duration = _number(section, name, "duration_s")
-    foot_width = _number(section, name, "foot_width")
-    params: dict[str, Any] = {}
-    if kind == "stationary":
-        params["position"] = _point(section, name, "position")
-    elif kind == "stroll":
-        params["a"] = _point(section, name, "a")
-        params["b"] = _point(section, name, "b")
-        params["speed"] = _number(section, name, "speed")
-    else:
-        params["center"] = _point(section, name, "center")
-        params["radius"] = _number(section, name, "radius")
-        params["omega"] = _number(section, name, "omega")
-    if rate <= 0:
-        raise ConfigError(f"{name}.rate_hz: must be > 0")
-    if duration <= 0:
-        raise ConfigError(f"{name}.duration_s: must be > 0")
-    if foot_width <= 0:
-        raise ConfigError(f"{name}.foot_width: must be > 0")
-    return TrajectorySpec(kind=kind, rate_hz=rate, duration_s=duration,
-                          foot_width=foot_width, params=params)
+    hints = get_type_hints(TRAJECTORIES[kind])
+    param_types = {key: t for key, t in hints.items() if key != "return"}
+    common = ("rate_hz", "duration_s", "foot_width")
+    _reject_unknown(section, name, {"kind", *common, *param_types})
+    numbers = {key: _number(section, name, key) for key in common}
+    params = {key: _PARSERS[t](section, name, key) for key, t in param_types.items()}
+    for key, value in numbers.items():
+        if value <= 0:
+            raise ConfigError(f"{name}.{key}: must be > 0")
+    return TrajectorySpec(kind=kind, params=params, **numbers)
 
 
 def load_config(source: str | IO[str]) -> RunConfig:
@@ -231,83 +267,18 @@ def load_config(source: str | IO[str]) -> RunConfig:
     Raises :class:`ConfigError` naming the offending key on any missing
     key, type mismatch, unknown key, or invariant violation.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    with _opened(source, "r", encoding="utf-8") as fh:
+        text = fh.read()
     try:
         root = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: not valid JSON ({exc})") from None
     if not isinstance(root, dict):
         raise ConfigError("config: top level must be an object")
-    _reject_unknown(root, "config", {"rig", "detect", "noise", "intensity",
-                                     "smoother", "trajectory"})
-
-    rig_sec = _section(root, "rig")
-    _reject_unknown(rig_sec, "rig", {"d", "f", "z_b", "width", "height", "u0", "v0"})
-    try:
-        rig = RigConfig(
-            d=_number(rig_sec, "rig", "d"),
-            f=_number(rig_sec, "rig", "f"),
-            z_b=_number(rig_sec, "rig", "z_b"),
-            width=_integer(rig_sec, "rig", "width"),
-            height=_integer(rig_sec, "rig", "height"),
-            u0=_number(rig_sec, "rig", "u0") if "u0" in rig_sec else None,
-            v0=_number(rig_sec, "rig", "v0") if "v0" in rig_sec else None,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"rig.{exc}") from None
-
-    det_sec = _section(root, "detect")
-    _reject_unknown(det_sec, "detect",
-                    {"ath_base", "ath_slope", "ath_min", "ath_max", "min_run"})
-    try:
-        detect = DetectParams(
-            ath_base=_number(det_sec, "detect", "ath_base"),
-            ath_slope=_number(det_sec, "detect", "ath_slope"),
-            ath_min=_number(det_sec, "detect", "ath_min"),
-            ath_max=_number(det_sec, "detect", "ath_max"),
-            min_run=_integer(det_sec, "detect", "min_run"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"detect: {exc}") from None
-
-    noise_sec = _section(root, "noise")
-    _reject_unknown(noise_sec, "noise", {"background_sigma", "background_mean", "seed"})
-    try:
-        noise = NoiseParams(
-            background_sigma=_number(noise_sec, "noise", "background_sigma"),
-            background_mean=_number(noise_sec, "noise", "background_mean"),
-            seed=_integer(noise_sec, "noise", "seed"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"noise.{exc}") from None
-
-    int_sec = _section(root, "intensity")
-    _reject_unknown(int_sec, "intensity", {"i_ref", "z_ref"})
-    try:
-        intensity = IntensityModel(
-            i_ref=_number(int_sec, "intensity", "i_ref"),
-            z_ref=_number(int_sec, "intensity", "z_ref"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"intensity.{exc}") from None
-
-    smooth_sec = _section(root, "smoother")
-    _reject_unknown(smooth_sec, "smoother", {"alpha", "enabled"})
-    try:
-        smoother = SmootherConfig(
-            alpha=_number(smooth_sec, "smoother", "alpha"),
-            enabled=_boolean(smooth_sec, "smoother", "enabled"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"smoother.{exc}") from None
-
-    trajectory = _build_trajectory(_section(root, "trajectory"))
-    return RunConfig(rig=rig, detect=detect, noise=noise, intensity=intensity,
-                     smoother=smoother, trajectory=trajectory)
+    _reject_unknown(root, "config", {*_SECTIONS, "trajectory"})
+    built = {name: _build_section(_section(root, name), name) for name in _SECTIONS}
+    return RunConfig(**built,
+                     trajectory=_build_trajectory(_section(root, "trajectory")))
 
 
 # --- CSV tables -------------------------------------------------------------
@@ -325,18 +296,20 @@ class EstimateRow:
     z_cm: float | None = None
 
 
-def _open_text(sink: str | IO[str], mode: str):
-    if hasattr(sink, "read") or hasattr(sink, "write"):
-        return sink, False
-    return open(sink, mode, encoding="utf-8", newline=""), True
+def _read_table(source: str | IO[str], header: str, what: str) -> list[list[str]]:
+    """The rows after the header line of a CSV, split into fields."""
+    with _opened(source, "r", encoding="utf-8", newline="") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != header:
+        raise ValueError(f"{what} CSV must start with {header!r}")
+    return [line.split(",") for line in lines[1:]]
 
 
 def write_estimates_csv(estimates: Sequence[PositionEstimate],
                         sink: str | IO[str]) -> None:
     """Write per-frame estimates; absent values become empty fields and
     cm/pixel centroids carry three decimals."""
-    fh, owned = _open_text(sink, "w")
-    try:
+    with _opened(sink, "w", encoding="utf-8", newline="") as fh:
         fh.write(ESTIMATES_HEADER + "\n")
         for est in estimates:
             if est.pos is not None and est.detection is not None:
@@ -347,23 +320,12 @@ def write_estimates_csv(estimates: Sequence[PositionEstimate],
                 )
             else:
                 fh.write(f"{est.frame_index},{est.timestamp_ms},0,,,,\n")
-    finally:
-        if owned:
-            fh.close()
 
 
 def read_estimates_csv(source: str | IO[str]) -> list[EstimateRow]:
-    fh, owned = _open_text(source, "r")
-    try:
-        lines = fh.read().splitlines()
-    finally:
-        if owned:
-            fh.close()
-    if not lines or lines[0] != ESTIMATES_HEADER:
-        raise ValueError(f"estimates CSV must start with {ESTIMATES_HEADER!r}")
     rows = []
-    for line in lines[1:]:
-        frame, ts, detected, u_f, v_f, x, z = line.split(",")
+    for frame, ts, detected, u_f, v_f, x, z in _read_table(
+            source, ESTIMATES_HEADER, "estimates"):
         if detected == "1":
             rows.append(EstimateRow(int(frame), int(ts), True, float(u_f),
                                     int(v_f), float(x), float(z)))
@@ -373,8 +335,7 @@ def read_estimates_csv(source: str | IO[str]) -> list[EstimateRow]:
 
 
 def write_truth_csv(truth: Sequence[SceneState], sink: str | IO[str]) -> None:
-    fh, owned = _open_text(sink, "w")
-    try:
+    with _opened(sink, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRUTH_HEADER + "\n")
         for i, state in enumerate(truth):
             if state.user is not None:
@@ -384,23 +345,11 @@ def write_truth_csv(truth: Sequence[SceneState], sink: str | IO[str]) -> None:
                 )
             else:
                 fh.write(f"{i},{state.timestamp_ms},0,,,{state.foot_width:.3f}\n")
-    finally:
-        if owned:
-            fh.close()
 
 
 def read_truth_csv(source: str | IO[str]) -> list[SceneState]:
-    fh, owned = _open_text(source, "r")
-    try:
-        lines = fh.read().splitlines()
-    finally:
-        if owned:
-            fh.close()
-    if not lines or lines[0] != TRUTH_HEADER:
-        raise ValueError(f"truth CSV must start with {TRUTH_HEADER!r}")
     states = []
-    for line in lines[1:]:
-        _, ts, present, x, z, foot_width = line.split(",")
+    for _, ts, present, x, z, foot_width in _read_table(source, TRUTH_HEADER, "truth"):
         user = WorldPosition(float(x), float(z)) if present == "1" else None
         states.append(SceneState(user=user, foot_width=float(foot_width),
                                  timestamp_ms=int(ts)))

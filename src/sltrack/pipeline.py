@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -111,14 +111,19 @@ class _ExpSmoother:
 
 
 def track_stream(
-    frames: Sequence[Frame],
+    frames: Iterable[Frame],
     rig: RigConfig,
     cal: Calibration,
     p: DetectParams,
     smoother: SmootherConfig = SmootherConfig(),
     on_estimate: Callable[[PositionEstimate], None] | None = None,
 ) -> list[PositionEstimate]:
-    """Track an ordered frame sequence, one estimate per frame.
+    """Track frames in timestamp order, one estimate per frame.
+
+    ``frames`` may be any iterable; it is consumed lazily, one frame per
+    estimate, so a generator such as :func:`sltrack.io.iter_pgm_dir` keeps
+    only the current frame in memory. A frame whose timestamp precedes the
+    previous one raises ``ValueError``.
 
     With smoothing enabled, present positions are exponentially smoothed
     (state resets across detection gaps) while the raw detection stays in

@@ -136,34 +136,40 @@ class PositionStreamer:
             self._queue.append(packet)
 
     def _drain(self) -> None:
-        while True:
-            with self._lock:
-                batch = list(self._queue)
-                self._queue.clear()
-                closing = self._closing
-            if not batch:
-                if closing:
-                    return
-                time.sleep(self._POLL_S)
-                continue
-            sent = failed = 0
-            for packet in batch:
-                try:
-                    self._sock.sendto(packet, self.endpoint)
-                    sent += 1
-                except OSError as exc:
-                    failed += 1
-                    logger.warning("send to %s failed: %s", self.endpoint, exc)
-            with self._lock:
-                self.sent += sent
-                self.send_failures += failed
+        # the socket belongs to this thread: it is closed here, after the
+        # last send, never from close() while a send may be in flight
+        try:
+            while True:
+                with self._lock:
+                    batch = list(self._queue)
+                    self._queue.clear()
+                    closing = self._closing
+                if not batch:
+                    if closing:
+                        return
+                    time.sleep(self._POLL_S)
+                    continue
+                sent = failed = 0
+                for packet in batch:
+                    try:
+                        self._sock.sendto(packet, self.endpoint)
+                        sent += 1
+                    except OSError as exc:
+                        failed += 1
+                        logger.warning("send to %s failed: %s", self.endpoint, exc)
+                with self._lock:
+                    self.sent += sent
+                    self.send_failures += failed
+        finally:
+            self._sock.close()
 
     def close(self, timeout: float = 5.0) -> None:
-        """Flush the queue and stop the sender thread."""
+        """Ask the sender thread to flush the queue and stop, and wait up to
+        ``timeout`` seconds for it. A sender still busy after that finishes
+        the queue, then closes its socket, on its own."""
         with self._lock:
             self._closing = True
         self._thread.join(timeout)
-        self._sock.close()
 
     def __enter__(self) -> "PositionStreamer":
         return self

@@ -18,7 +18,7 @@ from .geometry import RigConfig, WorldPosition
 
 _PathFn = Callable[[float], WorldPosition]
 
-TRAJECTORY_KINDS = ("stationary", "stroll", "circle")
+Point = tuple[float, float]
 
 
 @dataclass(eq=False)
@@ -184,16 +184,16 @@ def render(
                  timestamp_ms=scene.timestamp_ms, index=index)
 
 
-def _stationary(params: Mapping[str, object]) -> _PathFn:
-    x, z = params["position"]  # type: ignore[misc]
+def _stationary(position: Point) -> _PathFn:
+    x, z = position
     pos = WorldPosition(float(x), float(z))
     return lambda t: pos
 
 
-def _stroll(params: Mapping[str, object]) -> _PathFn:
-    ax, az = params["a"]  # type: ignore[misc]
-    bx, bz = params["b"]  # type: ignore[misc]
-    speed = float(params["speed"])  # type: ignore[arg-type]
+def _stroll(a: Point, b: Point, speed: float) -> _PathFn:
+    ax, az = a
+    bx, bz = b
+    speed = float(speed)
     if speed <= 0:
         raise ValueError("speed: must be > 0")
     a = np.array([float(ax), float(az)])
@@ -213,10 +213,10 @@ def _stroll(params: Mapping[str, object]) -> _PathFn:
     return at
 
 
-def _circle(params: Mapping[str, object]) -> _PathFn:
-    cx, cz = params["center"]  # type: ignore[misc]
-    radius = float(params["radius"])  # type: ignore[arg-type]
-    omega = float(params["omega"])  # type: ignore[arg-type]
+def _circle(center: Point, radius: float, omega: float) -> _PathFn:
+    cx, cz = center
+    radius = float(radius)
+    omega = float(omega)
     if radius < 0:
         raise ValueError("radius: must be >= 0")
 
@@ -228,7 +228,11 @@ def _circle(params: Mapping[str, object]) -> _PathFn:
     return at
 
 
-_PATHS = {"stationary": _stationary, "stroll": _stroll, "circle": _circle}
+# Trajectory kind -> path builder. A builder's parameters are the kind's
+# config keys, in order, and their annotations the keys' types.
+TRAJECTORIES: dict[str, Callable[..., _PathFn]] = {
+    "stationary": _stationary, "stroll": _stroll, "circle": _circle,
+}
 
 
 def make_trajectory(
@@ -247,7 +251,7 @@ def make_trajectory(
     Timestamps are round(i * 1000/rate) ms. When a rig is given, any state
     leaving its workspace (0 < z <= z_b) fails construction.
     """
-    if kind not in _PATHS:
+    if kind not in TRAJECTORIES:
         raise ValueError(f"unknown trajectory kind {kind!r}")
     if not 0 < rate_hz <= 1000:
         raise ValueError("rate_hz: must lie in (0, 1000]")
@@ -257,7 +261,7 @@ def make_trajectory(
     if n < 1:
         raise ValueError("trajectory is empty: rate * duration < 1 frame")
 
-    at = _PATHS[kind](params)
+    at = TRAJECTORIES[kind](**params)
     states = []
     for i in range(n):
         t = i / rate_hz

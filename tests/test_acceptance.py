@@ -306,10 +306,12 @@ def test_acceptance_7_degenerates_yield_no_estimate(rig, intensity, detect_param
     estimates = track_stream(frames, rig, cal, detect_params)
     all_absent = all(e.pos is None for e in estimates)
 
-    # corrupt disparity: run row above the wall row makes the depth
-    # denominator non-positive; must absorb into "no position"
+    # corrupt disparity: a run row far enough above the wall row (here above
+    # row 120, where the depth denominator is exactly zero) makes the
+    # denominator negative, a reflection behind the camera; both must
+    # absorb into "no position"
     corrupt = triangulate_detection(
-        rig, cal, Detection(u_f=160.0, v_f=120, run_len=5, mass=100.0))
+        rig, cal, Detection(u_f=160.0, v_f=100, run_len=5, mass=100.0))
     zero_denominator = triangulate_detection(
         rig, cal, Detection(u_f=160.0, v_f=120, run_len=5, mass=100.0))
     ok = (len(estimates) == len(frames) and all_absent

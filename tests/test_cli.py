@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import socket
 from pathlib import Path
@@ -173,6 +174,32 @@ def test_track_with_live_stream(tmp_path):
         receiver.close()
 
 
+def test_track_without_frames_exit_2_before_streaming(tmp_path, capsys):
+    receiver = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    receiver.bind(("127.0.0.1", 0))
+    receiver.settimeout(0.2)
+    port = receiver.getsockname()[1]
+    cfg = stationary_config(tmp_path)
+    cal = tmp_path / "cal.txt"
+    cal.write_text("v_b=160\n", encoding="utf-8")
+    no_frames = tmp_path / "no_frames"
+    no_frames.mkdir()
+    (no_frames / "notes.txt").write_text("not a frame", encoding="utf-8")
+    est_csv = tmp_path / "est.csv"
+    try:
+        assert main(["track", "-c", cfg, "--calibration", str(cal),
+                     str(no_frames), "-o", str(est_csv),
+                     "--stream", f"127.0.0.1:{port}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no .pgm frames in {no_frames}\n"
+        assert captured.out == ""  # no streamer started, nothing tracked
+        assert not est_csv.exists()
+        with pytest.raises(socket.timeout):
+            receiver.recvfrom(256)
+    finally:
+        receiver.close()
+
+
 def test_evaluate_identical_files_rms_zero(tmp_path, capsys):
     cfg = stationary_config(tmp_path)
     est_csv, truth_csv = full_run(tmp_path, cfg)
@@ -216,6 +243,15 @@ def test_bench_reports_positive_fps(ref_config, capsys):
     out = capsys.readouterr().out
     fps = float(out.split("->")[1].split("fps")[0])
     assert fps > 0
+
+
+def test_bench_replays_trajectory_past_its_end(ref_config, capsys):
+    # the reference trajectory has 200 states: frames 200..249 replay it,
+    # and their timestamps must keep increasing through track_stream
+    assert main(["bench", "-c", ref_config, "-n", "250"]) == 0
+    out = capsys.readouterr().out
+    assert re.fullmatch(
+        r"250 frames in \d+\.\d{4} s -> \d+\.\d fps \(250 detections\)\n", out)
 
 
 def test_bench_zero_frames_usage_error(ref_config):

@@ -172,6 +172,121 @@ def test_config_not_json():
         load_config(stdio.StringIO("rig: {d: 40}"))
 
 
+# Golden messages. One base config per trajectory kind: the reference
+# config (a stroll) and the same config with a stationary or circle path.
+OTHER_TRAJECTORIES = {
+    "stationary": {"kind": "stationary", "rate_hz": 20.0, "duration_s": 1.0,
+                   "foot_width": 25.0, "position": [0.0, 200.0]},
+    "circle": {"kind": "circle", "rate_hz": 20.0, "duration_s": 2.0,
+               "foot_width": 25.0, "center": [0.0, 250.0], "radius": 40.0,
+               "omega": 1.0},
+}
+
+
+def base_config(kind: str) -> dict:
+    cfg = reference_dict()
+    if kind != "stroll":
+        cfg["trajectory"] = dict(OTHER_TRAJECTORIES[kind])
+    return cfg
+
+
+def config_error(cfg: dict) -> str:
+    with pytest.raises(ConfigError) as exc_info:
+        load_from_dict(cfg)
+    return str(exc_info.value)
+
+
+NUMBER = "expected a number, got 'x'"
+INTEGER = "expected an integer, got 'x'"
+BOOLEAN = "expected true/false, got 'x'"
+POINT = "expected [x_cm, z_cm]"
+
+# (base trajectory kind, section, key, message when the key is set to "x")
+EVERY_KEY = [
+    *[("stroll", "rig", k, NUMBER) for k in ("d", "f", "z_b", "u0", "v0")],
+    *[("stroll", "rig", k, INTEGER) for k in ("width", "height")],
+    *[("stroll", "detect", k, NUMBER)
+      for k in ("ath_base", "ath_slope", "ath_min", "ath_max")],
+    ("stroll", "detect", "min_run", INTEGER),
+    ("stroll", "noise", "background_sigma", NUMBER),
+    ("stroll", "noise", "background_mean", NUMBER),
+    ("stroll", "noise", "seed", INTEGER),
+    ("stroll", "intensity", "i_ref", NUMBER),
+    ("stroll", "intensity", "z_ref", NUMBER),
+    ("stroll", "smoother", "alpha", NUMBER),
+    ("stroll", "smoother", "enabled", BOOLEAN),
+    *[(kind, "trajectory", "kind", "unknown kind 'x'")
+      for kind in ("stroll", "stationary", "circle")],
+    *[(kind, "trajectory", k, NUMBER)
+      for kind in ("stroll", "stationary", "circle")
+      for k in ("rate_hz", "duration_s", "foot_width")],
+    ("stroll", "trajectory", "a", POINT),
+    ("stroll", "trajectory", "b", POINT),
+    ("stroll", "trajectory", "speed", NUMBER),
+    ("stationary", "trajectory", "position", POINT),
+    ("circle", "trajectory", "center", POINT),
+    ("circle", "trajectory", "radius", NUMBER),
+    ("circle", "trajectory", "omega", NUMBER),
+]
+
+
+@pytest.mark.parametrize("kind,section,key,type_message", EVERY_KEY,
+                         ids=[f"{k}:{s}.{key}" for k, s, key, _ in EVERY_KEY])
+def test_config_message_for_every_key(kind, section, key, type_message):
+    cfg = base_config(kind)
+    del cfg[section][key]
+    if (section, key) in (("rig", "u0"), ("rig", "v0")):
+        rig = load_from_dict(cfg).rig  # optional: defaults to the frame center
+        assert (rig.u0, rig.v0) == (160.0, 120.0)
+    else:
+        assert config_error(cfg) == f"{section}.{key}: missing"
+
+    cfg = base_config(kind)
+    cfg[section][key] = "x"
+    assert config_error(cfg) == f"{section}.{key}: {type_message}"
+
+    cfg = base_config(kind)
+    cfg[section]["zzz_" + key] = 1.0
+    assert config_error(cfg) == f"{section}.zzz_{key}: unknown key"
+
+
+SECTIONS = ["rig", "detect", "noise", "intensity", "smoother", "trajectory"]
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_config_message_for_every_section(section):
+    cfg = base_config("stroll")
+    del cfg[section]
+    assert config_error(cfg) == f"config.{section}: missing"
+    cfg = base_config("stroll")
+    cfg[section] = [cfg[section]]
+    assert config_error(cfg) == f"config.{section}: expected an object"
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda c: c.update(extras={}), "config.extras: unknown key"),
+    (lambda c: c["trajectory"].update(kind=[]),
+     "trajectory.kind: unknown kind []"),
+    (lambda c: c["trajectory"].update(radius=5.0),
+     "trajectory.radius: unknown key"),
+    # each section's own invariant keeps exactly one section prefix
+    (lambda c: c["rig"].update(d=0.0), "rig.d: must be > 0"),
+    (lambda c: c["detect"].update(ath_min=20.0),
+     "detect: require ath_min <= ath_base <= ath_max"),
+    (lambda c: c["noise"].update(seed=-1), "noise.seed: must be >= 0"),
+    (lambda c: c["intensity"].update(z_ref=0.0), "intensity.z_ref: must be > 0"),
+    (lambda c: c["smoother"].update(alpha=0.0),
+     "smoother.alpha: must lie in (0, 1]"),
+    (lambda c: c["trajectory"].update(rate_hz=0.0),
+     "trajectory.rate_hz: must be > 0"),
+], ids=["top-level-unknown", "unhashable-kind", "other-kinds-key", "rig",
+        "detect", "noise", "intensity", "smoother", "trajectory"])
+def test_config_section_and_invariant_messages(mutate, message):
+    cfg = base_config("stroll")
+    mutate(cfg)
+    assert config_error(cfg) == message
+
+
 # --- CSV -----------------------------------------------------------------------
 
 def make_estimates():

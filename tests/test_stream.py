@@ -183,6 +183,33 @@ def test_bounded_queue_drops_oldest_without_blocking():
     assert streamer.sent + streamer.dropped == 200
 
 
+def test_close_timeout_leaves_the_socket_to_the_sender(receiver):
+    # close() returns after its timeout while sends are still in flight;
+    # the sender must finish the queue on a socket nobody closed under it,
+    # then close that socket itself
+    streamer = PositionStreamer(receiver.getsockname())
+    real_sock = streamer._sock
+    closes: list[int] = []
+
+    class SlowSock:
+        def sendto(self, data, addr):
+            time.sleep(0.05)
+            return real_sock.sendto(data, addr)
+
+        def close(self):
+            closes.append(1)
+            real_sock.close()
+
+    streamer._sock = SlowSock()
+    for i in range(5):
+        streamer.submit(est(i, i))
+    streamer.close(timeout=0.01)
+    streamer._thread.join(timeout=5.0)
+    assert not streamer._thread.is_alive()
+    assert streamer.send_failures == 0 and streamer.sent == 5
+    assert closes == [1]
+
+
 def test_throughput_unaffected_by_absent_consumer(rig, quiet, intensity,
                                                   detect_params, receiver):
     """A dead endpoint (nobody listening) must not slow the tracking loop
