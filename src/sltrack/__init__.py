@@ -12,7 +12,7 @@ from .detect import (Calibration, CalibrationError, DetectParams, Detection,
 from .geometry import (ImagePoint, RigConfig, TriangulationError,
                        WorldPosition, depth_resolution, project,
                        triangulate_depth, triangulate_lateral)
-from .io import (ConfigError, PgmError, RunConfig, TrajectorySpec, load_config,
+from .io import (ConfigError, PgmError, RunConfig, load_config,
                  read_estimates_csv, read_pgm, read_truth_csv,
                  write_estimates_csv, write_pgm, write_truth_csv)
 from .pipeline import (Metrics, PositionEstimate, SmootherConfig, evaluate,
@@ -20,7 +20,7 @@ from .pipeline import (Metrics, PositionEstimate, SmootherConfig, evaluate,
 from .stream import (PositionStreamer, StreamPacket, decode, encode,
                      resolve_endpoint, serve)
 from .synth import (Frame, IntensityModel, NoiseParams, SceneState,
-                    intensity_at, make_trajectory, render, render_trajectory)
+                    TrajectorySpec, intensity_at, render, render_trajectory)
 
 __version__ = "0.1.0"
 
@@ -31,8 +31,8 @@ __all__ = [
     "RigConfig", "RunConfig", "SceneState", "SmootherConfig", "StreamPacket",
     "TrajectorySpec", "TriangulationError", "WorldPosition", "ath",
     "calibrate", "decode", "depth_resolution", "detect_feet", "edge_test",
-    "encode", "evaluate", "intensity_at", "load_config", "make_trajectory",
-    "project", "read_estimates_csv", "read_pgm", "read_truth_csv", "render",
+    "encode", "evaluate", "intensity_at", "load_config", "project",
+    "read_estimates_csv", "read_pgm", "read_truth_csv", "render",
     "render_trajectory", "resolve_endpoint", "serve", "track_frame",
     "track_stream", "triangulate_depth", "triangulate_detection",
     "triangulate_lateral", "write_estimates_csv", "write_pgm",

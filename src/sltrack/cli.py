@@ -19,7 +19,7 @@ from .geometry import RigConfig, WorldPosition
 from .pipeline import (PositionEstimate, SmootherConfig, evaluate,
                        track_stream)
 from .stream import PositionStreamer
-from .synth import SceneState, render
+from .synth import SceneState, frame_timestamp_ms, render
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -157,7 +157,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # replay it with timestamps that keep counting up.
     frames = [
         render(cfg.rig, replace(states[i % len(states)],
-                                timestamp_ms=round(i * 1000.0 / rate)),
+                                timestamp_ms=frame_timestamp_ms(i, rate)),
                cfg.noise, cfg.intensity, index=i)
         for i in range(args.frames)
     ]

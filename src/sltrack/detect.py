@@ -30,11 +30,11 @@ class Calibration:
     """
 
     v_b: int
-    width: int = 0
-    height: int = 0
+    width: int
+    height: int
 
     def __post_init__(self) -> None:
-        if self.height and not 0 < self.v_b < self.height - 1:
+        if not 0 < self.v_b < self.height - 1:
             raise ValueError("v_b: must leave room for row neighbors above and below")
 
 
@@ -137,7 +137,7 @@ def detect_feet(frame: Frame, cal: Calibration, p: DetectParams) -> Detection | 
     the run's intensity-weighted column centroid and its row, or None --
     an empty room is a value, not an error.
     """
-    if cal.width and (cal.width, cal.height) != (frame.width, frame.height):
+    if (cal.width, cal.height) != (frame.width, frame.height):
         raise ValueError(
             f"calibration is for {cal.width}x{cal.height} frames, "
             f"got {frame.width}x{frame.height}"

@@ -2,8 +2,9 @@
 
 The config file is strict JSON: every section and key is validated, and
 unknown keys are rejected so experiment configs stay reproducible. A
-section's keys and types are the fields of the dataclass it builds, a
-trajectory's those of its kind's path builder in ``synth.TRAJECTORIES``.
+section's keys and types are the fields of the dataclass it builds; a
+trajectory's are the scalar fields of ``synth.TrajectorySpec`` and the
+parameters of its kind's path builder in ``synth.TRAJECTORIES``.
 ``configs/reference.json`` is a worked example.
 """
 
@@ -13,8 +14,8 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import (IO, Any, BinaryIO, Iterator, Mapping, Sequence, get_args,
-                    get_type_hints)
+from typing import (IO, Any, BinaryIO, Callable, Iterator, Mapping, Sequence,
+                    get_args, get_type_hints)
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .detect import DetectParams
 from .geometry import RigConfig, WorldPosition
 from .pipeline import PositionEstimate, SmootherConfig
 from .synth import (TRAJECTORIES, Frame, IntensityModel, NoiseParams, Point,
-                    SceneState, make_trajectory)
+                    SceneState, TrajectorySpec, frame_timestamp_ms)
 
 ESTIMATES_HEADER = "frame,timestamp_ms,detected,u_f,v_f,x_cm,z_cm"
 TRUTH_HEADER = "frame,timestamp_ms,present,x_cm,z_cm,foot_width_cm"
@@ -84,7 +85,9 @@ def read_pgm(source: str | BinaryIO) -> Frame:
     """Read a binary (P5) PGM with maxval 255 back into a Frame.
 
     Timestamp and index are not part of the format and come back as 0;
-    callers sequencing frames from disk assign them.
+    callers sequencing frames from disk assign them. Malformed data,
+    including any byte after the width*height payload, raises
+    :class:`PgmError` at the offset of the problem.
     """
     with _opened(source, "rb") as fh:
         data = fh.read()
@@ -105,6 +108,8 @@ def read_pgm(source: str | BinaryIO) -> Frame:
         raise PgmError(f"bad dimensions {width}x{height}", pos)
     if maxval != 255:
         raise PgmError(f"maxval {maxval} unsupported, want 255", pos)
+    if pos == len(data):
+        raise PgmError("truncated header", pos)
     pos += 1  # single whitespace byte after maxval
     expected = width * height
     payload = data[pos:pos + expected]
@@ -113,6 +118,9 @@ def read_pgm(source: str | BinaryIO) -> Frame:
             f"truncated payload: want {expected} bytes, have {len(payload)}",
             pos + len(payload),
         )
+    if len(data) > pos + expected:
+        raise PgmError(f"{len(data) - pos - expected} bytes after the payload",
+                       pos + expected)
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
     return Frame(width=width, height=height, pixels=pixels.copy())
 
@@ -121,34 +129,18 @@ def iter_pgm_dir(frames_dir: str, rate_hz: float) -> Iterator[Frame]:
     """The ``*.pgm`` files of a directory as a frame sequence, in name order.
 
     Frames are read one at a time as the iterator is consumed. Frame i gets
-    index i and timestamp round(i * 1000/rate_hz) ms. An empty directory
+    index i and timestamp ``frame_timestamp_ms(i, rate_hz)``. An empty directory
     raises :class:`ConfigError` here, before any frame is read.
     """
     paths = sorted(Path(frames_dir).glob("*.pgm"))
     if not paths:
         raise ConfigError(f"no .pgm frames in {frames_dir}")
     return (replace(read_pgm(str(path)), index=i,
-                    timestamp_ms=round(i * 1000.0 / rate_hz))
+                    timestamp_ms=frame_timestamp_ms(i, rate_hz))
             for i, path in enumerate(paths))
 
 
 # --- run configuration -----------------------------------------------------
-
-@dataclass(frozen=True)
-class TrajectorySpec:
-    """Declarative trajectory: kind plus kind-specific parameters."""
-
-    kind: str
-    rate_hz: float
-    duration_s: float
-    foot_width: float
-    params: Mapping[str, Any]
-
-    def materialize(self, rig: RigConfig) -> list[SceneState]:
-        return make_trajectory(self.kind, self.params, self.rate_hz,
-                               self.duration_s, foot_width=self.foot_width,
-                               rig=rig)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -224,41 +216,55 @@ _SECTIONS = {
 }
 
 
-def _build_section(section: Mapping[str, Any], name: str) -> Any:
-    """Build a section's dataclass with one key per field, parsed by the
-    field's type; a field whose default is None may be left out."""
-    cls, prefix = _SECTIONS[name]
-    hints = get_type_hints(cls)
-    _reject_unknown(section, name, {f.name for f in fields(cls)})
+def _parse_keys(section: Mapping[str, Any], name: str,
+                types: Mapping[str, Any]) -> dict[str, Any]:
+    """One value per key of ``types``, parsed by its type, after rejecting
+    keys not in ``types``; a key whose type admits None may be left out."""
+    _reject_unknown(section, name, set(types))
     values = {}
-    for f in fields(cls):
-        kind = hints[f.name]
-        if f.default is None:
-            if f.name not in section:
+    for key, kind in types.items():
+        if type(None) in get_args(kind):
+            if key not in section:
                 continue
             kind = get_args(kind)[0]  # ``T | None`` -> T
-        values[f.name] = _PARSERS[kind](section, name, f.name)
+        values[key] = _PARSERS[kind](section, name, key)
+    return values
+
+
+def _construct(cls: type, prefix: str, **values: Any) -> Any:
+    """``cls(**values)``, its ValueError turned into a prefixed ConfigError."""
     try:
         return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"{prefix}{exc}") from None
 
 
+def _field_types(cls: type) -> dict[str, Any]:
+    """Name -> annotated type of each constructor field of a dataclass."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.init}
+
+
+def _build_section(section: Mapping[str, Any], name: str) -> Any:
+    """Build a section's dataclass from one key per field, of the field's type."""
+    cls, prefix = _SECTIONS[name]
+    return _construct(cls, prefix, **_parse_keys(section, name, _field_types(cls)))
+
+
 def _build_trajectory(section: Mapping[str, Any]) -> TrajectorySpec:
+    """Build a TrajectorySpec: ``kind`` picks the path builder, whose
+    parameters are keys beside the spec's own scalar fields."""
     name = "trajectory"
     kind = _require(section, name, "kind")
     if not isinstance(kind, str) or kind not in TRAJECTORIES:
         raise ConfigError(f"{name}.kind: unknown kind {kind!r}")
-    hints = get_type_hints(TRAJECTORIES[kind])
-    param_types = {key: t for key, t in hints.items() if key != "return"}
-    common = ("rate_hz", "duration_s", "foot_width")
-    _reject_unknown(section, name, {"kind", *common, *param_types})
-    numbers = {key: _number(section, name, key) for key in common}
-    params = {key: _PARSERS[t](section, name, key) for key, t in param_types.items()}
-    for key, value in numbers.items():
-        if value <= 0:
-            raise ConfigError(f"{name}.{key}: must be > 0")
-    return TrajectorySpec(kind=kind, params=params, **numbers)
+    params = get_type_hints(TRAJECTORIES[kind])
+    del params["return"]
+    types = {**_field_types(TrajectorySpec), **params}
+    del types["kind"], types["params"]
+    values = _parse_keys({k: v for k, v in section.items() if k != "kind"}, name, types)
+    return _construct(TrajectorySpec, f"{name}.", kind=kind,
+                      params={key: values.pop(key) for key in params}, **values)
 
 
 def load_config(source: str | IO[str]) -> RunConfig:
@@ -296,13 +302,25 @@ class EstimateRow:
     z_cm: float | None = None
 
 
-def _read_table(source: str | IO[str], header: str, what: str) -> list[list[str]]:
-    """The rows after the header line of a CSV, split into fields."""
+def _read_table(source: str | IO[str], header: str, what: str,
+                parse: Callable[..., Any]) -> list[Any]:
+    """``parse(*fields)`` of each row after the header line of a CSV. A bad
+    header or row raises ``ValueError`` naming the table and 1-based line."""
     with _opened(source, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != header:
-        raise ValueError(f"{what} CSV must start with {header!r}")
-    return [line.split(",") for line in lines[1:]]
+        raise ValueError(f"{what} CSV line 1: expected header {header!r}")
+    width = header.count(",") + 1
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        values = line.split(",")
+        try:
+            if len(values) != width:
+                raise ValueError(f"expected {width} fields, got {len(values)}")
+            rows.append(parse(*values))
+        except ValueError as exc:
+            raise ValueError(f"{what} CSV line {number}: {exc}") from None
+    return rows
 
 
 def write_estimates_csv(estimates: Sequence[PositionEstimate],
@@ -322,16 +340,16 @@ def write_estimates_csv(estimates: Sequence[PositionEstimate],
                 fh.write(f"{est.frame_index},{est.timestamp_ms},0,,,,\n")
 
 
+def _estimate_row(frame: str, ts: str, detected: str, u_f: str, v_f: str,
+                  x: str, z: str) -> EstimateRow:
+    if detected == "1":
+        return EstimateRow(int(frame), int(ts), True, float(u_f), int(v_f),
+                           float(x), float(z))
+    return EstimateRow(int(frame), int(ts), False)
+
+
 def read_estimates_csv(source: str | IO[str]) -> list[EstimateRow]:
-    rows = []
-    for frame, ts, detected, u_f, v_f, x, z in _read_table(
-            source, ESTIMATES_HEADER, "estimates"):
-        if detected == "1":
-            rows.append(EstimateRow(int(frame), int(ts), True, float(u_f),
-                                    int(v_f), float(x), float(z)))
-        else:
-            rows.append(EstimateRow(int(frame), int(ts), False))
-    return rows
+    return _read_table(source, ESTIMATES_HEADER, "estimates", _estimate_row)
 
 
 def write_truth_csv(truth: Sequence[SceneState], sink: str | IO[str]) -> None:
@@ -347,10 +365,11 @@ def write_truth_csv(truth: Sequence[SceneState], sink: str | IO[str]) -> None:
                 fh.write(f"{i},{state.timestamp_ms},0,,,{state.foot_width:.3f}\n")
 
 
+def _truth_row(frame: str, ts: str, present: str, x: str, z: str,
+               foot_width: str) -> SceneState:
+    user = WorldPosition(float(x), float(z)) if present == "1" else None
+    return SceneState(user=user, foot_width=float(foot_width), timestamp_ms=int(ts))
+
+
 def read_truth_csv(source: str | IO[str]) -> list[SceneState]:
-    states = []
-    for _, ts, present, x, z, foot_width in _read_table(source, TRUTH_HEADER, "truth"):
-        user = WorldPosition(float(x), float(z)) if present == "1" else None
-        states.append(SceneState(user=user, foot_width=float(foot_width),
-                                 timestamp_ms=int(ts)))
-    return states
+    return _read_table(source, TRUTH_HEADER, "truth", _truth_row)

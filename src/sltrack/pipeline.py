@@ -43,10 +43,10 @@ class SmootherConfig:
 
 @dataclass(frozen=True)
 class Metrics:
-    """Floor-plane accuracy and throughput summary.
+    """Floor-plane accuracy summary.
 
     Error fields are NaN when no frame had both a truth position and an
-    estimate; frames_per_second is NaN unless a processing time was given.
+    estimate.
     """
 
     rms_error: float
@@ -54,7 +54,6 @@ class Metrics:
     p95_error: float
     within_10cm_fraction: float
     detection_rate: float
-    frames_per_second: float
 
 
 def triangulate_detection(
@@ -152,7 +151,6 @@ def track_stream(
 def evaluate(
     estimates: Sequence[PositionEstimate],
     truth: Sequence[SceneState],
-    processing_time_s: float | None = None,
 ) -> Metrics:
     """Compare estimates to ground truth, paired by frame index.
 
@@ -183,14 +181,10 @@ def evaluate(
     else:
         rms = mx = p95 = within = math.nan
 
-    fps = math.nan
-    if processing_time_s is not None and processing_time_s > 0:
-        fps = len(estimates) / processing_time_s
     return Metrics(
         rms_error=rms,
         max_error=mx,
         p95_error=p95,
         within_10cm_fraction=within,
         detection_rate=(detected / eligible) if eligible else 0.0,
-        frames_per_second=fps,
     )

@@ -126,8 +126,12 @@ class PositionStreamer:
         self._thread.start()
 
     def submit(self, est: PositionEstimate) -> None:
-        """Queue an estimate for sending; never blocks on the network."""
+        """Queue an estimate for sending; never blocks on the network.
+        After :meth:`close` the estimate is counted as dropped instead."""
         with self._lock:
+            if self._closing:
+                self.dropped += 1
+                return
             packet = encode(est, self._seq % _SEQ_LIMIT)
             self._seq += 1
             if len(self._queue) >= self._queue_size:

@@ -9,16 +9,16 @@ scene sequences for evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from .geometry import RigConfig, WorldPosition
 
-_PathFn = Callable[[float], WorldPosition]
-
 Point = tuple[float, float]
+
+_PathFn = Callable[[float], Point]  # time in s -> (x_cm, z_cm)
 
 
 @dataclass(eq=False)
@@ -102,24 +102,11 @@ def _run_columns(center_u: float, width_px: float, frame_width: int) -> np.ndarr
     return np.arange(lo, hi + 1, dtype=np.intp)
 
 
-def _stamp_line(img: np.ndarray, row: float, cols: np.ndarray, level: float,
-                spread: float) -> None:
-    """Add a horizontal line segment at sub-pixel row ``row``.
-
-    With spread == 0 the line is 1 px tall at round(row); otherwise the
-    intensity gets a Gaussian vertical profile of std ``spread`` px.
-    """
-    height = img.shape[0]
+def _stamp_line(img: np.ndarray, row: float, cols: np.ndarray, level: float) -> None:
+    """Add a 1 px tall line segment at round(row); off-frame rows draw nothing."""
     center = round(row)
-    if spread <= 0:
-        if 0 <= center < height and cols.size:
-            img[center, cols] += level
-        return
-    reach = math.ceil(3.0 * spread)
-    for k in range(-reach, reach + 1):
-        r = center + k
-        if 0 <= r < height and cols.size:
-            img[r, cols] += level * math.exp(-(r - row) ** 2 / (2.0 * spread**2))
+    if 0 <= center < img.shape[0] and cols.size:
+        img[center, cols] += level
 
 
 def render(
@@ -128,9 +115,6 @@ def render(
     noise: NoiseParams,
     im: IntensityModel,
     index: int = 0,
-    *,
-    line_spread: float = 0.0,
-    foot_gap: float = 0.0,
 ) -> Frame:
     """Render one frame of the laser line as seen by the rig camera.
 
@@ -142,8 +126,7 @@ def render(
 
     The noise stream is derived from (noise.seed, index), so identical
     arguments render bit-identical frames and frames can be rendered
-    concurrently. ``foot_gap`` > 0 switches to a two-feet model: two runs of
-    ``foot_width`` whose inner edges are ``foot_gap`` cm apart.
+    concurrently.
     """
     if scene.user is not None and scene.user.z > rig.z_b:
         raise ValueError("user is behind the back wall")
@@ -155,39 +138,29 @@ def render(
     else:
         img = np.full((h, w), float(noise.background_mean))
 
-    occluded = np.empty(0, dtype=np.intp)
-    foot_rows: list[tuple[float, np.ndarray, float]] = []
+    wall_cols = np.arange(w, dtype=np.intp)
     if scene.user is not None:
         x, z = scene.user.x, scene.user.z
-        u_f = rig.u0 + rig.f * x / z
-        w_px = scene.foot_width * rig.f / z
-        if foot_gap > 0:
-            offset = (scene.foot_width + foot_gap) / 2.0 * rig.f / z
-            centers = (u_f - offset, u_f + offset)
-        else:
-            centers = (u_f,)
-        cols = [_run_columns(c, w_px, w) for c in centers]
-        occluded = np.unique(np.concatenate(cols)) if cols else occluded
-        v_f = rig.v0 + rig.d * rig.f / z
-        if 0 <= round(v_f) < h:
-            level = intensity_at(im, z)
-            foot_rows = [(v_f, c, level) for c in cols]
-
-    wall_cols = np.setdiff1d(np.arange(w, dtype=np.intp), occluded)
-    _stamp_line(img, rig.back_wall_row, wall_cols, intensity_at(im, rig.z_b),
-                line_spread)
-    for row, cols, level in foot_rows:
-        _stamp_line(img, row, cols, level, line_spread)
+        cols = _run_columns(rig.u0 + rig.f * x / z, scene.foot_width * rig.f / z, w)
+        _stamp_line(img, rig.v0 + rig.d * rig.f / z, cols, intensity_at(im, z))
+        wall_cols = np.setdiff1d(wall_cols, cols)  # the body shadows the wall
+    _stamp_line(img, rig.back_wall_row, wall_cols, intensity_at(im, rig.z_b))
 
     quantized = np.clip(np.rint(img), 0, 255).astype(np.uint8)
     return Frame(width=w, height=h, pixels=quantized,
                  timestamp_ms=scene.timestamp_ms, index=index)
 
 
+def frame_timestamp_ms(i: int, rate_hz: float) -> int:
+    """Timestamp of frame i of a clip sampled at rate_hz, in whole ms."""
+    return round(i * 1000.0 / rate_hz)
+
+
 def _stationary(position: Point) -> _PathFn:
-    x, z = position
-    pos = WorldPosition(float(x), float(z))
-    return lambda t: pos
+    x, z = map(float, position)
+    if not z > 0:
+        raise ValueError("position: z must be > 0")
+    return lambda t: (x, z)
 
 
 def _stroll(a: Point, b: Point, speed: float) -> _PathFn:
@@ -200,15 +173,15 @@ def _stroll(a: Point, b: Point, speed: float) -> _PathFn:
     b = np.array([float(bx), float(bz)])
     leg = float(np.linalg.norm(b - a))
     if leg == 0:
-        return lambda t: WorldPosition(*a)
+        return lambda t: (a[0], a[1])
     leg_time = leg / speed
 
-    def at(t: float) -> WorldPosition:
+    def at(t: float) -> Point:
         # ping-pong between the endpoints at constant speed
         phase = math.fmod(t, 2.0 * leg_time) / leg_time
         frac = phase if phase <= 1.0 else 2.0 - phase
         p = a + (b - a) * frac
-        return WorldPosition(p[0], p[1])
+        return p[0], p[1]
 
     return at
 
@@ -220,59 +193,68 @@ def _circle(center: Point, radius: float, omega: float) -> _PathFn:
     if radius < 0:
         raise ValueError("radius: must be >= 0")
 
-    def at(t: float) -> WorldPosition:
+    def at(t: float) -> Point:
         ang = omega * t
-        return WorldPosition(float(cx) + radius * math.cos(ang),
-                             float(cz) + radius * math.sin(ang))
+        return (float(cx) + radius * math.cos(ang),
+                float(cz) + radius * math.sin(ang))
 
     return at
 
 
 # Trajectory kind -> path builder. A builder's parameters are the kind's
-# config keys, in order, and their annotations the keys' types.
+# config keys, in order, and their annotations the keys' types; it raises
+# ValueError, naming the key, on a parameter no rig could make valid.
 TRAJECTORIES: dict[str, Callable[..., _PathFn]] = {
     "stationary": _stationary, "stroll": _stroll, "circle": _circle,
 }
 
 
-def make_trajectory(
-    kind: str,
-    params: Mapping[str, object],
-    rate_hz: float,
-    duration_s: float,
-    *,
-    foot_width: float = 25.0,
-    rig: RigConfig | None = None,
-) -> list[SceneState]:
-    """Sample a motion path into rate*duration timestamped scene states.
+@dataclass(frozen=True)
+class TrajectorySpec:
+    """A motion path of a kind in :data:`TRAJECTORIES`, sampled at
+    ``rate_hz`` for ``duration_s``.
 
     Kinds: ``stationary`` (params: position), ``stroll`` (a, b, speed --
     walks a->b and back, ping-pong), ``circle`` (center, radius, omega).
-    Timestamps are round(i * 1000/rate) ms. When a rig is given, any state
-    leaving its workspace (0 < z <= z_b) fails construction.
+    Construction checks every invariant that needs no rig and builds the
+    path, so a bad kind, rate, duration, foot width or path parameter
+    raises ``ValueError`` here, its message starting with the key's name.
     """
-    if kind not in TRAJECTORIES:
-        raise ValueError(f"unknown trajectory kind {kind!r}")
-    if not 0 < rate_hz <= 1000:
-        raise ValueError("rate_hz: must lie in (0, 1000]")
-    if not duration_s > 0:
-        raise ValueError("duration_s: must be > 0")
-    n = round(rate_hz * duration_s)
-    if n < 1:
-        raise ValueError("trajectory is empty: rate * duration < 1 frame")
 
-    at = TRAJECTORIES[kind](**params)
-    states = []
-    for i in range(n):
-        t = i / rate_hz
-        pos = at(t)
-        if rig is not None and not 0 < pos.z <= rig.z_b:
-            raise ValueError(
-                f"trajectory exits workspace at frame {i}: z={pos.z:.3f}"
-            )
-        states.append(SceneState(user=pos, foot_width=foot_width,
-                                 timestamp_ms=round(i * 1000.0 / rate_hz)))
-    return states
+    kind: str
+    rate_hz: float
+    duration_s: float
+    foot_width: float
+    params: Mapping[str, Any]
+    _path: _PathFn = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.kind, str) or self.kind not in TRAJECTORIES:
+            raise ValueError(f"kind: unknown kind {self.kind!r}")
+        for name in ("rate_hz", "duration_s", "foot_width"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name}: must be > 0")
+        if self.rate_hz > 1000:
+            raise ValueError("rate_hz: must be <= 1000")
+        if math.isinf(self.rate_hz * self.duration_s):
+            raise ValueError("duration_s: must give a finite frame count")
+        if round(self.rate_hz * self.duration_s) < 1:
+            raise ValueError("duration_s: shorter than one frame at rate_hz")
+        object.__setattr__(self, "_path", TRAJECTORIES[self.kind](**self.params))
+
+    def materialize(self, rig: RigConfig) -> list[SceneState]:
+        """Sample the path into round(rate * duration) scene states, frame i
+        at t = i/rate with :func:`frame_timestamp_ms`. A state leaving the
+        rig's workspace (0 < z <= z_b) raises ``ValueError``."""
+        states = []
+        for i in range(round(self.rate_hz * self.duration_s)):
+            x, z = self._path(i / self.rate_hz)
+            if not 0 < z <= rig.z_b:
+                raise ValueError(f"trajectory exits workspace at frame {i}: z={z:.3f}")
+            states.append(SceneState(user=WorldPosition(x, z),
+                                     foot_width=self.foot_width,
+                                     timestamp_ms=frame_timestamp_ms(i, self.rate_hz)))
+        return states
 
 
 def render_trajectory(

@@ -30,8 +30,8 @@ import pytest
 from conftest import REFERENCE_CONFIG
 from sltrack import (Calibration, DetectParams, Detection, Frame,
                      IntensityModel, NoiseParams, PositionEstimate, RigConfig,
-                     SceneState, WorldPosition, calibrate, depth_resolution,
-                     detect_feet, edge_test, encode, evaluate, make_trajectory,
+                     SceneState, TrajectorySpec, WorldPosition, calibrate,
+                     depth_resolution, detect_feet, edge_test, encode, evaluate,
                      read_estimates_csv, read_pgm, render, render_trajectory,
                      track_frame, track_stream, triangulate_depth,
                      triangulate_detection, triangulate_lateral,
@@ -187,9 +187,9 @@ def _stroll_accuracy(rig, intensity, detect_params, z_a, z_b_depth, sigma=10.0):
     # diagonal stroll covering [z_a, z_b_depth] out and back over 30 s
     a, b = (-30.0, z_a), (30.0, z_b_depth)
     leg = math.hypot(b[0] - a[0], b[1] - a[1])
-    states = make_trajectory(
-        "stroll", {"a": a, "b": b, "speed": 2.0 * leg / 30.0},
-        rate_hz=20.0, duration_s=30.0, rig=rig)
+    states = TrajectorySpec(
+        "stroll", rate_hz=20.0, duration_s=30.0, foot_width=25.0,
+        params={"a": a, "b": b, "speed": 2.0 * leg / 30.0}).materialize(rig)
     assert len(states) == 600
     noise = NoiseParams(background_sigma=sigma, background_mean=20.0,
                         seed=RNG_SEED)

@@ -82,6 +82,21 @@ def test_simulate_invalid_config_exit_2(tmp_path):
     assert main(["simulate", "-c", str(bad), "-o", str(tmp_path / "x")]) == 2
 
 
+def test_track_bad_trajectory_exit_2(tmp_path, capsys):
+    # the trajectory is checked when the config loads, also for commands
+    # that never materialize it
+    with open(REFERENCE_CONFIG, encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["trajectory"]["speed"] = -1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg), encoding="utf-8")
+    cal = tmp_path / "cal.txt"
+    cal.write_text("v_b=160\n", encoding="utf-8")
+    assert main(["track", "-c", str(bad), "--calibration", str(cal),
+                 str(tmp_path), "-o", str(tmp_path / "est.csv")]) == 2
+    assert capsys.readouterr().err == "error: trajectory.speed: must be > 0\n"
+
+
 def test_calibrate_prints_v_b_and_writes_file(tmp_path, capsys):
     cfg = stationary_config(tmp_path)
     empty = make_empty_frame(tmp_path, cfg)

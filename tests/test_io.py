@@ -48,6 +48,17 @@ def test_pgm_truncated_payload_reports_offset():
 def test_pgm_truncated_header():
     with pytest.raises(PgmError):
         read_pgm(stdio.BytesIO(b"P5\n2"))
+    # no whitespace byte after maxval: the header ends at the last byte
+    with pytest.raises(PgmError, match="truncated header") as exc_info:
+        read_pgm(stdio.BytesIO(b"P5\n1 1\n255"))
+    assert exc_info.value.offset == 10
+
+
+def test_pgm_rejects_bytes_after_the_payload():
+    header = b"P5\n2 1\n255\n"
+    with pytest.raises(PgmError, match="13 bytes after the payload") as exc_info:
+        read_pgm(stdio.BytesIO(header + b"\x05\x06EXTRA-GARBAGE"))
+    assert exc_info.value.offset == len(header) + 2
 
 
 def test_pgm_skips_comments():
@@ -279,12 +290,35 @@ def test_config_message_for_every_section(section):
      "smoother.alpha: must lie in (0, 1]"),
     (lambda c: c["trajectory"].update(rate_hz=0.0),
      "trajectory.rate_hz: must be > 0"),
+    # the trajectory's rig-free invariants and path parameters fail at load
+    (lambda c: c["trajectory"].update(speed=-1),
+     "trajectory.speed: must be > 0"),
+    (lambda c: c["trajectory"].update(speed=0), "trajectory.speed: must be > 0"),
+    (lambda c: c["trajectory"].update(rate_hz=5000),
+     "trajectory.rate_hz: must be <= 1000"),
+    (lambda c: c["trajectory"].update(duration_s=0.01),
+     "trajectory.duration_s: shorter than one frame at rate_hz"),
+    (lambda c: c.update(trajectory=dict(OTHER_TRAJECTORIES["circle"], radius=-3)),
+     "trajectory.radius: must be >= 0"),
+    (lambda c: c.update(trajectory=dict(OTHER_TRAJECTORIES["stationary"],
+                                        position=[0.0, 0.0])),
+     "trajectory.position: z must be > 0"),
 ], ids=["top-level-unknown", "unhashable-kind", "other-kinds-key", "rig",
-        "detect", "noise", "intensity", "smoother", "trajectory"])
+        "detect", "noise", "intensity", "smoother", "trajectory",
+        "negative-speed", "zero-speed", "rate-above-1000", "empty-clip",
+        "negative-radius", "stationary-at-z-0"])
 def test_config_section_and_invariant_messages(mutate, message):
     cfg = base_config("stroll")
     mutate(cfg)
     assert config_error(cfg) == message
+
+
+def test_trajectory_leaving_the_workspace_fails_at_materialize():
+    cfg = base_config("stroll")
+    cfg["trajectory"]["b"] = [0.0, 500.0]  # beyond the 400 cm back wall
+    loaded = load_from_dict(cfg)
+    with pytest.raises(ValueError, match="exits workspace at frame"):
+        loaded.trajectory.materialize(loaded.rig)
 
 
 # --- CSV -----------------------------------------------------------------------
@@ -365,3 +399,30 @@ def test_csv_header_validation():
         read_estimates_csv(stdio.StringIO("nope\n"))
     with pytest.raises(ValueError):
         read_truth_csv(stdio.StringIO("nope\n"))
+
+
+ESTIMATES = "frame,timestamp_ms,detected,u_f,v_f,x_cm,z_cm\n"
+TRUTH = "frame,timestamp_ms,present,x_cm,z_cm,foot_width_cm\n"
+
+
+@pytest.mark.parametrize("read,text,message", [
+    (read_estimates_csv, "nope\n",
+     f"estimates CSV line 1: expected header {ESTIMATES.strip()!r}"),
+    (read_estimates_csv, ESTIMATES + "0,0,1\n",
+     "estimates CSV line 2: expected 7 fields, got 3"),
+    (read_estimates_csv, ESTIMATES + "0,0,0,,,,\n1,x,0,,,,\n",
+     "estimates CSV line 3: invalid literal for int() with base 10: 'x'"),
+    (read_estimates_csv, ESTIMATES + "0,0,1,1.5,200,y,100.0\n",
+     "estimates CSV line 2: could not convert string to float: 'y'"),
+    (read_truth_csv, "",
+     f"truth CSV line 1: expected header {TRUTH.strip()!r}"),
+    (read_truth_csv, TRUTH + "0,0,1,0.0,200.0,25.0,9\n",
+     "truth CSV line 2: expected 6 fields, got 7"),
+    (read_truth_csv, TRUTH + "0,0,1,0.0,-1.0,25.0\n",
+     "truth CSV line 2: z: must be > 0"),
+], ids=["estimates-header", "estimates-short-row", "estimates-int",
+        "estimates-float", "truth-header", "truth-long-row", "truth-invariant"])
+def test_csv_errors_name_table_and_line(read, text, message):
+    with pytest.raises(ValueError) as exc_info:
+        read(stdio.StringIO(text))
+    assert str(exc_info.value) == message

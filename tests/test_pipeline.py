@@ -198,12 +198,6 @@ def test_evaluate_permutation_invariant_except_fps():
     assert m1 == m2
 
 
-def test_evaluate_fps_from_processing_time():
-    ests = [estimate(i, 50 * i, 0.0, 200.0) for i in range(30)]
-    m = evaluate(ests, truth(30), processing_time_s=1.5)
-    assert m.frames_per_second == pytest.approx(20.0)
-
-
 # --- end-to-end noiseless recovery over the trackable workspace -----------------
 
 def test_noiseless_recovery_across_trackable_workspace(rig, quiet, intensity,

@@ -183,6 +183,15 @@ def test_bounded_queue_drops_oldest_without_blocking():
     assert streamer.sent + streamer.dropped == 200
 
 
+def test_submit_after_close_is_counted_as_dropped(receiver):
+    streamer = PositionStreamer(receiver.getsockname())
+    streamer.submit(est(0, 0))
+    streamer.close()
+    streamer.submit(est(1, 50))  # must not raise into the tracking loop
+    assert (streamer.sent, streamer.dropped, streamer.send_failures) == (1, 1, 0)
+    assert not streamer._queue
+
+
 def test_close_timeout_leaves_the_socket_to_the_sender(receiver):
     # close() returns after its timeout while sends are still in flight;
     # the sender must finish the queue on a socket nobody closed under it,

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sltrack import (IntensityModel, NoiseParams, SceneState, WorldPosition,
-                     intensity_at, make_trajectory, render)
+from sltrack import (IntensityModel, NoiseParams, SceneState, TrajectorySpec,
+                     WorldPosition, intensity_at, render)
 
 
 def user_at(x, z, foot_width=25.0, t=0):
@@ -82,24 +82,6 @@ def test_foot_row_outside_frame_renders_no_run(rig, quiet, intensity):
     assert not frame.pixels[160, 110:210].any()
 
 
-def test_two_feet_mode_renders_separated_runs(rig, quiet, intensity):
-    frame = render(rig, user_at(0.0, 200.0, foot_width=10.0), quiet, intensity,
-                   foot_gap=15.0)
-    cols = np.flatnonzero(frame.pixels[200])
-    gaps = np.diff(cols)
-    assert (gaps > 1).sum() == 1  # exactly one gap between two runs
-    # inner-edge separation: gap 15 cm -> 30 px at z=200
-    assert gaps.max() == pytest.approx(30, abs=1)
-
-
-def test_vertical_spread_option_thickens_line(rig, quiet, intensity):
-    frame = render(rig, SceneState(user=None), quiet, intensity, line_spread=1.0)
-    lit_rows = np.unique(np.nonzero(frame.pixels)[0])
-    assert len(lit_rows) > 1 and 160 in lit_rows
-    # peak stays on the nominal row
-    assert frame.pixels.sum(axis=1).argmax() == 160
-
-
 def test_background_noise_statistics(rig, intensity):
     noise = NoiseParams(background_sigma=10.0, background_mean=20.0, seed=5)
     frame = render(rig, SceneState(user=None), noise, intensity)
@@ -115,26 +97,29 @@ def test_user_behind_wall_rejected(rig, quiet, intensity):
 
 # --- trajectories ------------------------------------------------------------
 
+def trajectory(kind, rate_hz, duration_s, **params) -> TrajectorySpec:
+    return TrajectorySpec(kind, rate_hz, duration_s, 25.0, params)
+
+
 def test_stationary_trajectory_counts_and_timestamps(rig):
-    states = make_trajectory("stationary", {"position": (0.0, 200.0)},
-                             rate_hz=20.0, duration_s=1.0, rig=rig)
+    states = trajectory("stationary", 20.0, 1.0,
+                        position=(0.0, 200.0)).materialize(rig)
     assert len(states) == 20
     assert [s.timestamp_ms for s in states] == [i * 50 for i in range(20)]
     assert all(s.user == WorldPosition(0.0, 200.0) for s in states)
 
 
 def test_circle_radius_zero_is_stationary(rig):
-    states = make_trajectory("circle",
-                             {"center": (0.0, 250.0), "radius": 0.0, "omega": 1.0},
-                             rate_hz=10.0, duration_s=1.0, rig=rig)
+    states = trajectory("circle", 10.0, 1.0, center=(0.0, 250.0), radius=0.0,
+                        omega=1.0).materialize(rig)
     assert all(s.user == WorldPosition(0.0, 250.0) for s in states)
 
 
 def test_stroll_midpoint_frame_is_endpoint_average(rig):
     # one leg takes 10 s at speed 20 (|AB| = 200); run for the leg duration
     a, b = (-50.0, 200.0), (50.0, 373.2050807568877)
-    states = make_trajectory("stroll", {"a": a, "b": b, "speed": 20.0},
-                             rate_hz=20.0, duration_s=10.0, rig=rig)
+    states = trajectory("stroll", 20.0, 10.0, a=a, b=b,
+                        speed=20.0).materialize(rig)
     mid = states[len(states) // 2].user
     assert mid.x == pytest.approx((a[0] + b[0]) / 2, abs=1e-9)
     assert mid.z == pytest.approx((a[1] + b[1]) / 2, abs=1e-9)
@@ -142,23 +127,27 @@ def test_stroll_midpoint_frame_is_endpoint_average(rig):
 
 def test_stroll_returns_to_start(rig):
     # out and back: 2 legs of 5 s each
-    states = make_trajectory("stroll",
-                             {"a": (0.0, 150.0), "b": (0.0, 250.0), "speed": 20.0},
-                             rate_hz=10.0, duration_s=10.0, rig=rig)
+    states = trajectory("stroll", 10.0, 10.0, a=(0.0, 150.0), b=(0.0, 250.0),
+                        speed=20.0).materialize(rig)
     assert states[0].user.z == pytest.approx(150.0)
     assert states[50].user.z == pytest.approx(250.0)  # t = 5 s
     assert states[-1].user.z == pytest.approx(150.0 + 20.0 * 0.1)  # t = 9.9 s
 
 
 def test_trajectory_exiting_workspace_rejected(rig):
+    # nothing rig-free is wrong with either spec: it fails only on sampling
+    beyond_wall = trajectory("stroll", 10.0, 10.0, a=(0.0, 200.0),
+                             b=(0.0, 500.0), speed=100.0)
     with pytest.raises(ValueError, match="workspace"):
-        make_trajectory("stroll",
-                        {"a": (0.0, 200.0), "b": (0.0, 500.0), "speed": 100.0},
-                        rate_hz=10.0, duration_s=10.0, rig=rig)
+        beyond_wall.materialize(rig)
+    behind_camera = trajectory("circle", 10.0, 10.0, center=(0.0, 20.0),
+                               radius=40.0, omega=1.0)
+    with pytest.raises(ValueError, match=r"exits workspace at frame 37: z=-1\.193"):
+        behind_camera.materialize(rig)
 
 
-def test_trajectory_input_validation(rig):
+def test_trajectory_input_validation():
     with pytest.raises(ValueError):
-        make_trajectory("moonwalk", {}, 10.0, 1.0, rig=rig)
+        trajectory("moonwalk", 10.0, 1.0)
     with pytest.raises(ValueError):
-        make_trajectory("stationary", {"position": (0, 200)}, 0.0, 1.0, rig=rig)
+        trajectory("stationary", 0.0, 1.0, position=(0, 200))
