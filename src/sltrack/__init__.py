@@ -18,7 +18,7 @@ from .io import (ConfigError, PgmError, RunConfig, load_config,
 from .pipeline import (Metrics, PositionEstimate, SmootherConfig, evaluate,
                        track_frame, track_stream, triangulate_detection)
 from .stream import (PositionStreamer, StreamPacket, decode, encode,
-                     resolve_endpoint, serve)
+                     resolve_endpoint)
 from .synth import (Frame, IntensityModel, NoiseParams, SceneState,
                     TrajectorySpec, intensity_at, render, render_trajectory)
 
@@ -33,7 +33,7 @@ __all__ = [
     "calibrate", "decode", "depth_resolution", "detect_feet", "edge_test",
     "encode", "evaluate", "intensity_at", "load_config", "project",
     "read_estimates_csv", "read_pgm", "read_truth_csv", "render",
-    "render_trajectory", "resolve_endpoint", "serve", "track_frame",
+    "render_trajectory", "resolve_endpoint", "track_frame",
     "track_stream", "triangulate_depth", "triangulate_detection",
     "triangulate_lateral", "write_estimates_csv", "write_pgm",
     "write_truth_csv",

@@ -1,6 +1,7 @@
 """Command-line toolkit: simulate, calibrate, track, evaluate, bench.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
+Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error
+(a missing input file included).
 """
 
 from __future__ import annotations
@@ -16,20 +17,12 @@ from pathlib import Path
 from . import io as slio
 from .detect import Calibration, CalibrationError, calibrate
 from .geometry import RigConfig, WorldPosition
-from .pipeline import (PositionEstimate, SmootherConfig, evaluate,
-                       track_stream)
+from .pipeline import PositionEstimate, evaluate, track_stream
 from .stream import PositionStreamer
 from .synth import SceneState, frame_timestamp_ms, render
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
-
-
-def _load_config(path: str) -> slio.RunConfig:
-    try:
-        return slio.load_config(path)
-    except FileNotFoundError:
-        raise slio.ConfigError(f"config file not found: {path}") from None
 
 
 def write_calibration(cal: Calibration, path: str) -> None:
@@ -51,7 +44,7 @@ def read_calibration(path: str, rig: RigConfig) -> Calibration:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = slio.load_config(args.config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     states = cfg.trajectory.materialize(cfg.rig)
@@ -64,7 +57,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = slio.load_config(args.config)
     frame = slio.read_pgm(args.empty_frame)
     if (frame.width, frame.height) != (cfg.rig.width, cfg.rig.height):
         raise slio.ConfigError(
@@ -79,18 +72,13 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = slio.load_config(args.config)
     cal = read_calibration(args.calibration, cfg.rig)
     frames = slio.iter_pgm_dir(args.frames_dir, cfg.trajectory.rate_hz)
-
-    smoother = cfg.smoother
-    if args.smooth:
-        smoother = SmootherConfig(alpha=cfg.smoother.alpha, enabled=True)
-
     streamer = PositionStreamer(args.stream) if args.stream else None
     try:
         estimates = track_stream(
-            frames, cfg.rig, cal, cfg.detect, smoother,
+            frames, cfg.rig, cal, cfg.detect, cfg.smoother,
             on_estimate=streamer.submit if streamer else None,
         )
     finally:
@@ -112,10 +100,6 @@ def _fmt(value: float) -> str:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     rows = slio.read_estimates_csv(args.estimates_csv)
     truth = slio.read_truth_csv(args.truth_csv)
-    if len(rows) != len(truth):
-        raise slio.ConfigError(
-            f"length mismatch: {len(rows)} estimates vs {len(truth)} truth rows"
-        )
     estimates = [
         PositionEstimate(
             frame_index=r.frame, timestamp_ms=r.timestamp_ms,
@@ -149,7 +133,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.frames < 1:
         raise slio.ConfigError("bench: need at least one frame")
-    cfg = _load_config(args.config)
+    cfg = slio.load_config(args.config)
     states = cfg.trajectory.materialize(cfg.rig)
     rate = cfg.trajectory.rate_hz
     # pre-render outside the timed region; the benchmark covers only the
@@ -199,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out-csv", required=True)
     p.add_argument("--stream", metavar="HOST:PORT",
                    help="also publish SLT1 packets over UDP")
-    p.add_argument("--smooth", action="store_true",
-                   help="enable exponential smoothing regardless of config")
     p.set_defaults(fn=cmd_track)
 
     p = sub.add_parser("evaluate", help="compare estimates CSV against truth CSV")
@@ -222,8 +204,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (slio.ConfigError, slio.PgmError, CalibrationError, ValueError) as exc:
+    except (CalibrationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except FileNotFoundError as exc:
+        print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

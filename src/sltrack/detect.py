@@ -142,9 +142,8 @@ def detect_feet(frame: Frame, cal: Calibration, p: DetectParams) -> Detection | 
             f"calibration is for {cal.width}x{cal.height} frames, "
             f"got {frame.width}x{frame.height}"
         )
-    lo, hi = cal.v_b + 1, frame.height - 1  # scan rows [lo, hi)
-    if lo >= hi:
-        return None
+    # scan rows [lo, hi); the band is empty when v_b = height - 2 and finds no run
+    lo, hi = cal.v_b + 1, frame.height - 1
 
     px = frame.pixels.astype(np.float64)
     rows = np.arange(lo, hi)
@@ -167,9 +166,7 @@ def detect_feet(frame: Frame, cal: Calibration, p: DetectParams) -> Detection | 
     length, v, start = best
     cols = np.arange(start, start + length)
     weights = px[v, cols]
+    # a run pixel has P > (P_up + P_down)/2 + ath >= 0, so P >= 1 and mass >= run_len
     mass = float(weights.sum())
-    if mass > 0:
-        u_f = float((cols * weights).sum() / mass)
-    else:
-        u_f = float(cols.mean())  # degenerate all-zero run; keep the midpoint
+    u_f = float((cols * weights).sum() / mass)
     return Detection(u_f=u_f, v_f=v, run_len=length, mass=mass)

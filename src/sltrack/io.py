@@ -162,7 +162,10 @@ def _number(section: Mapping[str, Any], section_name: str, key: str) -> float:
     value = _require(section, section_name, key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section_name}.{key}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise ConfigError(f"{section_name}.{key}: out of range for a float") from None
 
 
 def _integer(section: Mapping[str, Any], section_name: str, key: str) -> int:
@@ -184,7 +187,8 @@ def _point(section: Mapping[str, Any], section_name: str, key: str) -> Point:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
         raise ConfigError(f"{section_name}.{key}: expected [x_cm, z_cm]")
-    return float(value[0]), float(value[1])
+    x, z = (_number({key: v}, section_name, key) for v in value)
+    return x, z
 
 
 # value parser per annotated type of a config field or trajectory parameter
@@ -304,8 +308,9 @@ class EstimateRow:
 
 def _read_table(source: str | IO[str], header: str, what: str,
                 parse: Callable[..., Any]) -> list[Any]:
-    """``parse(*fields)`` of each row after the header line of a CSV. A bad
-    header or row raises ``ValueError`` naming the table and 1-based line."""
+    """``parse(position, *fields)`` of each row after the header line of a
+    CSV, position counting rows from 0. A bad header or row raises
+    ``ValueError`` naming the table and 1-based line."""
     with _opened(source, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != header:
@@ -317,7 +322,7 @@ def _read_table(source: str | IO[str], header: str, what: str,
         try:
             if len(values) != width:
                 raise ValueError(f"expected {width} fields, got {len(values)}")
-            rows.append(parse(*values))
+            rows.append(parse(len(rows), *values))
         except ValueError as exc:
             raise ValueError(f"{what} CSV line {number}: {exc}") from None
     return rows
@@ -340,8 +345,8 @@ def write_estimates_csv(estimates: Sequence[PositionEstimate],
                 fh.write(f"{est.frame_index},{est.timestamp_ms},0,,,,\n")
 
 
-def _estimate_row(frame: str, ts: str, detected: str, u_f: str, v_f: str,
-                  x: str, z: str) -> EstimateRow:
+def _estimate_row(_position: int, frame: str, ts: str, detected: str, u_f: str,
+                  v_f: str, x: str, z: str) -> EstimateRow:
     if detected == "1":
         return EstimateRow(int(frame), int(ts), True, float(u_f), int(v_f),
                            float(x), float(z))
@@ -365,11 +370,15 @@ def write_truth_csv(truth: Sequence[SceneState], sink: str | IO[str]) -> None:
                 fh.write(f"{i},{state.timestamp_ms},0,,,{state.foot_width:.3f}\n")
 
 
-def _truth_row(frame: str, ts: str, present: str, x: str, z: str,
+def _truth_row(position: int, frame: str, ts: str, present: str, x: str, z: str,
                foot_width: str) -> SceneState:
+    if int(frame) != position:
+        raise ValueError(f"expected frame {position}, got {frame}")
     user = WorldPosition(float(x), float(z)) if present == "1" else None
     return SceneState(user=user, foot_width=float(foot_width), timestamp_ms=int(ts))
 
 
 def read_truth_csv(source: str | IO[str]) -> list[SceneState]:
+    """Truth rows in file order; a row's ``frame`` must be its 0-based
+    position, as :func:`write_truth_csv` writes it."""
     return _read_table(source, TRUTH_HEADER, "truth", _truth_row)

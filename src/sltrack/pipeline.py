@@ -152,7 +152,8 @@ def evaluate(
     estimates: Sequence[PositionEstimate],
     truth: Sequence[SceneState],
 ) -> Metrics:
-    """Compare estimates to ground truth, paired by frame index.
+    """Compare estimates to ground truth, paired by list position (the
+    frame indices are not consulted).
 
     Euclidean floor-plane error over frames where both sides have a
     position; detection rate over frames where the truth has a user.

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import collections
 import logging
+import math
 import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Iterable
 
 from .pipeline import PositionEstimate
 
@@ -58,18 +58,28 @@ def encode(est: PositionEstimate, seq: int) -> bytes:
 
 
 def decode(data: bytes) -> StreamPacket:
-    """Parse one SLT1 line back into a packet."""
-    parts = data.decode("ascii").rstrip("\n").split(" ")
-    if len(parts) < 4 or parts[0] != PROTOCOL_TAG:
-        raise ValueError(f"not an {PROTOCOL_TAG} packet: {data!r}")
-    seq, ts, detected = int(parts[1]), int(parts[2]), parts[3]
-    if detected == "1":
-        if len(parts) != 6:
-            raise ValueError(f"detected packet needs x and z fields: {data!r}")
-        return StreamPacket(seq, ts, True, float(parts[4]), float(parts[5]))
-    if detected == "0" and len(parts) == 4:
-        return StreamPacket(seq, ts, False)
-    raise ValueError(f"malformed packet: {data!r}")
+    """Parse one SLT1 line back into a packet. A packet that is not SLT1
+    ASCII, has a bad field, a seq outside [0, 2**32) or a non-finite x or z
+    raises ``ValueError`` quoting the packet."""
+    try:
+        parts = data.decode("ascii").rstrip("\n").split(" ")
+        if len(parts) < 4 or parts[0] != PROTOCOL_TAG:
+            raise ValueError(f"not an {PROTOCOL_TAG} packet")
+        seq, ts, detected = int(parts[1]), int(parts[2]), parts[3]
+        if not 0 <= seq < _SEQ_LIMIT:
+            raise ValueError("seq outside [0, 2**32)")
+        if detected == "1":
+            if len(parts) != 6:
+                raise ValueError("detected packet needs x and z fields")
+            x, z = float(parts[4]), float(parts[5])
+            if not (math.isfinite(x) and math.isfinite(z)):
+                raise ValueError("x and z must be finite")
+            return StreamPacket(seq, ts, True, x, z)
+        if detected == "0" and len(parts) == 4:
+            return StreamPacket(seq, ts, False)
+        raise ValueError("malformed packet")
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ValueError(f"{exc}: {data!r}") from None
 
 
 def resolve_endpoint(address: str | tuple[str, int]) -> tuple[str, int]:
@@ -107,14 +117,12 @@ class PositionStreamer:
     # slows the tracking loop on small frames. 4 ms adds at most ~4 ms of
     # send latency and lets bursts batch into one drain pass.
     _POLL_S = 0.004
+    _QUEUE_SIZE = 64
 
-    def __init__(self, address: str | tuple[str, int], queue_size: int = 64) -> None:
-        if queue_size < 1:
-            raise ValueError("queue_size: must be >= 1")
+    def __init__(self, address: str | tuple[str, int]) -> None:
         self.endpoint = resolve_endpoint(address)
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._queue: collections.deque[bytes] = collections.deque()
-        self._queue_size = queue_size
         self._lock = threading.Lock()
         self._closing = False
         self._seq = 0
@@ -134,7 +142,7 @@ class PositionStreamer:
                 return
             packet = encode(est, self._seq % _SEQ_LIMIT)
             self._seq += 1
-            if len(self._queue) >= self._queue_size:
+            if len(self._queue) >= self._QUEUE_SIZE:
                 self._queue.popleft()
                 self.dropped += 1
             self._queue.append(packet)
@@ -174,22 +182,3 @@ class PositionStreamer:
         with self._lock:
             self._closing = True
         self._thread.join(timeout)
-
-    def __enter__(self) -> "PositionStreamer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def serve(estimates: Iterable[PositionEstimate],
-          address: str | tuple[str, int], queue_size: int = 64) -> PositionStreamer:
-    """Publish a finite estimate sequence and flush; returns the streamer
-    so callers can read the sent/dropped/failure counters."""
-    streamer = PositionStreamer(address, queue_size=queue_size)
-    try:
-        for est in estimates:
-            streamer.submit(est)
-    finally:
-        streamer.close()
-    return streamer

@@ -14,7 +14,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import RigConfig, WorldPosition
+from .geometry import RigConfig, WorldPosition, project
 
 Point = tuple[float, float]
 
@@ -126,10 +126,9 @@ def render(
 
     The noise stream is derived from (noise.seed, index), so identical
     arguments render bit-identical frames and frames can be rendered
-    concurrently.
+    concurrently. A user behind the back wall raises ``ValueError``.
     """
-    if scene.user is not None and scene.user.z > rig.z_b:
-        raise ValueError("user is behind the back wall")
+    foot = project(rig, scene.user) if scene.user is not None else None
 
     h, w = rig.height, rig.width
     if noise.background_sigma > 0:
@@ -139,10 +138,10 @@ def render(
         img = np.full((h, w), float(noise.background_mean))
 
     wall_cols = np.arange(w, dtype=np.intp)
-    if scene.user is not None:
-        x, z = scene.user.x, scene.user.z
-        cols = _run_columns(rig.u0 + rig.f * x / z, scene.foot_width * rig.f / z, w)
-        _stamp_line(img, rig.v0 + rig.d * rig.f / z, cols, intensity_at(im, z))
+    if foot is not None:
+        z = scene.user.z
+        cols = _run_columns(foot.u, scene.foot_width * rig.f / z, w)
+        _stamp_line(img, foot.v, cols, intensity_at(im, z))
         wall_cols = np.setdiff1d(wall_cols, cols)  # the body shadows the wall
     _stamp_line(img, rig.back_wall_row, wall_cols, intensity_at(im, rig.z_b))
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE_CONFIG
-from sltrack import read_estimates_csv
+from sltrack import PositionEstimate, read_estimates_csv, write_estimates_csv
 from sltrack.cli import main
 
 
@@ -123,7 +123,7 @@ def test_calibrate_black_frame_exit_2(tmp_path, capsys):
     assert main(["calibrate", "-c", cfg, str(black)]) == 2
 
 
-def full_run(tmp_path, config, smooth=False, stream=None):
+def full_run(tmp_path, config, stream=None):
     out_dir = tmp_path / "frames"
     assert main(["simulate", "-c", config, "-o", str(out_dir)]) == 0
     empty = make_empty_frame(tmp_path, config)
@@ -132,8 +132,6 @@ def full_run(tmp_path, config, smooth=False, stream=None):
     est_csv = tmp_path / "estimates.csv"
     argv = ["track", "-c", config, "--calibration", str(cal), str(out_dir),
             "-o", str(est_csv)]
-    if smooth:
-        argv.append("--smooth")
     if stream:
         argv += ["--stream", stream]
     assert main(argv) == 0
@@ -213,6 +211,24 @@ def test_track_without_frames_exit_2_before_streaming(tmp_path, capsys):
             receiver.recvfrom(256)
     finally:
         receiver.close()
+
+
+@pytest.mark.parametrize("command", ["track", "calibrate", "evaluate"])
+def test_missing_input_file_exit_2(tmp_path, capsys, command):
+    # a missing calibration file, empty-scene frame or truth CSV is a usage
+    # error, as a missing config is
+    cfg = stationary_config(tmp_path)
+    est_csv = str(tmp_path / "est.csv")
+    write_estimates_csv([PositionEstimate(0, 0)], est_csv)
+    missing = str(tmp_path / "missing")
+    argv = {
+        "track": ["track", "-c", cfg, "--calibration", missing, str(tmp_path),
+                  "-o", str(tmp_path / "out.csv")],
+        "calibrate": ["calibrate", "-c", cfg, missing],
+        "evaluate": ["evaluate", est_csv, missing],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: no such file: {missing}\n"
 
 
 def test_evaluate_identical_files_rms_zero(tmp_path, capsys):

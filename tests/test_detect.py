@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sltrack import (Calibration, CalibrationError, DetectParams, Frame,
                      IntensityModel, NoiseParams, SceneState, ath, calibrate,
@@ -220,3 +222,30 @@ def test_detect_rejects_mismatched_calibration(detect_params):
 def test_detect_empty_scan_domain_returns_none(detect_params):
     cal = Calibration(v_b=238, width=320, height=240)
     assert detect_feet(blank_frame(fill=0), cal, detect_params) is None
+
+
+@st.composite
+def _frame_cal_params(draw):
+    """A small frame of dim levels, a calibration and a threshold schedule
+    whose floor may be 0, so runs can sit on nearly black pixels."""
+    w, h = draw(st.integers(1, 12)), draw(st.integers(3, 10))
+    levels = st.integers(0, 255) | st.integers(0, 3)
+    pixels = np.array(draw(st.lists(levels, min_size=w * h, max_size=w * h)),
+                      dtype=np.uint8).reshape(h, w)
+    cal = Calibration(v_b=draw(st.integers(1, h - 2)), width=w, height=h)
+    low, up, top = (draw(st.floats(0.0, 20.0)) for _ in range(3))
+    params = DetectParams(ath_base=low + up, ath_slope=draw(st.floats(0.0, 5.0)),
+                          ath_min=low, ath_max=low + up + top,
+                          min_run=draw(st.integers(1, 4)))
+    return Frame(width=w, height=h, pixels=pixels), cal, params
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_frame_cal_params())
+def test_detection_mass_is_at_least_its_run_length(case):
+    frame, cal, params = case
+    det = detect_feet(frame, cal, params)
+    if det is not None:
+        assert cal.v_b < det.v_f < frame.height - 1
+        assert det.run_len >= params.min_run
+        assert det.mass >= det.run_len

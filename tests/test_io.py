@@ -303,10 +303,15 @@ def test_config_message_for_every_section(section):
     (lambda c: c.update(trajectory=dict(OTHER_TRAJECTORIES["stationary"],
                                         position=[0.0, 0.0])),
      "trajectory.position: z must be > 0"),
+    # a JSON integer too large for a float is named, its digits not echoed
+    (lambda c: c["rig"].update(d=10**400), "rig.d: out of range for a float"),
+    (lambda c: c["trajectory"].update(a=[0.0, 10**400]),
+     "trajectory.a: out of range for a float"),
 ], ids=["top-level-unknown", "unhashable-kind", "other-kinds-key", "rig",
         "detect", "noise", "intensity", "smoother", "trajectory",
         "negative-speed", "zero-speed", "rate-above-1000", "empty-clip",
-        "negative-radius", "stationary-at-z-0"])
+        "negative-radius", "stationary-at-z-0", "number-past-float-range",
+        "point-past-float-range"])
 def test_config_section_and_invariant_messages(mutate, message):
     cfg = base_config("stroll")
     mutate(cfg)
@@ -420,8 +425,11 @@ TRUTH = "frame,timestamp_ms,present,x_cm,z_cm,foot_width_cm\n"
      "truth CSV line 2: expected 6 fields, got 7"),
     (read_truth_csv, TRUTH + "0,0,1,0.0,-1.0,25.0\n",
      "truth CSV line 2: z: must be > 0"),
+    (read_truth_csv, TRUTH + "0,0,1,0.0,200.0,25.0\n5,50,0,,,25.0\n",
+     "truth CSV line 3: expected frame 1, got 5"),
 ], ids=["estimates-header", "estimates-short-row", "estimates-int",
-        "estimates-float", "truth-header", "truth-long-row", "truth-invariant"])
+        "estimates-float", "truth-header", "truth-long-row", "truth-invariant",
+        "truth-frame-not-its-position"])
 def test_csv_errors_name_table_and_line(read, text, message):
     with pytest.raises(ValueError) as exc_info:
         read(stdio.StringIO(text))

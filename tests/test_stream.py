@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sltrack import (PositionEstimate, PositionStreamer, StreamPacket,
-                     WorldPosition, decode, encode, resolve_endpoint, serve)
+                     WorldPosition, decode, encode, resolve_endpoint)
 
 
 def est(seq_hint, t, x=None, z=None):
@@ -87,10 +87,15 @@ def test_decode_round_trip_randomized():
 
 
 def test_decode_rejects_garbage():
+    # every failure quotes the packet, including fields encode never writes:
+    # a seq outside [0, 2**32), a non-finite x or z, a non-numeric field
     for bad in (b"", b"NOPE 1 2 3\n", b"SLT1 1 2\n", b"SLT1 1 2 1 5.0\n",
-                b"SLT1 1 2 2\n"):
-        with pytest.raises(ValueError):
+                b"SLT1 1 2 2\n", b"SLT1 -5 -3 0\n", b"SLT1 4294967296 0 0\n",
+                b"SLT1 1 2 1 nan inf\n", b"SLT1 1 2 1 0.0 -inf\n",
+                b"SLT1 x 0 0\n", b"SLT1 1 2 1 5.0 y\n", b"SLT1 1 2 \xff\n"):
+        with pytest.raises(ValueError) as exc_info:
             decode(bad)
+        assert str(exc_info.value).endswith(f": {bad!r}")
 
 
 def test_resolve_endpoint_forms():
@@ -106,8 +111,10 @@ def test_resolve_endpoint_forms():
 
 def test_serve_loopback_sequences_strictly_increase(receiver):
     port = receiver.getsockname()[1]
-    estimates = [est(i, 50 * i, float(i), 200.0 + i) for i in range(25)]
-    streamer = serve(estimates, ("127.0.0.1", port))
+    streamer = PositionStreamer(("127.0.0.1", port))
+    for i in range(25):
+        streamer.submit(est(i, 50 * i, float(i), 200.0 + i))
+    streamer.close()
     packets = drain(receiver, 25)
     assert streamer.sent == 25 and streamer.dropped == 0
     assert len(packets) > 0
@@ -117,7 +124,10 @@ def test_serve_loopback_sequences_strictly_increase(receiver):
 
 def test_packets_carry_positions(receiver):
     port = receiver.getsockname()[1]
-    serve([est(0, 0, 50.0, 200.0), est(1, 50)], ("127.0.0.1", port))
+    streamer = PositionStreamer(("127.0.0.1", port))
+    streamer.submit(est(0, 0, 50.0, 200.0))
+    streamer.submit(est(1, 50))
+    streamer.close()
     packets = drain(receiver, 2)
     assert packets[0] == StreamPacket(0, 0, True, 50.0, 200.0)
     assert packets[1] == StreamPacket(1, 50, False)
@@ -160,8 +170,8 @@ def test_paced_stream_inter_packet_interval(receiver):
 def test_bounded_queue_drops_oldest_without_blocking():
     # a stalled network must never back-pressure the pipeline: slow every
     # send down to 5 ms and hammer submits; they must return immediately
-    # and overflow by dropping the oldest samples
-    streamer = PositionStreamer(("127.0.0.1", 1), queue_size=4)
+    # and overflow the 64-packet queue by dropping the oldest samples
+    streamer = PositionStreamer(("127.0.0.1", 1))
     real_sock = streamer._sock
 
     class SlowSock:
