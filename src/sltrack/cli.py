@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import sys
@@ -74,6 +75,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_track(args: argparse.Namespace) -> int:
     cfg = slio.load_config(args.config)
     cal = read_calibration(args.calibration, cfg.rig)
+    # a CSV that cannot be written fails the run before any frame is tracked
+    if not Path(args.out_csv).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "no such directory", args.out_csv)
     frames = slio.iter_pgm_dir(args.frames_dir, cfg.trajectory.rate_hz)
     streamer = PositionStreamer(args.stream) if args.stream else None
     try:

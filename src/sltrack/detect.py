@@ -121,11 +121,25 @@ def edge_test(frame: Frame, u: int, v: int, cal: Calibration, p: DetectParams) -
     return response > 0.0
 
 
-def _row_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal [start, end) runs of True in a 1-D bool mask, left to right."""
-    padded = np.concatenate(([False], mask, [False]))
-    edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
-    return list(zip(edges[0::2], edges[1::2]))
+def _edge_mask(frame: Frame, cal: Calibration, p: DetectParams) -> np.ndarray:
+    """Edge-test result for every scan row, as an int8 array of shape
+    (rows, width + 2) whose first and last columns are zero padding.
+
+    Row i is image row v_b + 1 + i. Pixels are whole numbers, so
+    P - (P_up + P_down)/2 > thr holds iff the integer 2P - P_up - P_down
+    exceeds floor(2 * thr). The limit is capped at 511, above any value
+    the left side can take; a NaN threshold, which no pixel passes, caps
+    there too.
+    """
+    lo, hi = cal.v_b + 1, frame.height - 1
+    band = frame.pixels[lo - 1:hi + 1].astype(np.int16)
+    twice = 2 * band[1:-1] - band[:-2] - band[2:]
+    thresholds = np.clip(p.ath_base + p.ath_slope * np.arange(1, hi - lo + 1),
+                         p.ath_min, p.ath_max)
+    limits = np.fmin(np.floor(2.0 * thresholds), 511.0).astype(np.int16)
+    padded = np.zeros((hi - lo, frame.width + 2), dtype=np.int8)
+    np.greater(twice, limits[:, None], out=padded[:, 1:-1])
+    return padded
 
 
 def detect_feet(frame: Frame, cal: Calibration, p: DetectParams) -> Detection | None:
@@ -133,40 +147,34 @@ def detect_feet(frame: Frame, cal: Calibration, p: DetectParams) -> Detection | 
 
     Scans every row strictly between v_b and the last row, collects
     contiguous runs of edge-test pixels at least min_run long, and keeps
-    the longest (ties: the lower row, then the leftmost start). Returns
-    the run's intensity-weighted column centroid and its row, or None --
-    an empty room is a value, not an error.
+    the longest (ties: the lower row in the image, i.e. the larger v, then
+    the leftmost start). Returns the run's intensity-weighted column
+    centroid and its row, or None -- an empty room is a value, not an
+    error.
     """
     if (cal.width, cal.height) != (frame.width, frame.height):
         raise ValueError(
             f"calibration is for {cal.width}x{cal.height} frames, "
             f"got {frame.width}x{frame.height}"
         )
-    # scan rows [lo, hi); the band is empty when v_b = height - 2 and finds no run
-    lo, hi = cal.v_b + 1, frame.height - 1
-
-    px = frame.pixels.astype(np.float64)
-    rows = np.arange(lo, hi)
-    thresholds = np.clip(p.ath_base + p.ath_slope * (rows - cal.v_b),
-                         p.ath_min, p.ath_max)
-    response = px[lo:hi] - (px[lo - 1:hi - 1] + px[lo + 1:hi + 1]) / 2.0
-    mask = response - thresholds[:, None] > 0.0
-
-    best: tuple[int, int, int] | None = None  # (run_len, v, start)
-    for i, v in enumerate(rows):
-        for start, end in _row_runs(mask[i]):
-            length = int(end - start)
-            if length < p.min_run:
-                continue
-            if best is None or length > best[0] or (length == best[0] and v > best[1]):
-                best = (length, int(v), int(start))
-
-    if best is None:
+    # every padded row opens and closes its own runs, so the changes in the
+    # flattened mask alternate start, end; the band is empty when
+    # v_b = height - 2 and then holds no run
+    padded = _edge_mask(frame, cal, p)
+    changes = np.flatnonzero(np.diff(padded.ravel()))
+    starts = changes[0::2]
+    lengths = changes[1::2] - starts
+    keep = lengths >= p.min_run
+    if not keep.any():
         return None
-    length, v, start = best
-    cols = np.arange(start, start + length)
-    weights = px[v, cols]
+    rows, cols = np.divmod(starts[keep], frame.width + 2)
+    lengths = lengths[keep]
+    best = np.lexsort((cols, -rows, -lengths))[0]
+    v = cal.v_b + 1 + int(rows[best])
+    start, length = int(cols[best]), int(lengths[best])
+
+    weights = frame.pixels[v, start:start + length].astype(np.float64)
     # a run pixel has P > (P_up + P_down)/2 + ath >= 0, so P >= 1 and mass >= run_len
     mass = float(weights.sum())
-    u_f = float((cols * weights).sum() / mass)
+    u_f = float((np.arange(start, start + length) * weights).sum() / mass)
     return Detection(u_f=u_f, v_f=v, run_len=length, mass=mass)

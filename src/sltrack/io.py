@@ -172,6 +172,8 @@ def _integer(section: Mapping[str, Any], section_name: str, key: str) -> int:
     value = _require(section, section_name, key)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{section_name}.{key}: expected an integer, got {value!r}")
+    if not -2**63 <= value < 2**63:  # digits not echoed, as for floats
+        raise ConfigError(f"{section_name}.{key}: out of range for a 64-bit integer")
     return value
 
 

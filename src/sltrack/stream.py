@@ -19,7 +19,6 @@ import logging
 import math
 import socket
 import threading
-import time
 from dataclasses import dataclass
 
 from .pipeline import PositionEstimate
@@ -108,15 +107,10 @@ class PositionStreamer:
     deque and a daemon thread encodes and sends them in submission order.
     When the deque is full the oldest estimate is discarded and counted.
     Sequence numbers are assigned at submission, so receivers can spot
-    drops as gaps.
+    drops as gaps. Each submit wakes the sender, which sends whatever has
+    queued up by then in one batch.
     """
 
-    # Idle poll period of the sender thread. Polling instead of a per-packet
-    # wakeup keeps submit() down to a lock + append: waking the sender from
-    # the pipeline thread costs a context switch per packet, which measurably
-    # slows the tracking loop on small frames. 4 ms adds at most ~4 ms of
-    # send latency and lets bursts batch into one drain pass.
-    _POLL_S = 0.004
     _QUEUE_SIZE = 64
 
     def __init__(self, address: str | tuple[str, int]) -> None:
@@ -124,6 +118,7 @@ class PositionStreamer:
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._queue: collections.deque[bytes] = collections.deque()
         self._lock = threading.Lock()
+        self._wake = threading.Event()
         self._closing = False
         self._seq = 0
         self.sent = 0
@@ -146,21 +141,24 @@ class PositionStreamer:
                 self._queue.popleft()
                 self.dropped += 1
             self._queue.append(packet)
+        self._wake.set()
 
     def _drain(self) -> None:
         # the socket belongs to this thread: it is closed here, after the
         # last send, never from close() while a send may be in flight
         try:
-            while True:
+            closing = False
+            while not closing:
+                # cleared before the queue is read, so a submit that lands
+                # after this batch is taken leaves the event set for the next
+                self._wake.wait()
+                self._wake.clear()
                 with self._lock:
                     batch = list(self._queue)
                     self._queue.clear()
+                    # once closing is seen no submit can queue again, so
+                    # this batch is the last one
                     closing = self._closing
-                if not batch:
-                    if closing:
-                        return
-                    time.sleep(self._POLL_S)
-                    continue
                 sent = failed = 0
                 for packet in batch:
                     try:
@@ -181,4 +179,5 @@ class PositionStreamer:
         the queue, then closes its socket, on its own."""
         with self._lock:
             self._closing = True
+        self._wake.set()
         self._thread.join(timeout)

@@ -213,6 +213,29 @@ def test_track_without_frames_exit_2_before_streaming(tmp_path, capsys):
         receiver.close()
 
 
+def test_track_missing_output_directory_exit_2_before_tracking(tmp_path, capsys,
+                                                              monkeypatch):
+    import sltrack.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "track_stream",
+                        lambda *a, **kw: calls.append("track_stream") or [])
+    monkeypatch.setattr(cli, "PositionStreamer",
+                        lambda *a, **kw: calls.append("streamer"))
+    cfg = stationary_config(tmp_path)
+    make_empty_frame(tmp_path, cfg)  # one frame in the frames directory
+    cal = tmp_path / "cal.txt"
+    cal.write_text("v_b=160\n", encoding="utf-8")
+    est_csv = tmp_path / "nodir" / "est.csv"
+    assert main(["track", "-c", cfg, "--calibration", str(cal), str(tmp_path),
+                 "-o", str(est_csv), "--stream", "127.0.0.1:9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: no such file: {est_csv}\n"
+    assert captured.out == ""
+    assert calls == []
+    assert not est_csv.parent.exists()
+
+
 @pytest.mark.parametrize("command", ["track", "calibrate", "evaluate"])
 def test_missing_input_file_exit_2(tmp_path, capsys, command):
     # a missing calibration file, empty-scene frame or truth CSV is a usage

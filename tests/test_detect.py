@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sltrack import (Calibration, CalibrationError, DetectParams, Frame,
-                     IntensityModel, NoiseParams, SceneState, ath, calibrate,
-                     detect_feet, edge_test, render)
+from conftest import REFERENCE_CONFIG
+from sltrack import (Calibration, CalibrationError, DetectParams, Detection,
+                     Frame, IntensityModel, NoiseParams, SceneState, ath,
+                     calibrate, detect_feet, edge_test, load_config, render,
+                     render_trajectory)
+from sltrack.detect import _edge_mask
 
 
 def blank_frame(width=320, height=240, fill=0):
@@ -224,17 +227,59 @@ def test_detect_empty_scan_domain_returns_none(detect_params):
     assert detect_feet(blank_frame(fill=0), cal, detect_params) is None
 
 
+def _row_runs(mask):
+    """Maximal [start, end) runs of True in a 1-D bool mask, left to right."""
+    padded = np.concatenate(([False], mask, [False]))
+    edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
+    return list(zip(edges[0::2], edges[1::2]))
+
+
+def reference_detect_feet(frame, cal, p):
+    """Plain per-row detector: a float64 edge response, runs collected row
+    by row, and the best kept by length, then lower row, then leftmost."""
+    lo, hi = cal.v_b + 1, frame.height - 1
+    px = frame.pixels.astype(np.float64)
+    rows = np.arange(lo, hi)
+    thresholds = np.clip(p.ath_base + p.ath_slope * (rows - cal.v_b),
+                         p.ath_min, p.ath_max)
+    response = px[lo:hi] - (px[lo - 1:hi - 1] + px[lo + 1:hi + 1]) / 2.0
+    mask = response - thresholds[:, None] > 0.0
+
+    best = None  # (run_len, v, start)
+    for i, v in enumerate(rows):
+        for start, end in _row_runs(mask[i]):
+            length = int(end - start)
+            if length < p.min_run:
+                continue
+            if best is None or length > best[0] or (length == best[0] and v > best[1]):
+                best = (length, int(v), int(start))
+
+    if best is None:
+        return None
+    length, v, start = best
+    cols = np.arange(start, start + length)
+    weights = px[v, cols]
+    mass = float(weights.sum())
+    u_f = float((cols * weights).sum() / mass)
+    return Detection(u_f=u_f, v_f=v, run_len=length, mass=mass)
+
+
 @st.composite
 def _frame_cal_params(draw):
     """A small frame of dim levels, a calibration and a threshold schedule
-    whose floor may be 0, so runs can sit on nearly black pixels."""
+    whose floor may be 0, so runs can sit on nearly black pixels. Half-integer
+    thresholds sit exactly on an edge response; large ones reach past 255,
+    where no pixel can pass."""
     w, h = draw(st.integers(1, 12)), draw(st.integers(3, 10))
     levels = st.integers(0, 255) | st.integers(0, 3)
     pixels = np.array(draw(st.lists(levels, min_size=w * h, max_size=w * h)),
                       dtype=np.uint8).reshape(h, w)
     cal = Calibration(v_b=draw(st.integers(1, h - 2)), width=w, height=h)
-    low, up, top = (draw(st.floats(0.0, 20.0)) for _ in range(3))
-    params = DetectParams(ath_base=low + up, ath_slope=draw(st.floats(0.0, 5.0)),
+    small = st.floats(0.0, 20.0) | st.integers(0, 40).map(lambda k: k / 2)
+    large = small | st.floats(200.0, 600.0)
+    low, up, top = draw(small), draw(large), draw(large)
+    slope = st.floats(0.0, 5.0) | st.sampled_from([0.1, 1 / 3, 2 / 3, 60.0])
+    params = DetectParams(ath_base=low + up, ath_slope=draw(slope),
                           ath_min=low, ath_max=low + up + top,
                           min_run=draw(st.integers(1, 4)))
     return Frame(width=w, height=h, pixels=pixels), cal, params
@@ -249,3 +294,36 @@ def test_detection_mass_is_at_least_its_run_length(case):
         assert cal.v_b < det.v_f < frame.height - 1
         assert det.run_len >= params.min_run
         assert det.mass >= det.run_len
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_frame_cal_params())
+def test_detect_feet_equals_the_per_row_reference(case):
+    frame, cal, params = case
+    assert detect_feet(frame, cal, params) == reference_detect_feet(frame, cal, params)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_frame_cal_params())
+def test_edge_mask_equals_edge_test_at_every_scan_pixel(case):
+    frame, cal, params = case
+    mask = _edge_mask(frame, cal, params)
+    scan_rows = range(cal.v_b + 1, frame.height - 1)
+    assert mask.shape == (len(scan_rows), frame.width + 2)
+    assert not mask[:, 0].any() and not mask[:, -1].any()
+    for i, v in enumerate(scan_rows):
+        for u in range(frame.width):
+            assert bool(mask[i, u + 1]) is edge_test(frame, u, v, cal, params)
+
+
+def test_detect_feet_equals_the_reference_on_reference_frames():
+    cfg = load_config(REFERENCE_CONFIG)
+    frames = render_trajectory(cfg.rig, cfg.trajectory.materialize(cfg.rig),
+                               cfg.noise, cfg.intensity)
+    assert len(frames) == 200
+    found = 0
+    for frame in frames:
+        det = detect_feet(frame, CAL, cfg.detect)
+        assert det == reference_detect_feet(frame, CAL, cfg.detect), frame.index
+        found += det is not None
+    assert found == 200

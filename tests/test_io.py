@@ -307,11 +307,17 @@ def test_config_message_for_every_section(section):
     (lambda c: c["rig"].update(d=10**400), "rig.d: out of range for a float"),
     (lambda c: c["trajectory"].update(a=[0.0, 10**400]),
      "trajectory.a: out of range for a float"),
+    # and an integer outside int64 fails at load, not in a dataclass
+    (lambda c: (c["rig"].pop("u0", None), c["rig"].update(width=10**400)),
+     "rig.width: out of range for a 64-bit integer"),
+    (lambda c: c["noise"].update(seed=-2**63 - 1),
+     "noise.seed: out of range for a 64-bit integer"),
 ], ids=["top-level-unknown", "unhashable-kind", "other-kinds-key", "rig",
         "detect", "noise", "intensity", "smoother", "trajectory",
         "negative-speed", "zero-speed", "rate-above-1000", "empty-clip",
         "negative-radius", "stationary-at-z-0", "number-past-float-range",
-        "point-past-float-range"])
+        "point-past-float-range", "width-past-int64-range",
+        "seed-below-int64-range"])
 def test_config_section_and_invariant_messages(mutate, message):
     cfg = base_config("stroll")
     mutate(cfg)

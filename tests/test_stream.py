@@ -193,6 +193,93 @@ def test_bounded_queue_drops_oldest_without_blocking():
     assert streamer.sent + streamer.dropped == 200
 
 
+def test_close_on_an_idle_streamer_joins_its_thread(receiver):
+    streamer = PositionStreamer(receiver.getsockname())
+    streamer.close()
+    assert not streamer._thread.is_alive()
+    assert (streamer.sent, streamer.dropped, streamer.send_failures) == (0, 0, 0)
+
+
+def test_each_submit_reaches_sendto_on_the_sender_thread():
+    # the sender is woken by each submit rather than polling, so every
+    # packet reaches sendto on its own, one at a time; the timeout only
+    # keeps a lost wakeup from hanging the suite
+    import queue
+    import threading
+
+    streamer = PositionStreamer(("127.0.0.1", 1))
+    real_sock = streamer._sock
+    sends: queue.Queue = queue.Queue()
+
+    class RecordingSock:
+        def sendto(self, data, addr):
+            sends.put((decode(data).seq, threading.get_ident()))
+            return len(data)
+
+        def close(self):
+            real_sock.close()
+
+    streamer._sock = RecordingSock()
+    try:
+        for i in range(20):
+            streamer.submit(est(i, i))
+            seq, sender = sends.get(timeout=1.0)
+            assert seq == i
+            assert sender != threading.get_ident()
+    finally:
+        streamer.close()
+    assert (streamer.sent, streamer.dropped, streamer.send_failures) == (20, 0, 0)
+
+
+def test_no_wakeup_is_lost_under_concurrent_submits():
+    # four producers, more than the cores, with thread switches forced
+    # often; each waits for its own packet to reach sendto before it
+    # submits the next, so a packet stranded by a lost wakeup has no later
+    # submit of its producer to rescue it and its wait times out
+    import sys
+    import threading
+
+    streamer = PositionStreamer(("127.0.0.1", 1))
+    real_sock = streamer._sock
+    arrived: dict[int, threading.Event] = {}
+
+    class RecordingSock:
+        def sendto(self, data, addr):
+            arrived[decode(data).timestamp_ms].set()
+            return len(data)
+
+        def close(self):
+            real_sock.close()
+
+    streamer._sock = RecordingSock()
+    stranded: list[int] = []
+
+    def produce(worker):
+        for i in range(150):
+            key = worker * 1000 + i
+            arrived[key] = threading.Event()
+            streamer.submit(est(0, key))
+            if not arrived[key].wait(timeout=1.0):
+                stranded.append(key)
+                return
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=produce, args=(w,)) for w in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30.0)
+        streamer.close()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert not streamer._thread.is_alive()
+    assert stranded == []
+    assert (streamer.sent, streamer.dropped, streamer.send_failures) == (600, 0, 0)
+
+
 def test_submit_after_close_is_counted_as_dropped(receiver):
     streamer = PositionStreamer(receiver.getsockname())
     streamer.submit(est(0, 0))
