@@ -34,12 +34,11 @@ def read_calibration(path: str, rig: RigConfig) -> Calibration:
     text = Path(path).read_text(encoding="utf-8").strip()
     if not text.startswith("v_b="):
         raise slio.ConfigError(f"calibration file {path}: expected 'v_b=<int>'")
+    digits = text[len("v_b="):]
+    if not (digits.isascii() and digits.isdigit()):
+        raise slio.ConfigError(f"calibration file {path}: bad v_b value")
     try:
-        v_b = int(text[len("v_b="):])
-    except ValueError:
-        raise slio.ConfigError(f"calibration file {path}: bad v_b value") from None
-    try:
-        return Calibration(v_b=v_b, width=rig.width, height=rig.height)
+        return Calibration(v_b=int(digits), width=rig.width, height=rig.height)
     except ValueError as exc:
         raise slio.ConfigError(f"calibration file {path}: {exc}") from None
 

@@ -23,6 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# a larger sensor is a config mistake: one float64 frame would take 128 MiB
+MAX_PIXELS = 2**24
+
 
 class TriangulationError(ValueError):
     """Depth denominator is non-positive: the disparity implies a reflection
@@ -57,6 +60,8 @@ class RigConfig:
         for name in ("d", "f", "z_b", "width", "height"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name}: must be > 0")
+        if self.width * self.height > MAX_PIXELS:
+            raise ValueError(f"width: width * height must be <= {MAX_PIXELS}")
         if not 0 <= self.u0 < self.width:
             raise ValueError("u0: must lie in [0, width)")
         if not 0 <= self.v0 < self.height:

@@ -7,14 +7,14 @@ worse than a dropped one. Packets are single ASCII lines,
     SLT1 <seq> <timestamp_ms> 1 <x_cm> <z_cm>\\n     (detected)
     SLT1 <seq> <timestamp_ms> 0\\n                   (not detected)
 
-well under the 128-byte budget. The sender never applies backpressure to
-the tracking pipeline: hand-off goes through a bounded queue that drops
-the oldest sample when full, and drops/failures are only counted.
+well under the 128-byte budget. Sending never applies backpressure to
+the tracking pipeline: each packet goes out on a non-blocking socket, a
+datagram the kernel cannot take at once is dropped, and drops/failures are
+only counted.
 """
 
 from __future__ import annotations
 
-import collections
 import logging
 import math
 import socket
@@ -82,7 +82,8 @@ def decode(data: bytes) -> StreamPacket:
 
 
 def resolve_endpoint(address: str | tuple[str, int]) -> tuple[str, int]:
-    """Accept "host:port" or (host, port); resolve to a UDP destination."""
+    """Accept "host:port" or (host, port) with a port in 1..65535; resolve
+    to a UDP destination."""
     if isinstance(address, str):
         host, sep, port_text = address.rpartition(":")
         if not sep or not host:
@@ -93,6 +94,8 @@ def resolve_endpoint(address: str | tuple[str, int]) -> tuple[str, int]:
             raise ValueError(f"address {address!r}: bad port") from None
     else:
         host, port = address
+    if not 1 <= port <= 65535:
+        raise ValueError(f"address {host}:{port}: port must lie in 1..65535")
     try:
         info = socket.getaddrinfo(host, port, socket.AF_INET, socket.SOCK_DGRAM)
     except socket.gaierror as exc:
@@ -101,83 +104,47 @@ def resolve_endpoint(address: str | tuple[str, int]) -> tuple[str, int]:
 
 
 class PositionStreamer:
-    """Fire-and-forget UDP publisher running beside the pipeline.
+    """Fire-and-forget UDP publisher for the tracking loop.
 
-    ``submit`` is wait-free for the caller: estimates go into a bounded
-    deque and a daemon thread encodes and sends them in submission order.
-    When the deque is full the oldest estimate is discarded and counted.
+    ``submit`` encodes the estimate and sends it at once on a non-blocking
+    socket, so it never waits on the network. A datagram the kernel cannot
+    take now is counted as dropped, any other send error as a failure.
     Sequence numbers are assigned at submission, so receivers can spot
-    drops as gaps. Each submit wakes the sender, which sends whatever has
-    queued up by then in one batch.
+    drops as gaps. A lock keeps seqs and counts exact when several threads
+    submit.
     """
-
-    _QUEUE_SIZE = 64
 
     def __init__(self, address: str | tuple[str, int]) -> None:
         self.endpoint = resolve_endpoint(address)
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._queue: collections.deque[bytes] = collections.deque()
+        self._sock.setblocking(False)
         self._lock = threading.Lock()
-        self._wake = threading.Event()
-        self._closing = False
+        self._closed = False
         self._seq = 0
         self.sent = 0
         self.dropped = 0
         self.send_failures = 0
-        self._thread = threading.Thread(target=self._drain, daemon=True,
-                                        name="sltrack-streamer")
-        self._thread.start()
 
     def submit(self, est: PositionEstimate) -> None:
-        """Queue an estimate for sending; never blocks on the network.
-        After :meth:`close` the estimate is counted as dropped instead."""
+        """Send an estimate; never blocks on the network. After
+        :meth:`close` the estimate is counted as dropped instead."""
         with self._lock:
-            if self._closing:
+            if self._closed:
                 self.dropped += 1
                 return
             packet = encode(est, self._seq % _SEQ_LIMIT)
             self._seq += 1
-            if len(self._queue) >= self._QUEUE_SIZE:
-                self._queue.popleft()
+            try:
+                self._sock.sendto(packet, self.endpoint)
+                self.sent += 1
+            except BlockingIOError:
                 self.dropped += 1
-            self._queue.append(packet)
-        self._wake.set()
+            except OSError as exc:
+                self.send_failures += 1
+                logger.warning("send to %s failed: %s", self.endpoint, exc)
 
-    def _drain(self) -> None:
-        # the socket belongs to this thread: it is closed here, after the
-        # last send, never from close() while a send may be in flight
-        try:
-            closing = False
-            while not closing:
-                # cleared before the queue is read, so a submit that lands
-                # after this batch is taken leaves the event set for the next
-                self._wake.wait()
-                self._wake.clear()
-                with self._lock:
-                    batch = list(self._queue)
-                    self._queue.clear()
-                    # once closing is seen no submit can queue again, so
-                    # this batch is the last one
-                    closing = self._closing
-                sent = failed = 0
-                for packet in batch:
-                    try:
-                        self._sock.sendto(packet, self.endpoint)
-                        sent += 1
-                    except OSError as exc:
-                        failed += 1
-                        logger.warning("send to %s failed: %s", self.endpoint, exc)
-                with self._lock:
-                    self.sent += sent
-                    self.send_failures += failed
-        finally:
-            self._sock.close()
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Ask the sender thread to flush the queue and stop, and wait up to
-        ``timeout`` seconds for it. A sender still busy after that finishes
-        the queue, then closes its socket, on its own."""
+    def close(self) -> None:
+        """Close the socket; later submits are counted as dropped."""
         with self._lock:
-            self._closing = True
-        self._wake.set()
-        self._thread.join(timeout)
+            self._closed = True
+            self._sock.close()

@@ -236,6 +236,44 @@ def test_track_missing_output_directory_exit_2_before_tracking(tmp_path, capsys,
     assert not est_csv.parent.exists()
 
 
+def test_track_out_of_range_port_exit_2_before_tracking(tmp_path, capsys,
+                                                      monkeypatch):
+    # getaddrinfo would quietly wrap port 70000 to 4464
+    import sltrack.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "track_stream",
+                        lambda *a, **kw: calls.append("track_stream") or [])
+    cfg = stationary_config(tmp_path)
+    make_empty_frame(tmp_path, cfg)  # one frame in the frames directory
+    cal = tmp_path / "cal.txt"
+    cal.write_text("v_b=160\n", encoding="utf-8")
+    est_csv = tmp_path / "est.csv"
+    assert main(["track", "-c", cfg, "--calibration", str(cal), str(tmp_path),
+                 "-o", str(est_csv), "--stream", "127.0.0.1:70000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "70000" in captured.err and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert calls == []
+    assert not est_csv.exists()
+
+
+@pytest.mark.parametrize("text", ["v_b=1_60\n", "v_b=\u0661\u0666\u0660\n",
+                                  "v_b= 160\n", "v_b=+160\n"],
+                         ids=["underscore", "arabic-indic-digits", "space", "plus"])
+def test_track_calibration_value_not_ascii_digits_exit_2(tmp_path, capsys, text):
+    cfg = stationary_config(tmp_path)
+    make_empty_frame(tmp_path, cfg)
+    cal = tmp_path / "cal.txt"
+    cal.write_text(text, encoding="utf-8")
+    est_csv = tmp_path / "est.csv"
+    assert main(["track", "-c", cfg, "--calibration", str(cal), str(tmp_path),
+                 "-o", str(est_csv)]) == 2
+    assert capsys.readouterr().err == f"error: calibration file {cal}: bad v_b value\n"
+    assert not est_csv.exists()
+
+
 @pytest.mark.parametrize("command", ["track", "calibrate", "evaluate"])
 def test_missing_input_file_exit_2(tmp_path, capsys, command):
     # a missing calibration file, empty-scene frame or truth CSV is a usage

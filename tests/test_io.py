@@ -312,12 +312,15 @@ def test_config_message_for_every_section(section):
      "rig.width: out of range for a 64-bit integer"),
     (lambda c: c["noise"].update(seed=-2**63 - 1),
      "noise.seed: out of range for a 64-bit integer"),
+    # a sensor too large to render fails at load, not in numpy
+    (lambda c: c["rig"].update(width=2**40),
+     "rig.width: width * height must be <= 16777216"),
 ], ids=["top-level-unknown", "unhashable-kind", "other-kinds-key", "rig",
         "detect", "noise", "intensity", "smoother", "trajectory",
         "negative-speed", "zero-speed", "rate-above-1000", "empty-clip",
         "negative-radius", "stationary-at-z-0", "number-past-float-range",
         "point-past-float-range", "width-past-int64-range",
-        "seed-below-int64-range"])
+        "seed-below-int64-range", "pixel-count-above-cap"])
 def test_config_section_and_invariant_messages(mutate, message):
     cfg = base_config("stroll")
     mutate(cfg)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import socket
 import time
 
@@ -105,6 +106,10 @@ def test_resolve_endpoint_forms():
         resolve_endpoint("localhost")  # no port
     with pytest.raises(ValueError):
         resolve_endpoint("no.such.host.invalid:9000")
+    # getaddrinfo would wrap 70000 to 4464, and port 0 fails every send
+    for bad in ("127.0.0.1:70000", "127.0.0.1:0", ("127.0.0.1", 70000)):
+        with pytest.raises(ValueError, match="port must lie in 1..65535"):
+            resolve_endpoint(bad)
 
 
 # --- publisher --------------------------------------------------------------------
@@ -167,53 +172,42 @@ def test_paced_stream_inter_packet_interval(receiver):
     assert abs(float(np.mean(intervals)) - 50.0) <= 20.0
 
 
-def test_bounded_queue_drops_oldest_without_blocking():
-    # a stalled network must never back-pressure the pipeline: slow every
-    # send down to 5 ms and hammer submits; they must return immediately
-    # and overflow the 64-packet queue by dropping the oldest samples
+def test_submit_never_waits_on_the_network():
+    # the socket is non-blocking, and a datagram the kernel cannot take at
+    # once is dropped and counted rather than waited for
     streamer = PositionStreamer(("127.0.0.1", 1))
+    assert streamer._sock.gettimeout() == 0.0
     real_sock = streamer._sock
 
-    class SlowSock:
+    class FullSock:
         def sendto(self, data, addr):
-            time.sleep(0.005)
-            return real_sock.sendto(data, addr)
+            raise BlockingIOError(errno.EAGAIN, "would block")
 
         def close(self):
             real_sock.close()
 
-    streamer._sock = SlowSock()
-    start = time.perf_counter()
+    streamer._sock = FullSock()
     for i in range(200):
         streamer.submit(est(i, i))
-    elapsed = time.perf_counter() - start
     streamer.close()
-    assert elapsed < 0.5  # submit never waits on the network
-    assert streamer.dropped > 0
-    assert streamer.sent + streamer.dropped == 200
+    assert (streamer.sent, streamer.dropped, streamer.send_failures) == (0, 200, 0)
 
 
-def test_close_on_an_idle_streamer_joins_its_thread(receiver):
+def test_close_on_an_idle_streamer_closes_its_socket(receiver):
     streamer = PositionStreamer(receiver.getsockname())
     streamer.close()
-    assert not streamer._thread.is_alive()
+    assert streamer._sock.fileno() == -1
     assert (streamer.sent, streamer.dropped, streamer.send_failures) == (0, 0, 0)
 
 
-def test_each_submit_reaches_sendto_on_the_sender_thread():
-    # the sender is woken by each submit rather than polling, so every
-    # packet reaches sendto on its own, one at a time; the timeout only
-    # keeps a lost wakeup from hanging the suite
-    import queue
-    import threading
-
+def test_each_submit_reaches_sendto_before_it_returns():
     streamer = PositionStreamer(("127.0.0.1", 1))
     real_sock = streamer._sock
-    sends: queue.Queue = queue.Queue()
+    seqs: list[int] = []
 
     class RecordingSock:
         def sendto(self, data, addr):
-            sends.put((decode(data).seq, threading.get_ident()))
+            seqs.append(decode(data).seq)
             return len(data)
 
         def close(self):
@@ -223,45 +217,35 @@ def test_each_submit_reaches_sendto_on_the_sender_thread():
     try:
         for i in range(20):
             streamer.submit(est(i, i))
-            seq, sender = sends.get(timeout=1.0)
-            assert seq == i
-            assert sender != threading.get_ident()
+            assert seqs == list(range(i + 1))
     finally:
         streamer.close()
     assert (streamer.sent, streamer.dropped, streamer.send_failures) == (20, 0, 0)
 
 
-def test_no_wakeup_is_lost_under_concurrent_submits():
+def test_concurrent_submits_take_distinct_seqs():
     # four producers, more than the cores, with thread switches forced
-    # often; each waits for its own packet to reach sendto before it
-    # submits the next, so a packet stranded by a lost wakeup has no later
-    # submit of its producer to rescue it and its wait times out
+    # often; the lock must hand out every seq once and count every send
     import sys
     import threading
 
     streamer = PositionStreamer(("127.0.0.1", 1))
     real_sock = streamer._sock
-    arrived: dict[int, threading.Event] = {}
+    seqs: list[int] = []
 
     class RecordingSock:
         def sendto(self, data, addr):
-            arrived[decode(data).timestamp_ms].set()
+            seqs.append(decode(data).seq)
             return len(data)
 
         def close(self):
             real_sock.close()
 
     streamer._sock = RecordingSock()
-    stranded: list[int] = []
 
     def produce(worker):
         for i in range(150):
-            key = worker * 1000 + i
-            arrived[key] = threading.Event()
-            streamer.submit(est(0, key))
-            if not arrived[key].wait(timeout=1.0):
-                stranded.append(key)
-                return
+            streamer.submit(est(0, worker * 1000 + i))
 
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -275,8 +259,7 @@ def test_no_wakeup_is_lost_under_concurrent_submits():
     finally:
         sys.setswitchinterval(old_interval)
     assert not any(worker.is_alive() for worker in workers)
-    assert not streamer._thread.is_alive()
-    assert stranded == []
+    assert sorted(seqs) == list(range(600))
     assert (streamer.sent, streamer.dropped, streamer.send_failures) == (600, 0, 0)
 
 
@@ -286,34 +269,24 @@ def test_submit_after_close_is_counted_as_dropped(receiver):
     streamer.close()
     streamer.submit(est(1, 50))  # must not raise into the tracking loop
     assert (streamer.sent, streamer.dropped, streamer.send_failures) == (1, 1, 0)
-    assert not streamer._queue
 
 
-def test_close_timeout_leaves_the_socket_to_the_sender(receiver):
-    # close() returns after its timeout while sends are still in flight;
-    # the sender must finish the queue on a socket nobody closed under it,
-    # then close that socket itself
-    streamer = PositionStreamer(receiver.getsockname())
+def test_send_error_is_counted_as_a_failure(caplog):
+    streamer = PositionStreamer(("127.0.0.1", 1))
     real_sock = streamer._sock
-    closes: list[int] = []
 
-    class SlowSock:
+    class UnreachableSock:
         def sendto(self, data, addr):
-            time.sleep(0.05)
-            return real_sock.sendto(data, addr)
+            raise OSError(errno.ENETUNREACH, "Network is unreachable")
 
         def close(self):
-            closes.append(1)
             real_sock.close()
 
-    streamer._sock = SlowSock()
-    for i in range(5):
-        streamer.submit(est(i, i))
-    streamer.close(timeout=0.01)
-    streamer._thread.join(timeout=5.0)
-    assert not streamer._thread.is_alive()
-    assert streamer.send_failures == 0 and streamer.sent == 5
-    assert closes == [1]
+    streamer._sock = UnreachableSock()
+    streamer.submit(est(0, 0))  # must not raise into the tracking loop
+    streamer.close()
+    assert (streamer.sent, streamer.dropped, streamer.send_failures) == (0, 0, 1)
+    assert "Network is unreachable" in caplog.text
 
 
 def test_throughput_unaffected_by_absent_consumer(rig, quiet, intensity,
@@ -323,8 +296,9 @@ def test_throughput_unaffected_by_absent_consumer(rig, quiet, intensity,
 
     Checked by what the loop does rather than by wall time, which varies
     by more than any useful gate on a shared host: for a live and a dead
-    endpoint alike, the submitting thread never calls ``sendto``, and
-    every submitted estimate ends up sent, dropped or failed."""
+    endpoint alike, the socket is non-blocking, each submit makes one
+    ``sendto``, and every submitted estimate ends up sent, dropped or
+    failed."""
     import threading
 
     from sltrack import Calibration, SceneState, render, track_frame
@@ -337,11 +311,12 @@ def test_throughput_unaffected_by_absent_consumer(rig, quiet, intensity,
     def run(endpoint):
         streamer = PositionStreamer(endpoint)
         real_sock = streamer._sock
-        senders: list[int] = []
+        assert real_sock.gettimeout() == 0.0
+        calls: list[bytes] = []
 
         class RecordingSock:
             def sendto(self, data, addr):
-                senders.append(threading.get_ident())
+                calls.append(data)
                 return real_sock.sendto(data, addr)
 
             def close(self):
@@ -354,7 +329,7 @@ def test_throughput_unaffected_by_absent_consumer(rig, quiet, intensity,
                     streamer.submit(track_frame(frame, rig, cal, detect_params))
         finally:
             streamer.close()
-        return streamer, senders
+        return streamer, calls
 
     # live consumer draining in the background
     port = receiver.getsockname()[1]
@@ -381,12 +356,10 @@ def test_throughput_unaffected_by_absent_consumer(rig, quiet, intensity,
     assert received > 0
 
     dead = run(("127.0.0.1", 1))  # nothing listens on port 1
-    loop_thread = threading.get_ident()
     submitted = passes * len(frames)
-    for name, (streamer, senders) in (("live", live), ("dead", dead)):
-        assert senders and loop_thread not in senders, (
-            f"{name} endpoint: sendto ran on the submitting thread")
-        assert len(senders) == streamer.sent + streamer.send_failures, name
+    for name, (streamer, calls) in (("live", live), ("dead", dead)):
+        assert (len(calls) == streamer.sent + streamer.dropped
+                + streamer.send_failures), name
         assert (streamer.sent + streamer.dropped + streamer.send_failures
                 == submitted), (
             f"{name} endpoint: sent {streamer.sent}, dropped "
