@@ -10,8 +10,10 @@ import argparse
 import errno
 import json
 import math
+import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,14 +45,39 @@ def read_calibration(path: str, rig: RigConfig) -> Calibration:
         raise slio.ConfigError(f"calibration file {path}: {exc}") from None
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = slio.load_config(args.config)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     states = cfg.trajectory.materialize(cfg.rig)
-    for i, state in enumerate(states):
-        frame = render(cfg.rig, state, cfg.noise, cfg.intensity, index=i)
-        slio.write_pgm(frame, str(out_dir / f"{i:06d}.pgm"))
+    names = [f"{i:06d}.pgm" for i in range(len(states))]
+    # a clip mixed with another's frames would track and then fail to
+    # evaluate, so refuse before anything is written
+    if out_dir.exists():
+        if not out_dir.is_dir():
+            raise slio.ConfigError(f"output directory {out_dir}: not a directory")
+        foreign = sorted({p.name for p in out_dir.glob("*.pgm")} - set(names))
+        if foreign:
+            raise slio.ConfigError(
+                f"output directory {out_dir} holds {foreign[0]}, which is not "
+                f"one of this clip's {len(names)} frames")
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    def write_frame(i: int) -> None:
+        frame = render(cfg.rig, states[i], cfg.noise, cfg.intensity, index=i)
+        slio.write_pgm(frame, str(out_dir / names[i]))
+
+    # frames are independent, and the noise fill, the ufuncs and the file
+    # write release the GIL; the first error cancels the frames not started
+    with ThreadPoolExecutor(_usable_cpus()) as pool:
+        for _ in pool.map(write_frame, range(len(states))):
+            pass
     slio.write_truth_csv(states, str(out_dir / "truth.csv"))
     print(f"wrote {len(states)} frames + truth.csv to {out_dir}")
     return 0

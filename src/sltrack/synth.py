@@ -103,7 +103,8 @@ def _run_columns(center_u: float, width_px: float, frame_width: int) -> np.ndarr
 
 
 def _stamp_line(img: np.ndarray, row: float, cols: np.ndarray, level: float) -> None:
-    """Add a 1 px tall line segment at round(row); off-frame rows draw nothing."""
+    """Add a 1 px tall line segment at round(row) over ``cols`` (column
+    indices or a boolean mask of the row); off-frame rows draw nothing."""
     center = round(row)
     if 0 <= center < img.shape[0] and cols.size:
         img[center, cols] += level
@@ -126,27 +127,33 @@ def render(
 
     The noise stream is derived from (noise.seed, index), so identical
     arguments render bit-identical frames and frames can be rendered
-    concurrently. A user behind the back wall raises ``ValueError``.
+    concurrently, as ``sltrack simulate`` does on one thread per CPU. A user
+    behind the back wall raises ``ValueError``.
     """
     foot = project(rig, scene.user) if scene.user is not None else None
 
     h, w = rig.height, rig.width
     if noise.background_sigma > 0:
+        # scaled in place: the same bits as rng.normal(mean, sigma, (h, w)),
+        # which computes mean + sigma * standard_normal per draw
         rng = np.random.default_rng((noise.seed, index))
-        img = rng.normal(noise.background_mean, noise.background_sigma, (h, w))
+        img = rng.standard_normal((h, w))
+        np.multiply(img, noise.background_sigma, out=img)
+        np.add(img, noise.background_mean, out=img)
     else:
         img = np.full((h, w), float(noise.background_mean))
 
-    wall_cols = np.arange(w, dtype=np.intp)
+    wall = np.ones(w, dtype=bool)
     if foot is not None:
         z = scene.user.z
         cols = _run_columns(foot.u, scene.foot_width * rig.f / z, w)
         _stamp_line(img, foot.v, cols, intensity_at(im, z))
-        wall_cols = np.setdiff1d(wall_cols, cols)  # the body shadows the wall
-    _stamp_line(img, rig.back_wall_row, wall_cols, intensity_at(im, rig.z_b))
+        wall[cols] = False  # the body shadows the wall
+    _stamp_line(img, rig.back_wall_row, wall, intensity_at(im, rig.z_b))
 
-    quantized = np.clip(np.rint(img), 0, 255).astype(np.uint8)
-    return Frame(width=w, height=h, pixels=quantized,
+    np.rint(img, out=img)
+    np.clip(img, 0, 255, out=img)
+    return Frame(width=w, height=h, pixels=img.astype(np.uint8),
                  timestamp_ms=scene.timestamp_ms, index=index)
 
 

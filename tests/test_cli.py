@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import errno
+import hashlib
+import io
 import json
 import re
 import shutil
 import socket
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +84,88 @@ def test_simulate_invalid_config_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}", encoding="utf-8")
     assert main(["simulate", "-c", str(bad), "-o", str(tmp_path / "x")]) == 2
+
+
+def test_simulate_reference_digest(ref_config, tmp_path):
+    # sha256 over the sorted files 000000.pgm .. 000199.pgm, truth.csv
+    out = tmp_path / "run"
+    assert main(["simulate", "-c", ref_config, "-o", str(out)]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == (
+        "d98f13deded8a60ba1cc5e5eeeb00c904f51b011895ad517627d2b1954cba953")
+
+
+def test_simulate_frames_equal_a_serial_render(tmp_path):
+    from sltrack import load_config, render, write_pgm
+
+    cfg_path = stationary_config(tmp_path, noise_sigma=12.0, noise_mean=30.0)
+    out = tmp_path / "run"
+    assert main(["simulate", "-c", cfg_path, "-o", str(out)]) == 0
+    cfg = load_config(cfg_path)
+    states = cfg.trajectory.materialize(cfg.rig)
+    assert len(list(out.glob("*.pgm"))) == len(states)
+    for i, state in enumerate(states):
+        buf = io.BytesIO()
+        write_pgm(render(cfg.rig, state, cfg.noise, cfg.intensity, index=i), buf)
+        assert (out / f"{i:06d}.pgm").read_bytes() == buf.getvalue(), i
+
+
+def test_simulate_write_error_exit_1_without_truth(tmp_path, capsys, monkeypatch):
+    import sltrack.io
+
+    real_write_pgm = sltrack.io.write_pgm
+
+    def failing_write_pgm(frame, sink):
+        if frame.index == 5:
+            raise OSError(errno.ENOSPC, "No space left on device", sink)
+        real_write_pgm(frame, sink)
+
+    monkeypatch.setattr(sltrack.io, "write_pgm", failing_write_pgm)
+    out = tmp_path / "run"
+    assert main(["simulate", "-c", stationary_config(tmp_path),
+                 "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "000005.pgm" in err
+    assert not (out / "truth.csv").exists()
+
+
+def test_simulate_leaves_no_thread_running(tmp_path):
+    before = threading.active_count()
+    assert main(["simulate", "-c", stationary_config(tmp_path),
+                 "-o", str(tmp_path / "run")]) == 0
+    assert threading.active_count() == before
+
+
+def test_simulate_rejects_a_directory_with_another_clips_frames(ref_config,
+                                                               tmp_path, capsys):
+    out = tmp_path / "run"
+    # 30 frames, of which this 20-frame clip would overwrite only 20
+    assert main(["simulate", "-c", stationary_config(tmp_path, duration=1.5),
+                 "-o", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["simulate", "-c", stationary_config(tmp_path),
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: output directory {out} holds 000020.pgm, which is not one "
+        "of this clip's 20 frames\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # a clip that overwrites every frame there may reuse the directory
+    assert main(["simulate", "-c", ref_config, "-o", str(out)]) == 0
+    assert len(list(out.glob("*.pgm"))) == 200
+
+
+def test_simulate_out_dir_naming_a_file_exit_2(tmp_path, capsys):
+    target = tmp_path / "run"
+    target.write_text("not a directory", encoding="utf-8")
+    assert main(["simulate", "-c", stationary_config(tmp_path),
+                 "-o", str(target)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: output directory {target}: not a directory\n")
+    assert target.read_text(encoding="utf-8") == "not a directory"
 
 
 def test_track_bad_trajectory_exit_2(tmp_path, capsys):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sltrack import (IntensityModel, NoiseParams, SceneState, TrajectorySpec,
-                     WorldPosition, intensity_at, render)
+from sltrack import (IntensityModel, NoiseParams, RigConfig, SceneState,
+                     TrajectorySpec, WorldPosition, intensity_at, project, render)
 
 
 def user_at(x, z, foot_width=25.0, t=0):
@@ -93,6 +97,91 @@ def test_background_noise_statistics(rig, intensity):
 def test_user_behind_wall_rejected(rig, quiet, intensity):
     with pytest.raises(ValueError):
         render(rig, user_at(0.0, 450.0), quiet, intensity)
+
+
+# --- render against its reference formula ------------------------------------
+
+def reference_render(rig, scene, noise, im, index=0) -> np.ndarray:
+    """The renderer as first written: Gaussian background from
+    ``rng.normal``, the foot run stamped at its row, the wall row stamped
+    over the columns the body does not shadow (``setdiff1d``), then
+    ``clip(rint(...))``."""
+    h, w = rig.height, rig.width
+    if noise.background_sigma > 0:
+        rng = np.random.default_rng((noise.seed, index))
+        img = rng.normal(noise.background_mean, noise.background_sigma, (h, w))
+    else:
+        img = np.full((h, w), float(noise.background_mean))
+
+    def stamp(row, cols, level):
+        if 0 <= round(row) < h:
+            img[round(row), cols] += level
+
+    wall_cols = np.arange(w)
+    if scene.user is not None:
+        foot, z = project(rig, scene.user), scene.user.z
+        half = scene.foot_width * rig.f / z / 2.0
+        cols = np.arange(max(math.ceil(foot.u - half), 0),
+                         min(math.floor(foot.u + half), w - 1) + 1)
+        stamp(foot.v, cols, intensity_at(im, z))
+        wall_cols = np.setdiff1d(wall_cols, cols)
+    stamp(rig.back_wall_row, wall_cols, intensity_at(im, rig.z_b))
+    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
+
+
+@st.composite
+def _render_case(draw):
+    height = draw(st.sampled_from([240, 480]))
+    width = draw(st.integers(1, 320))
+    f = draw(st.floats(50.0, 800.0))
+    z_b = draw(st.floats(100.0, 800.0))
+    v0 = draw(st.floats(0.0, height / 2))
+    wall_row = draw(st.floats(v0 + 1.0, height - 1.0))
+    rig = RigConfig(d=(wall_row - v0) * z_b / f, f=f, z_b=z_b, width=width,
+                    height=height, u0=draw(st.floats(0.0, width - 0.5)), v0=v0)
+    if draw(st.booleans()):
+        z = draw(st.floats(1.0, z_b))
+        user = WorldPosition(draw(st.floats(-2.0, 2.0)) * z, z)
+        scene = SceneState(user=user, foot_width=draw(st.floats(0.01, 80.0)))
+    else:
+        scene = SceneState(user=None)
+    noise = NoiseParams(
+        background_sigma=draw(st.one_of(st.just(0.0), st.floats(0.01, 60.0),
+                                        st.floats(1000.0, 1e6))),
+        background_mean=draw(st.one_of(st.sampled_from([0.0, 255.0]),
+                                       st.floats(0.0, 255.0))),
+        seed=draw(st.integers(0, 2**63)))
+    im = IntensityModel(i_ref=draw(st.floats(0.5, 255.0)),
+                        z_ref=draw(st.floats(10.0, 1000.0)))
+    return rig, scene, noise, im, draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_render_case())
+def test_render_matches_reference_formula(case):
+    rig, scene, noise, im, index = case
+    assert np.array_equal(render(rig, scene, noise, im, index=index).pixels,
+                          reference_render(rig, scene, noise, im, index=index))
+
+
+@pytest.mark.parametrize("sigma, mean", [(0.0, 0.0), (0.0, 255.0),
+                                         (5000.0, 0.0), (1000.0, 255.0)])
+def test_render_matches_reference_at_noise_extremes(rig, intensity, sigma, mean):
+    noise = NoiseParams(background_sigma=sigma, background_mean=mean, seed=7)
+    scene = user_at(10.0, 250.0)
+    assert np.array_equal(render(rig, scene, noise, intensity, index=2).pixels,
+                          reference_render(rig, scene, noise, intensity, index=2))
+
+
+def test_foot_run_of_column_0_alone_is_drawn(rig, quiet, intensity):
+    # u = 160 + 400 * -80 / 200 = 0 and a 0.5 px run: columns [0] only
+    scene = user_at(-80.0, 200.0, foot_width=0.25)
+    frame = render(rig, scene, quiet, intensity)
+    assert np.flatnonzero(frame.pixels[200]).tolist() == [0]
+    assert frame.pixels[200, 0] == 240
+    assert np.flatnonzero(frame.pixels[160] == 0).tolist() == [0]  # shadowed
+    assert np.array_equal(frame.pixels, reference_render(rig, scene, quiet,
+                                                         intensity))
 
 
 # --- trajectories ------------------------------------------------------------
