@@ -11,6 +11,7 @@ edge pixels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,9 +122,20 @@ def edge_test(frame: Frame, u: int, v: int, cal: Calibration, p: DetectParams) -
     return response > 0.0
 
 
+@lru_cache(maxsize=8)
+def _row_limits(cal: Calibration, p: DetectParams) -> np.ndarray:
+    """floor(2 * threshold) of every scan row, capped at 511, as a read-only
+    int16 column: the same for every frame of one (calibration, params)."""
+    delta_v = np.arange(1, cal.height - 1 - cal.v_b)
+    thresholds = np.clip(p.ath_base + p.ath_slope * delta_v, p.ath_min, p.ath_max)
+    limits = np.fmin(np.floor(2.0 * thresholds), 511.0).astype(np.int16)[:, None]
+    limits.flags.writeable = False
+    return limits
+
+
 def _edge_mask(frame: Frame, cal: Calibration, p: DetectParams) -> np.ndarray:
-    """Edge-test result for every scan row, as an int8 array of shape
-    (rows, width + 2) whose first and last columns are zero padding.
+    """Edge-test result for every scan row, as a bool array of shape
+    (rows, width + 2) whose first and last columns are false padding.
 
     Row i is image row v_b + 1 + i. Pixels are whole numbers, so
     P - (P_up + P_down)/2 > thr holds iff the integer 2P - P_up - P_down
@@ -133,12 +145,11 @@ def _edge_mask(frame: Frame, cal: Calibration, p: DetectParams) -> np.ndarray:
     """
     lo, hi = cal.v_b + 1, frame.height - 1
     band = frame.pixels[lo - 1:hi + 1].astype(np.int16)
-    twice = 2 * band[1:-1] - band[:-2] - band[2:]
-    thresholds = np.clip(p.ath_base + p.ath_slope * np.arange(1, hi - lo + 1),
-                         p.ath_min, p.ath_max)
-    limits = np.fmin(np.floor(2.0 * thresholds), 511.0).astype(np.int16)
-    padded = np.zeros((hi - lo, frame.width + 2), dtype=np.int8)
-    np.greater(twice, limits[:, None], out=padded[:, 1:-1])
+    twice = band[1:-1] * 2
+    twice -= band[:-2]
+    twice -= band[2:]
+    padded = np.zeros((hi - lo, frame.width + 2), dtype=bool)
+    np.greater(twice, _row_limits(cal, p), out=padded[:, 1:-1])
     return padded
 
 
@@ -160,18 +171,22 @@ def detect_feet(frame: Frame, cal: Calibration, p: DetectParams) -> Detection | 
     # every padded row opens and closes its own runs, so the changes in the
     # flattened mask alternate start, end; the band is empty when
     # v_b = height - 2 and then holds no run
-    padded = _edge_mask(frame, cal, p)
-    changes = np.flatnonzero(np.diff(padded.ravel()))
+    flat = _edge_mask(frame, cal, p).ravel()
+    changes = np.flatnonzero(flat[1:] != flat[:-1])
     starts = changes[0::2]
-    lengths = changes[1::2] - starts
-    keep = lengths >= p.min_run
-    if not keep.any():
+    if not starts.size:
         return None
-    rows, cols = np.divmod(starts[keep], frame.width + 2)
-    lengths = lengths[keep]
-    best = np.lexsort((cols, -rows, -lengths))[0]
-    v = cal.v_b + 1 + int(rows[best])
-    start, length = int(cols[best]), int(lengths[best])
+    lengths = changes[1::2] - starts
+    rows = starts // (frame.width + 2)
+    # starts ascend, so the first maximum of this key is the longest run,
+    # then the lowest in the image (larger v), then the leftmost start
+    best = int(np.argmax(lengths * (frame.height + 1) + rows))
+    length = int(lengths[best])
+    if length < p.min_run:
+        return None
+    row = int(rows[best])
+    v = cal.v_b + 1 + row
+    start = int(starts[best]) - row * (frame.width + 2)
 
     weights = frame.pixels[v, start:start + length].astype(np.float64)
     # a run pixel has P > (P_up + P_down)/2 + ath >= 0, so P >= 1 and mass >= run_len

@@ -1,7 +1,8 @@
 """File formats: binary PGM frames, JSON run configuration, CSV tables.
 
-The config file is strict JSON: every section and key is validated, and
-unknown keys are rejected so experiment configs stay reproducible. A
+The config file is strict JSON: every section and key is validated,
+unknown keys are rejected so experiment configs stay reproducible, and a
+number must be finite (``json.loads`` reads NaN and Infinity). A
 section's keys and types are the fields of the dataclass it builds; a
 trajectory's are the scalar fields of ``synth.TrajectorySpec`` and the
 parameters of its kind's path builder in ``synth.TRAJECTORIES``.
@@ -11,6 +12,7 @@ parameters of its kind's path builder in ``synth.TRAJECTORIES``.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -112,16 +114,13 @@ def read_pgm(source: str | BinaryIO) -> Frame:
         raise PgmError("truncated header", pos)
     pos += 1  # single whitespace byte after maxval
     expected = width * height
-    payload = data[pos:pos + expected]
-    if len(payload) < expected:
-        raise PgmError(
-            f"truncated payload: want {expected} bytes, have {len(payload)}",
-            pos + len(payload),
-        )
-    if len(data) > pos + expected:
-        raise PgmError(f"{len(data) - pos - expected} bytes after the payload",
-                       pos + expected)
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+    have = len(data) - pos
+    if have < expected:
+        raise PgmError(f"truncated payload: want {expected} bytes, have {have}",
+                       pos + have)
+    if have > expected:
+        raise PgmError(f"{have - expected} bytes after the payload", pos + expected)
+    pixels = np.frombuffer(data, np.uint8, expected, pos).reshape(height, width)
     return Frame(width=width, height=height, pixels=pixels.copy())
 
 
@@ -132,10 +131,10 @@ def iter_pgm_dir(frames_dir: str, rate_hz: float) -> Iterator[Frame]:
     index i and timestamp ``frame_timestamp_ms(i, rate_hz)``. An empty directory
     raises :class:`ConfigError` here, before any frame is read.
     """
-    paths = sorted(Path(frames_dir).glob("*.pgm"))
+    paths = sorted(str(path) for path in Path(frames_dir).glob("*.pgm"))
     if not paths:
         raise ConfigError(f"no .pgm frames in {frames_dir}")
-    return (replace(read_pgm(str(path)), index=i,
+    return (replace(read_pgm(path), index=i,
                     timestamp_ms=frame_timestamp_ms(i, rate_hz))
             for i, path in enumerate(paths))
 
@@ -163,9 +162,12 @@ def _number(section: Mapping[str, Any], section_name: str, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section_name}.{key}: expected a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:  # a JSON integer past the float range
         raise ConfigError(f"{section_name}.{key}: out of range for a float") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{section_name}.{key}: must be finite")
+    return number
 
 
 def _integer(section: Mapping[str, Any], section_name: str, key: str) -> int:

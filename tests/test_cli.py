@@ -41,13 +41,13 @@ def stationary_config(tmp_path, name="stationary.json", duration=1.0,
     return str(path)
 
 
-def make_empty_frame(tmp_path, config) -> str:
+def make_empty_frame(tmp_path, config, index=999999) -> str:
     """Render an empty-scene calibration frame via the library."""
     from sltrack import SceneState, load_config, render, write_pgm
 
     cfg = load_config(config)
     frame = render(cfg.rig, SceneState(user=None), cfg.noise, cfg.intensity,
-                   index=999999)
+                   index=index)
     path = tmp_path / "empty.pgm"
     write_pgm(frame, str(path))
     return str(path)
@@ -95,6 +95,26 @@ def test_simulate_reference_digest(ref_config, tmp_path):
         digest.update(path.read_bytes())
     assert digest.hexdigest() == (
         "d98f13deded8a60ba1cc5e5eeeb00c904f51b011895ad517627d2b1954cba953")
+
+
+def test_track_and_evaluate_reference_digests(ref_config, tmp_path, capsys):
+    # the README's quick start: its empty frame (index 10**6) calibrates to
+    # v_b=160; the estimates CSV and the metrics JSON are pinned byte for byte
+    out = tmp_path / "run"
+    assert main(["simulate", "-c", ref_config, "-o", str(out)]) == 0
+    cal = tmp_path / "cal.txt"
+    empty = make_empty_frame(tmp_path, ref_config, index=10**6)
+    assert main(["calibrate", "-c", ref_config, empty, "-o", str(cal)]) == 0
+    assert cal.read_text(encoding="utf-8") == "v_b=160\n"
+    est_csv, metrics_json = tmp_path / "estimates.csv", tmp_path / "metrics.json"
+    assert main(["track", "-c", ref_config, "--calibration", str(cal), str(out),
+                 "-o", str(est_csv)]) == 0
+    assert main(["evaluate", str(est_csv), str(out / "truth.csv"),
+                 "--json", str(metrics_json)]) == 0
+    assert hashlib.sha256(est_csv.read_bytes()).hexdigest() == (
+        "af3af51628b908d2e7a4adb99e80c853ea240e7f8fc09b853ae13e93a0a20c93")
+    assert hashlib.sha256(metrics_json.read_bytes()).hexdigest() == (
+        "9d1f708bc8d73fa907436ec40ddd948ed48ba7dbadda261e74eeb6c1721b7710")
 
 
 def test_simulate_frames_equal_a_serial_render(tmp_path):
@@ -181,6 +201,19 @@ def test_track_bad_trajectory_exit_2(tmp_path, capsys):
     assert main(["track", "-c", str(bad), "--calibration", str(cal),
                  str(tmp_path), "-o", str(tmp_path / "est.csv")]) == 2
     assert capsys.readouterr().err == "error: trajectory.speed: must be > 0\n"
+
+
+def test_simulate_non_finite_config_number_exit_2(tmp_path, capsys):
+    # json.loads reads NaN; a NaN ath_slope would cap every row's limit
+    with open(REFERENCE_CONFIG, encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["detect"]["ath_slope"] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["simulate", "-c", str(bad), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: detect.ath_slope: must be finite\n"
+    assert not out.exists()
 
 
 def test_calibrate_prints_v_b_and_writes_file(tmp_path, capsys):

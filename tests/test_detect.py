@@ -163,6 +163,7 @@ def test_detect_tie_breaks_lower_row_then_left_start(detect_params):
 
     frame2 = frame_with_run(200, 100, 15)
     frame2.pixels[200, 30:45] = 200  # same row, same length: leftmost wins
+    frame2.pixels[200, 200:215] = 200
     det2 = detect_feet(frame2, CAL, detect_params)
     assert det2.u_f == pytest.approx((30 + 44) / 2)
 
@@ -214,6 +215,52 @@ def test_detect_run_touching_column_borders_is_still_localized(detect_params):
     assert det.u_f == pytest.approx(4.5)
     det = detect_feet(frame_with_run(200, 310, 10), CAL, detect_params)
     assert det.u_f == pytest.approx(314.5)
+
+
+def test_detect_runs_on_neighbor_rows_do_not_join_across_the_row_end(detect_params):
+    # in the flattened mask, row 200's last column sits next to row 201's
+    # first; the padding keeps the two runs apart (joined they would be 15)
+    frame = frame_with_run(200, 312, 8)
+    frame.pixels[201, 0:7] = 200
+    det = detect_feet(frame, CAL, detect_params)
+    assert (det.v_f, det.run_len, det.u_f) == (200, 8, pytest.approx(315.5))
+    assert det == reference_detect_feet(frame, CAL, detect_params)
+
+
+def test_detect_under_interleaved_calibrations_and_params():
+    # each (calibration, params) pair passes a different run, so a row-limit
+    # cache keyed on too little returns another pair's detection
+    frame = blank_frame()
+    for row, length, level in ((230, 30, 40), (220, 25, 50), (210, 20, 60),
+                               (200, 15, 255)):
+        frame.pixels[row, 50:50 + length] = level
+    cals = [Calibration(v_b=v_b, width=320, height=240) for v_b in (160, 190)]
+    params = [DetectParams(ath_base=10.0, ath_slope=slope) for slope in (0.5, 1.5)]
+    found = set()
+    for _ in range(2):
+        for cal in cals:
+            for p in params:
+                det = detect_feet(frame, cal, p)
+                assert det == reference_detect_feet(frame, cal, p), (cal, p)
+                found.add(det)
+    assert {det.v_f for det in found} == {200, 210, 220, 230}
+
+
+@pytest.mark.parametrize("params", [
+    DetectParams(ath_slope=float("nan")),
+    DetectParams(ath_base=10.0, ath_slope=1e6, ath_max=1e9),
+], ids=["nan-slope", "past-int16"])
+def test_detect_unreachable_threshold_finds_nothing(params):
+    # the row limit is capped at 511 before its int16 cast, NaN included
+    frame = frame_with_run(200, 100, 20, level=255)
+    assert detect_feet(frame, CAL, params) is None
+    assert reference_detect_feet(frame, CAL, params) is None
+
+
+def test_edge_mask_is_boolean(detect_params):
+    # detect_feet finds run ends with nonzero over the mask, which is several
+    # times slower on int8 than on bool
+    assert _edge_mask(blank_frame(), CAL, detect_params).dtype == bool
 
 
 def test_detect_rejects_mismatched_calibration(detect_params):

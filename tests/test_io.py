@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io as stdio
 import json
+import math
 
 import numpy as np
 import pytest
@@ -259,6 +260,18 @@ def test_config_message_for_every_key(kind, section, key, type_message):
     cfg = base_config(kind)
     cfg[section]["zzz_" + key] = 1.0
     assert config_error(cfg) == f"{section}.zzz_{key}: unknown key"
+
+    # json.loads reads NaN, Infinity and -Infinity; no number key takes them
+    for bad in (math.nan, math.inf, -math.inf):
+        if type_message == NUMBER:
+            cfg = base_config(kind)
+            cfg[section][key] = bad
+            assert config_error(cfg) == f"{section}.{key}: must be finite"
+        elif type_message == POINT:
+            for point in ([bad, 200.0], [0.0, bad]):
+                cfg = base_config(kind)
+                cfg[section][key] = point
+                assert config_error(cfg) == f"{section}.{key}: must be finite"
 
 
 SECTIONS = ["rig", "detect", "noise", "intensity", "smoother", "trajectory"]
