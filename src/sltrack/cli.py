@@ -29,7 +29,7 @@ RUNTIME_ERROR = 1
 
 
 def write_calibration(cal: Calibration, path: str) -> None:
-    Path(path).write_text(f"v_b={cal.v_b}\n", encoding="utf-8")
+    slio.write_text(f"v_b={cal.v_b}\n", path)
 
 
 def read_calibration(path: str, rig: RigConfig) -> Calibration:
@@ -155,8 +155,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.json:
         clean = {k: (None if isinstance(v, float) and math.isnan(v) else v)
                  for k, v in report.items()}
-        Path(args.json).write_text(json.dumps(clean, indent=2) + "\n",
-                                   encoding="utf-8")
+        slio.write_text(json.dumps(clean, indent=2) + "\n", args.json)
     return 0
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -45,12 +47,41 @@ class ConfigError(ValueError):
 
 @contextmanager
 def _opened(target: str | IO, mode: str, **kwargs: Any) -> Iterator[IO]:
-    """A file object as it is, or a path opened for the block and closed after."""
+    """A file object as it is, or a path opened for the block and closed after.
+
+    A path opened for writing (a ``"w"`` mode) is created if missing but
+    not truncated: it is written from byte 0, and when the block ends,
+    also by an exception, a regular file is cut where the writing
+    stopped. It then holds exactly the bytes a truncating open would
+    leave; only a process killed inside the block leaves the old tail.
+    Truncating an existing file at open makes ext4 start writeback when
+    it is closed (``auto_da_alloc``); rewriting a 76.8 KB frame that way
+    took several times as long as writing it in place.
+    """
     if hasattr(target, "read") or hasattr(target, "write"):
         yield target
-    else:
+    elif "w" not in mode:
         with open(target, mode, **kwargs) as fh:
             yield fh
+    else:
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, mode, **kwargs) as fh:
+            try:
+                yield fh
+            finally:
+                try:
+                    fh.flush()
+                finally:  # cut at what the kernel took, also if flush failed
+                    # /dev/null, a pipe or a tty cannot be truncated
+                    if stat.S_ISREG(os.fstat(fd).st_mode):
+                        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
+def write_text(text: str, path: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``; an existing file is rewritten in
+    place and cut to length."""
+    with _opened(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 # --- PGM (binary P5, maxval 255) -----------------------------------------
@@ -100,11 +131,9 @@ def read_pgm(source: str | BinaryIO) -> Frame:
     fields = []
     for name in ("width", "height", "maxval"):
         token, pos = _next_token(data, pos)
-        try:
-            value = int(token)
-        except ValueError:
-            raise PgmError(f"non-numeric {name} {token!r}", pos - len(token)) from None
-        fields.append(value)
+        if not token.isdigit():  # ASCII only; int() also takes "+3" and "3_20"
+            raise PgmError(f"non-numeric {name} {token!r}", pos - len(token))
+        fields.append(int(token))
     width, height, maxval = fields
     if width <= 0 or height <= 0:
         raise PgmError(f"bad dimensions {width}x{height}", pos)
@@ -352,8 +381,10 @@ def write_estimates_csv(estimates: Sequence[PositionEstimate],
 def _estimate_row(_position: int, frame: str, ts: str, detected: str, u_f: str,
                   v_f: str, x: str, z: str) -> EstimateRow:
     if detected == "1":
+        # an impossible position fails here, where the line is known
+        pos = WorldPosition(float(x), float(z))
         return EstimateRow(int(frame), int(ts), True, float(u_f), int(v_f),
-                           float(x), float(z))
+                           pos.x, pos.z)
     return EstimateRow(int(frame), int(ts), False)
 
 

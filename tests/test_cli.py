@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import builtins
 import errno
 import hashlib
 import io
 import json
+import os
 import re
 import shutil
 import socket
@@ -132,6 +134,29 @@ def test_simulate_frames_equal_a_serial_render(tmp_path):
         assert (out / f"{i:06d}.pgm").read_bytes() == buf.getvalue(), i
 
 
+def test_simulate_over_a_larger_clip_gives_the_reference_bytes(ref_config,
+                                                              tmp_path):
+    # 480-row frames and wider truth rows first: every file must shrink
+    with open(REFERENCE_CONFIG, encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["rig"]["height"] = 480
+    cfg["trajectory"]["foot_width"] = 100.0
+    tall = tmp_path / "tall.json"
+    tall.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["simulate", "-c", str(tall), "-o", str(out)]) == 0
+    before = {p.name: p.stat().st_size for p in out.iterdir()}
+    assert main(["simulate", "-c", ref_config, "-o", str(out)]) == 0
+    after = {p.name: p.stat().st_size for p in out.iterdir()}
+    assert after.keys() == before.keys()
+    assert all(after[name] < before[name] for name in after)
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == (
+        "d98f13deded8a60ba1cc5e5eeeb00c904f51b011895ad517627d2b1954cba953")
+
+
 def test_simulate_write_error_exit_1_without_truth(tmp_path, capsys, monkeypatch):
     import sltrack.io
 
@@ -223,6 +248,15 @@ def test_calibrate_prints_v_b_and_writes_file(tmp_path, capsys):
     assert main(["calibrate", "-c", cfg, empty, "-o", str(out)]) == 0
     assert capsys.readouterr().out.strip() == "v_b=160"
     assert out.read_text(encoding="utf-8") == "v_b=160\n"
+
+
+def test_calibrate_over_a_longer_file_leaves_only_v_b(tmp_path, capsys):
+    cfg = stationary_config(tmp_path)
+    empty = make_empty_frame(tmp_path, cfg)
+    out = tmp_path / "cal.txt"
+    out.write_text("v_b=123456789\n" * 100, encoding="utf-8")
+    assert main(["calibrate", "-c", cfg, empty, "-o", str(out)]) == 0
+    assert out.read_bytes() == b"v_b=160\n"
 
 
 def test_calibrate_noisy_frame_same_row(tmp_path, capsys):
@@ -332,6 +366,59 @@ def test_track_without_frames_exit_2_before_streaming(tmp_path, capsys):
         receiver.close()
 
 
+def test_track_to_dev_null(tmp_path, capsys):
+    cfg = stationary_config(tmp_path)
+    make_empty_frame(tmp_path, cfg)
+    cal = tmp_path / "cal.txt"
+    cal.write_text("v_b=160\n", encoding="utf-8")
+    assert main(["track", "-c", cfg, "--calibration", str(cal), str(tmp_path),
+                 "-o", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_outputs_are_rewritten_in_place_never_truncated(tmp_path, monkeypatch):
+    # a truncating open of an existing file makes ext4 flush it at close
+    cfg = stationary_config(tmp_path)
+    frames, cal = tmp_path / "frames", tmp_path / "cal.txt"
+    est_csv, metrics_json = tmp_path / "estimates.csv", tmp_path / "metrics.json"
+    empty = make_empty_frame(tmp_path, cfg)
+    commands = [
+        ["simulate", "-c", cfg, "-o", str(frames)],
+        ["calibrate", "-c", cfg, empty, "-o", str(cal)],
+        ["track", "-c", cfg, "--calibration", str(cal), str(frames),
+         "-o", str(est_csv)],
+        ["evaluate", str(est_csv), str(frames / "truth.csv"),
+         "--json", str(metrics_json)],
+    ]
+    for argv in commands:
+        assert main(argv) == 0
+    outputs = {str(p) for p in frames.iterdir()} | {
+        str(cal), str(est_csv), str(metrics_json)}
+    written, truncated = [], []
+    real_os_open, real_open = os.open, builtins.open
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        if flags & (os.O_WRONLY | os.O_RDWR):
+            written.append(os.fspath(path))
+        if flags & os.O_TRUNC:
+            truncated.append(os.fspath(path))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int) and "w" in mode:
+            truncated.append(os.fspath(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(builtins, "open", spy_open)
+    monkeypatch.setattr(io, "open", spy_open)  # pathlib opens through io.open
+    for argv in commands:
+        assert main(argv) == 0
+    monkeypatch.undo()
+    assert sorted(written) == sorted(outputs)
+    assert truncated == []
+
+
 def test_track_missing_output_directory_exit_2_before_tracking(tmp_path, capsys,
                                                               monkeypatch):
     import sltrack.cli as cli
@@ -438,6 +525,18 @@ def test_evaluate_six_eight_offset_rms_10(tmp_path, capsys):
     assert main(["evaluate", str(est_csv), str(truth_csv)]) == 0
     out = capsys.readouterr().out
     assert "rms error (cm):    10.000" in out
+
+
+def test_evaluate_impossible_position_names_its_line_exit_2(tmp_path, capsys):
+    est_csv, truth_csv = tmp_path / "e.csv", tmp_path / "t.csv"
+    est_csv.write_text("frame,timestamp_ms,detected,u_f,v_f,x_cm,z_cm\n"
+                       "0,0,0,,,,\n1,50,1,160.000,200,0.000,-5\n",
+                       encoding="utf-8")
+    truth_csv.write_text("frame,timestamp_ms,present,x_cm,z_cm,foot_width_cm\n"
+                         "0,0,0,,,25.000\n1,50,0,,,25.000\n", encoding="utf-8")
+    assert main(["evaluate", str(est_csv), str(truth_csv)]) == 2
+    assert capsys.readouterr().err == (
+        "error: estimates CSV line 3: z: must be > 0\n")
 
 
 def test_evaluate_length_mismatch_exit_2(tmp_path):

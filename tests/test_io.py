@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import errno
 import io as stdio
 import json
 import math
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sltrack
 from sltrack import (ConfigError, Detection, Frame, PgmError, PositionEstimate,
                      SceneState, WorldPosition, load_config,
                      read_estimates_csv, read_pgm, read_truth_csv,
@@ -60,6 +67,23 @@ def test_pgm_rejects_bytes_after_the_payload():
     with pytest.raises(PgmError, match="13 bytes after the payload") as exc_info:
         read_pgm(stdio.BytesIO(header + b"\x05\x06EXTRA-GARBAGE"))
     assert exc_info.value.offset == len(header) + 2
+
+
+@pytest.mark.parametrize("data,name,token,offset", [
+    (b"P5\n3_20 2\n255\n" + bytes(640), "width", b"3_20", 3),
+    (b"P5\n+3 2\n255\n" + bytes(6), "width", b"+3", 3),
+    (b"P5\n3 -2\n255\n", "height", b"-2", 5),
+    (b"P5\n2 2\n2_55\n" + bytes(4), "maxval", b"2_55", 7),
+    (b"P5\n2 2\n+255\n" + bytes(4), "maxval", b"+255", 7),
+], ids=["width-underscore", "width-plus", "height-minus", "maxval-underscore",
+        "maxval-plus"])
+def test_pgm_header_numbers_are_ascii_digits(data, name, token, offset):
+    # int() alone reads "3_20" as 320 and "+255" as 255
+    with pytest.raises(PgmError) as exc_info:
+        read_pgm(stdio.BytesIO(data))
+    assert str(exc_info.value) == (
+        f"non-numeric {name} {token!r} (byte offset {offset})")
+    assert exc_info.value.offset == offset
 
 
 def test_pgm_skips_comments():
@@ -407,13 +431,17 @@ def test_estimates_csv_round_trip_1000_random():
             assert row.v_f == est.detection.v_f
 
 
-def test_truth_csv_round_trip():
-    states = [
+def truth_states():
+    return [
         SceneState(user=WorldPosition(10.5, 250.0), foot_width=25.0, timestamp_ms=0),
         SceneState(user=None, foot_width=25.0, timestamp_ms=50),
         SceneState(user=WorldPosition(-99.999, 135.5), foot_width=20.0,
                    timestamp_ms=100),
     ]
+
+
+def test_truth_csv_round_trip():
+    states = truth_states()
     buf = stdio.StringIO()
     write_truth_csv(states, buf)
     buf.seek(0)
@@ -441,6 +469,10 @@ TRUTH = "frame,timestamp_ms,present,x_cm,z_cm,foot_width_cm\n"
      "estimates CSV line 3: invalid literal for int() with base 10: 'x'"),
     (read_estimates_csv, ESTIMATES + "0,0,1,1.5,200,y,100.0\n",
      "estimates CSV line 2: could not convert string to float: 'y'"),
+    (read_estimates_csv, ESTIMATES + "0,0,0,,,,\n1,50,1,1.5,200,nan,100.0\n",
+     "estimates CSV line 3: position must be finite"),
+    (read_estimates_csv, ESTIMATES + "0,0,1,1.5,200,10.0,-5\n",
+     "estimates CSV line 2: z: must be > 0"),
     (read_truth_csv, "",
      f"truth CSV line 1: expected header {TRUTH.strip()!r}"),
     (read_truth_csv, TRUTH + "0,0,1,0.0,200.0,25.0,9\n",
@@ -450,9 +482,117 @@ TRUTH = "frame,timestamp_ms,present,x_cm,z_cm,foot_width_cm\n"
     (read_truth_csv, TRUTH + "0,0,1,0.0,200.0,25.0\n5,50,0,,,25.0\n",
      "truth CSV line 3: expected frame 1, got 5"),
 ], ids=["estimates-header", "estimates-short-row", "estimates-int",
-        "estimates-float", "truth-header", "truth-long-row", "truth-invariant",
+        "estimates-float", "estimates-nan-position", "estimates-invariant",
+        "truth-header", "truth-long-row", "truth-invariant",
         "truth-frame-not-its-position"])
 def test_csv_errors_name_table_and_line(read, text, message):
     with pytest.raises(ValueError) as exc_info:
         read(stdio.StringIO(text))
     assert str(exc_info.value) == message
+
+
+# --- output files: rewritten in place, then cut to length ----------------------
+
+def in_memory(write, data, buffer) -> bytes:
+    """What ``write`` puts in a fresh in-memory sink, as bytes."""
+    buf = buffer()
+    write(data, buf)
+    value = buf.getvalue()
+    return value.encode("utf-8") if isinstance(value, str) else value
+
+
+@pytest.mark.parametrize("write,long,short,buffer", [
+    (write_pgm, frame_from([7] * 76800, 320, 240),
+     frame_from([0, 255, 128, 7], 2, 2), stdio.BytesIO),
+    (write_estimates_csv, make_estimates(), make_estimates()[1:2], stdio.StringIO),
+    (write_truth_csv, truth_states(), truth_states()[1:2], stdio.StringIO),
+], ids=["pgm", "estimates", "truth"])
+def test_a_shorter_rewrite_holds_exactly_the_new_bytes(tmp_path, write, long,
+                                                       short, buffer):
+    path = tmp_path / "out"
+    write(long, str(path))
+    assert path.read_bytes() == in_memory(write, long, buffer)
+    write(short, str(path))
+    assert path.read_bytes() == in_memory(write, short, buffer)
+
+
+def test_a_write_that_raises_leaves_the_bytes_written_and_no_old_tail(tmp_path):
+    path = tmp_path / "estimates.csv"
+    write_estimates_csv([PositionEstimate(i, 50 * i) for i in range(1000)], str(path))
+
+    def failing():
+        yield from make_estimates()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with pytest.raises(OSError):
+        write_estimates_csv(failing(), str(path))
+    assert path.read_bytes() == in_memory(write_estimates_csv, make_estimates(),
+                                          stdio.StringIO)
+
+
+# The file-size limit makes the kernel take only the first 1000 bytes and
+# fail the next write with EFBIG, as a full disk would with ENOSPC: inside
+# the block for the frame, written in one call larger than the buffer, and
+# at the closing flush for the table, which fits in the buffer. The limit
+# is set in a child so that the test process keeps its own.
+_FSIZE_CHILD = """
+import resource, signal, sys
+import numpy as np
+from sltrack import Frame, PositionEstimate, write_estimates_csv, write_pgm
+kind, path = sys.argv[1:]
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE,
+                   (1000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    if kind == "pgm":
+        write_pgm(Frame(width=320, height=240,
+                        pixels=np.full((240, 320), 9, np.uint8)), path)
+    else:
+        write_estimates_csv([PositionEstimate(i, 5 * i) for i in range(200)], path)
+except OSError as exc:
+    print(exc.errno)
+"""
+
+
+@pytest.mark.parametrize("kind", ["pgm", "estimates"])
+def test_a_file_the_kernel_takes_in_part_ends_at_the_last_byte_taken(tmp_path,
+                                                                     kind):
+    path = tmp_path / "out"
+    if kind == "pgm":
+        write_pgm(frame_from([7] * 76800, 320, 240), str(path))
+        new = in_memory(write_pgm, frame_from([9] * 76800, 320, 240),
+                        stdio.BytesIO)
+    else:
+        write_estimates_csv([PositionEstimate(i, 50 * i) for i in range(5000)],
+                            str(path))
+        new = in_memory(write_estimates_csv,
+                        [PositionEstimate(i, 5 * i) for i in range(200)],
+                        stdio.StringIO)
+    src = str(Path(sltrack.__file__).resolve().parent.parent)
+    child = subprocess.run([sys.executable, "-c", _FSIZE_CHILD, kind, str(path)],
+                           env={**os.environ, "PYTHONPATH": src},
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == f"{errno.EFBIG}\n"
+    assert len(new) > 1000
+    assert path.read_bytes() == new[:1000]
+
+
+def test_writing_a_path_keeps_the_semantics_of_open(tmp_path):
+    frame = frame_from([1, 2], 2, 1)
+    missing = tmp_path / "nodir" / "frame.pgm"
+    with pytest.raises(FileNotFoundError) as exc_info:
+        write_pgm(frame, str(missing))
+    assert exc_info.value.filename == str(missing)
+    with pytest.raises(IsADirectoryError):
+        write_pgm(frame, str(tmp_path))
+    umask = os.umask(0)
+    os.umask(umask)
+    new = tmp_path / "new.pgm"
+    write_pgm(frame, str(new))
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+
+
+def test_write_pgm_to_dev_null():
+    # ftruncate fails with EINVAL on a character device
+    write_pgm(frame_from([1, 2], 2, 1), os.devnull)
