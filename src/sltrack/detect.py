@@ -168,11 +168,23 @@ def detect_feet(frame: Frame, cal: Calibration, p: DetectParams) -> Detection | 
             f"calibration is for {cal.width}x{cal.height} frames, "
             f"got {frame.width}x{frame.height}"
         )
-    # every padded row opens and closes its own runs, so the changes in the
-    # flattened mask alternate start, end; the band is empty when
-    # v_b = height - 2 and then holds no run
-    flat = _edge_mask(frame, cal, p).ravel()
-    changes = np.flatnonzero(flat[1:] != flat[:-1])
+    if p.min_run > frame.width:  # no run fits in a row; min_run may be huge
+        return None
+    # Erode the flattened mask: position i stays true iff all min_run pixels
+    # from i are edges. A run of at least min_run keeps its start and loses
+    # min_run - 1 pixels; a shorter one, most of the noise, vanishes. A window
+    # across a row end holds false padding, and the shifts double, so this
+    # takes O(log min_run) passes.
+    eroded = _edge_mask(frame, cal, p).ravel()
+    span = 1  # window length eroded so far
+    while span < p.min_run:
+        shift = min(span, p.min_run - span)
+        eroded = eroded[:-shift] & eroded[shift:]
+        span += shift
+    # the eroded mask still begins and ends with padding, so its changes
+    # alternate start, end; the band is empty when v_b = height - 2 and then
+    # holds no run
+    changes = (eroded[1:] != eroded[:-1]).nonzero()[0]
     starts = changes[0::2]
     if not starts.size:
         return None
@@ -181,9 +193,7 @@ def detect_feet(frame: Frame, cal: Calibration, p: DetectParams) -> Detection | 
     # starts ascend, so the first maximum of this key is the longest run,
     # then the lowest in the image (larger v), then the leftmost start
     best = int(np.argmax(lengths * (frame.height + 1) + rows))
-    length = int(lengths[best])
-    if length < p.min_run:
-        return None
+    length = int(lengths[best]) + p.min_run - 1
     row = int(rows[best])
     v = cal.v_b + 1 + row
     start = int(starts[best]) - row * (frame.width + 2)

@@ -14,9 +14,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import stat
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from io import FileIO
 from pathlib import Path
 from typing import (IO, Any, BinaryIO, Callable, Iterator, Mapping, Sequence,
                     get_args, get_type_hints)
@@ -34,11 +36,15 @@ TRUTH_HEADER = "frame,timestamp_ms,present,x_cm,z_cm,foot_width_cm"
 
 
 class PgmError(ValueError):
-    """Malformed PGM data; ``offset`` is the byte position of the problem."""
+    """Malformed PGM data; ``offset`` is the byte position of the problem and
+    ``path``, when known, the file that holds it."""
 
-    def __init__(self, message: str, offset: int) -> None:
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, message: str, offset: int, path: str | None = None) -> None:
+        where = f"{path}: " if path is not None else ""
+        super().__init__(f"{where}{message} (byte offset {offset})")
+        self.message = message
         self.offset = offset
+        self.path = path
 
 
 class ConfigError(ValueError):
@@ -114,17 +120,26 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def read_pgm(source: str | BinaryIO) -> Frame:
-    """Read a binary (P5) PGM with maxval 255 back into a Frame.
+# the header write_pgm writes, with any one whitespace byte between fields;
+# \d and \s of a bytes pattern are ASCII only, like the walker's tests
+_PLAIN_HEADER = re.compile(rb"P5\s([1-9]\d*)\s([1-9]\d*)\s255\s")
 
-    Timestamp and index are not part of the format and come back as 0;
-    callers sequencing frames from disk assign them. Malformed data,
-    including any byte after the width*height payload, raises
-    :class:`PgmError` at the offset of the problem.
-    """
-    with _opened(source, "rb") as fh:
-        data = fh.read()
 
+def _read_file(path: str | os.PathLike) -> np.ndarray:
+    """Every byte of a file, read into one uint8 buffer sized by its stat."""
+    with FileIO(path) as fh:
+        buf = np.empty(os.fstat(fh.fileno()).st_size + 1, np.uint8)
+        got = 0
+        while n := fh.readinto(buf[got:]):
+            got += n
+            if got == buf.size:  # longer than its stat said: grown, or not a regular file
+                buf = np.concatenate((buf, np.empty_like(buf)))
+        return buf[:got]
+
+
+def _walk_pgm(data: bytes) -> np.ndarray:
+    """Pixels of any P5 PGM with maxval 255, header comments included; the
+    one place that raises :class:`PgmError`."""
     magic, pos = _next_token(data, 0)
     if magic != b"P5":
         raise PgmError(f"unsupported magic {magic!r}, want binary P5", 0)
@@ -150,7 +165,31 @@ def read_pgm(source: str | BinaryIO) -> Frame:
     if have > expected:
         raise PgmError(f"{have - expected} bytes after the payload", pos + expected)
     pixels = np.frombuffer(data, np.uint8, expected, pos).reshape(height, width)
-    return Frame(width=width, height=height, pixels=pixels.copy())
+    return pixels.copy()
+
+
+def read_pgm(source: str | BinaryIO, *, index: int = 0,
+             timestamp_ms: int = 0) -> Frame:
+    """Read a binary (P5) PGM with maxval 255 back into a Frame.
+
+    Timestamp and index are not part of the format: they are 0 unless the
+    caller passes them. Malformed data, including any byte after the
+    width*height payload, raises :class:`PgmError` at the offset of the
+    problem.
+    """
+    if hasattr(source, "read"):
+        pixels = _walk_pgm(source.read())
+    else:
+        data = _read_file(source)
+        plain = _PLAIN_HEADER.match(data)
+        if plain and data.size - plain.end() == int(plain[1]) * int(plain[2]):
+            # a view of the read buffer: no copy
+            pixels = data[plain.end():].reshape(int(plain[2]), int(plain[1]))
+        else:  # anything else, malformed data included
+            pixels = _walk_pgm(data.tobytes())
+    height, width = pixels.shape
+    return Frame(width=width, height=height, pixels=pixels, index=index,
+                 timestamp_ms=timestamp_ms)
 
 
 def iter_pgm_dir(frames_dir: str, rate_hz: float) -> Iterator[Frame]:
@@ -158,14 +197,21 @@ def iter_pgm_dir(frames_dir: str, rate_hz: float) -> Iterator[Frame]:
 
     Frames are read one at a time as the iterator is consumed. Frame i gets
     index i and timestamp ``frame_timestamp_ms(i, rate_hz)``. An empty directory
-    raises :class:`ConfigError` here, before any frame is read.
+    raises :class:`ConfigError` here, before any frame is read; a malformed
+    frame raises :class:`PgmError` naming its file.
     """
     paths = sorted(str(path) for path in Path(frames_dir).glob("*.pgm"))
     if not paths:
         raise ConfigError(f"no .pgm frames in {frames_dir}")
-    return (replace(read_pgm(path), index=i,
-                    timestamp_ms=frame_timestamp_ms(i, rate_hz))
-            for i, path in enumerate(paths))
+    return _read_frames(paths, rate_hz)
+
+
+def _read_frames(paths: list[str], rate_hz: float) -> Iterator[Frame]:
+    for i, path in enumerate(paths):
+        try:
+            yield read_pgm(path, index=i, timestamp_ms=frame_timestamp_ms(i, rate_hz))
+        except PgmError as exc:
+            raise PgmError(exc.message, exc.offset, path) from None
 
 
 # --- run configuration -----------------------------------------------------
@@ -378,14 +424,34 @@ def write_estimates_csv(estimates: Sequence[PositionEstimate],
                 fh.write(f"{est.frame_index},{est.timestamp_ms},0,,,,\n")
 
 
+def _csv_int(text: str) -> int:
+    # ASCII digits only: int() also takes "+5", " 200" and "1_0"
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+def _csv_float(text: str) -> float:
+    # float() also takes "1_0.0", " 200" and non-ASCII digits
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
+def _csv_flag(name: str, text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"{name}: expected 0 or 1, got {text!r}")
+    return text == "1"
+
+
 def _estimate_row(_position: int, frame: str, ts: str, detected: str, u_f: str,
                   v_f: str, x: str, z: str) -> EstimateRow:
-    if detected == "1":
+    if _csv_flag("detected", detected):
         # an impossible position fails here, where the line is known
-        pos = WorldPosition(float(x), float(z))
-        return EstimateRow(int(frame), int(ts), True, float(u_f), int(v_f),
-                           pos.x, pos.z)
-    return EstimateRow(int(frame), int(ts), False)
+        pos = WorldPosition(_csv_float(x), _csv_float(z))
+        return EstimateRow(_csv_int(frame), _csv_int(ts), True, _csv_float(u_f),
+                           _csv_int(v_f), pos.x, pos.z)
+    return EstimateRow(_csv_int(frame), _csv_int(ts), False)
 
 
 def read_estimates_csv(source: str | IO[str]) -> list[EstimateRow]:
@@ -407,10 +473,12 @@ def write_truth_csv(truth: Sequence[SceneState], sink: str | IO[str]) -> None:
 
 def _truth_row(position: int, frame: str, ts: str, present: str, x: str, z: str,
                foot_width: str) -> SceneState:
-    if int(frame) != position:
+    if _csv_int(frame) != position:
         raise ValueError(f"expected frame {position}, got {frame}")
-    user = WorldPosition(float(x), float(z)) if present == "1" else None
-    return SceneState(user=user, foot_width=float(foot_width), timestamp_ms=int(ts))
+    user = (WorldPosition(_csv_float(x), _csv_float(z))
+            if _csv_flag("present", present) else None)
+    return SceneState(user=user, foot_width=_csv_float(foot_width),
+                      timestamp_ms=_csv_int(ts))
 
 
 def read_truth_csv(source: str | IO[str]) -> list[SceneState]:

@@ -480,6 +480,22 @@ def test_track_calibration_value_not_ascii_digits_exit_2(tmp_path, capsys, text)
     assert not est_csv.exists()
 
 
+def test_track_truncated_frame_exit_2_naming_the_file(tmp_path, capsys):
+    cfg = stationary_config(tmp_path)
+    out_dir = tmp_path / "frames"
+    assert main(["simulate", "-c", cfg, "-o", str(out_dir)]) == 0
+    bad = out_dir / "000015.pgm"
+    bad.write_bytes(bad.read_bytes()[:19])  # the 15-byte header and 4 pixels
+    cal = tmp_path / "cal.txt"
+    cal.write_text("v_b=160\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["track", "-c", cfg, "--calibration", str(cal), str(out_dir),
+                 "-o", str(tmp_path / "est.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: truncated payload: want 76800 bytes, have 4 "
+        f"(byte offset 19)\n")
+
+
 @pytest.mark.parametrize("command", ["track", "calibrate", "evaluate"])
 def test_missing_input_file_exit_2(tmp_path, capsys, command):
     # a missing calibration file, empty-scene frame or truth CSV is a usage

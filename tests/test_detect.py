@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -316,7 +319,8 @@ def _frame_cal_params(draw):
     """A small frame of dim levels, a calibration and a threshold schedule
     whose floor may be 0, so runs can sit on nearly black pixels. Half-integer
     thresholds sit exactly on an edge response; large ones reach past 255,
-    where no pixel can pass."""
+    where no pixel can pass. min_run reaches past the width, where no run
+    fits, and up to 2**62."""
     w, h = draw(st.integers(1, 12)), draw(st.integers(3, 10))
     levels = st.integers(0, 255) | st.integers(0, 3)
     pixels = np.array(draw(st.lists(levels, min_size=w * h, max_size=w * h)),
@@ -328,7 +332,7 @@ def _frame_cal_params(draw):
     slope = st.floats(0.0, 5.0) | st.sampled_from([0.1, 1 / 3, 2 / 3, 60.0])
     params = DetectParams(ath_base=low + up, ath_slope=draw(slope),
                           ath_min=low, ath_max=low + up + top,
-                          min_run=draw(st.integers(1, 4)))
+                          min_run=draw(st.integers(1, w + 2) | st.just(2**62)))
     return Frame(width=w, height=h, pixels=pixels), cal, params
 
 
@@ -361,6 +365,46 @@ def test_edge_mask_equals_edge_test_at_every_scan_pixel(case):
     for i, v in enumerate(scan_rows):
         for u in range(frame.width):
             assert bool(mask[i, u + 1]) is edge_test(frame, u, v, cal, params)
+
+
+@pytest.mark.parametrize("min_run", [1, 2, 3, 5, 8, 9, 319, 320, 321, 2**62])
+def test_detect_feet_equals_the_reference_for_min_run_up_to_past_the_width(min_run):
+    # full-width rows, a run one short of the width and runs around every
+    # erosion shift; only the full rows reach min_run = 320
+    frame = frame_with_run(170, 0, 320)
+    frame.pixels[200, 0:319] = 200
+    frame.pixels[230, 0:320] = 90
+    for start, length in ((10, 1), (20, 2), (30, 3), (40, 4), (50, 7), (60, 8),
+                          (70, 9), (90, 16), (120, 17)):
+        frame.pixels[210, start:start + length] = 200
+    p = DetectParams(min_run=min_run)
+    det = detect_feet(frame, CAL, p)
+    assert det == reference_detect_feet(frame, CAL, p)
+    assert (det is None) == (min_run > 320)
+
+
+def test_min_run_past_the_width_returns_none_before_the_edge_mask(monkeypatch):
+    # a config may set min_run up to 2**63 - 1: no shift loop or mask may
+    # depend on it once no run can fit in a row
+    def no_mask(*args):
+        raise AssertionError("edge mask built for an impossible min_run")
+
+    frame = frame_with_run(200, 0, 320)
+    monkeypatch.setattr("sltrack.detect._edge_mask", no_mask)
+    for min_run in (321, 2**62, 2**63 - 1):
+        assert detect_feet(frame, CAL, DetectParams(min_run=min_run)) is None
+
+
+def test_min_run_2_62_from_a_config_finds_nothing_like_the_reference():
+    with open(REFERENCE_CONFIG, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["detect"]["min_run"] = 2**62
+    cfg = load_config(io.StringIO(json.dumps(doc)))
+    assert cfg.detect.min_run == 2**62
+    frame = render_trajectory(cfg.rig, cfg.trajectory.materialize(cfg.rig)[:1],
+                              cfg.noise, cfg.intensity)[0]
+    assert detect_feet(frame, CAL, cfg.detect) is None
+    assert reference_detect_feet(frame, CAL, cfg.detect) is None
 
 
 def test_detect_feet_equals_the_reference_on_reference_frames():

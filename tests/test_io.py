@@ -10,16 +10,20 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sltrack
 from sltrack import (ConfigError, Detection, Frame, PgmError, PositionEstimate,
                      SceneState, WorldPosition, load_config,
                      read_estimates_csv, read_pgm, read_truth_csv,
                      write_estimates_csv, write_pgm, write_truth_csv)
+from sltrack.io import iter_pgm_dir
 from conftest import REFERENCE_CONFIG
 
 
@@ -115,6 +119,92 @@ def test_pgm_file_path_round_trip(tmp_path, rig, quiet, intensity):
     write_pgm(frame, str(path))
     back = read_pgm(str(path))
     assert np.array_equal(back.pixels, frame.pixels)
+
+
+_PGM_PARTS = ["magic", "sep1", "width", "sep2", "height", "sep3", "maxval",
+              "end", "cut", "extra"]
+
+
+@st.composite
+def _pgm_bytes(draw):
+    """PGM bytes as write_pgm writes them, with up to three parts replaced:
+    odd whitespace or comments, non-digit, zero or padded numbers, another
+    magic or maxval, no byte after maxval, a payload cut short or followed by
+    extra bytes."""
+    odd = draw(st.sets(st.sampled_from(_PGM_PARTS), max_size=3))
+
+    def part(name, plain, other):
+        return draw(other) if name in odd else plain
+
+    seps = st.sampled_from([b"\t", b"\r", b"\x0b", b"\x0c", b"  ", b"\r\n",
+                            b"\n# comment\n", b" #\n\t"])
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def number(name, value):
+        return part(name, str(value).encode(), st.integers(0, 6).map(
+            lambda n: str(n).encode()) | st.sampled_from(
+            [b"0%d" % value, b"+%d" % value, b"%d_0" % value, b"x", b"\xd9\xa3"]))
+
+    header = b"".join([
+        part("magic", b"P5", st.sampled_from([b"P2", b"P6", b"P55", b"p5"])),
+        part("sep1", b"\n", seps), number("width", width),
+        part("sep2", b" ", seps), number("height", height),
+        part("sep3", b"\n", seps),
+        part("maxval", b"255", st.sampled_from([b"65535", b"0255", b"25", b"2550"])),
+        part("end", b"\n", st.sampled_from([b" ", b"\t", b"\r", b""]))])
+    payload = draw(st.binary(min_size=width * height, max_size=width * height))
+    cut = part("cut", 0, st.sampled_from([1, width * height]))
+    extra = part("extra", b"", st.sampled_from([b"\x00", b"TRAILING"]))
+    return header + payload[:len(payload) - cut] + extra
+
+
+def _read_outcome(source):
+    try:
+        frame = read_pgm(source)
+    except PgmError as exc:
+        return str(exc), exc.offset
+    assert frame.pixels.flags.writeable
+    return frame.width, frame.height, frame.pixels.tobytes()
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(data=_pgm_bytes())
+def test_reading_a_pgm_file_equals_reading_its_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("pgm") / "frame.pgm"
+    path.write_bytes(data)
+    assert _read_outcome(str(path)) == _read_outcome(stdio.BytesIO(data))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_pgm_from_a_pipe_is_read_to_its_end(tmp_path):
+    # a pipe's stat size is 0, so the reader must grow its buffer
+    data = b"P5\n300 200\n255\n" + (bytes(range(256)) * 235)[:60000]
+    path = tmp_path / "frame.pgm"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,))
+    writer.start()
+    try:
+        frame = read_pgm(str(path))
+    finally:
+        writer.join()
+    assert frame.pixels.tobytes() == data[len(b"P5\n300 200\n255\n"):]
+
+
+def test_a_bad_frame_in_a_directory_names_its_file(tmp_path):
+    for i in range(3):
+        write_pgm(frame_from([i] * 6, 3, 2), str(tmp_path / f"{i:06d}.pgm"))
+    bad = tmp_path / "000002.pgm"
+    bad.write_bytes(b"P5\n3 2\n255\n\x01\x02")
+    frames = iter_pgm_dir(str(tmp_path), 20.0)
+    for i in range(2):
+        frame = next(frames)
+        assert (frame.index, frame.timestamp_ms) == (i, 50 * i)
+        assert frame.pixels.tolist() == [[i] * 3] * 2
+    with pytest.raises(PgmError) as exc_info:
+        next(frames)
+    assert str(exc_info.value) == (
+        f"{bad}: truncated payload: want 6 bytes, have 2 (byte offset 13)")
+    assert (exc_info.value.offset, exc_info.value.path) == (13, str(bad))
 
 
 # --- config --------------------------------------------------------------------
@@ -489,6 +579,52 @@ def test_csv_errors_name_table_and_line(read, text, message):
     with pytest.raises(ValueError) as exc_info:
         read(stdio.StringIO(text))
     assert str(exc_info.value) == message
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("frame", "1_0", "invalid literal for int() with base 10: '1_0'"),
+    ("timestamp_ms", "+5", "invalid literal for int() with base 10: '+5'"),
+    ("detected", "yes", "detected: expected 0 or 1, got 'yes'"),
+    ("u_f", "1_60.5", "could not convert string to float: '1_60.5'"),
+    ("v_f", " 200", "invalid literal for int() with base 10: ' 200'"),
+    ("x_cm", "1_0.0", "could not convert string to float: '1_0.0'"),
+    ("z_cm", "2_00", "could not convert string to float: '2_00'"),
+    ("z_cm", "200.0 ", "could not convert string to float: '200.0 '"),
+    ("frame", "\u0661", "invalid literal for int() with base 10: '\u0661'"),
+])
+def test_estimates_csv_fields_are_strict(field, value, message):
+    # int() and float() alone read 1_0 as 10, +5 as 5 and " 200" as 200
+    row = dict(zip(ESTIMATES.strip().split(","),
+                   ["10", "5", "1", "160.5", "200", "10.0", "200.0"]))
+    row[field] = value
+    text = ESTIMATES + "0,0,0,,,,\n" + ",".join(row.values()) + "\n"
+    with pytest.raises(ValueError) as exc_info:
+        read_estimates_csv(stdio.StringIO(text))
+    assert str(exc_info.value) == f"estimates CSV line 3: {message}"
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("frame", "0_1", "invalid literal for int() with base 10: '0_1'"),
+    ("timestamp_ms", " 50", "invalid literal for int() with base 10: ' 50'"),
+    ("present", "true", "present: expected 0 or 1, got 'true'"),
+    ("present", "", "present: expected 0 or 1, got ''"),
+    ("x_cm", "1_0.0", "could not convert string to float: '1_0.0'"),
+    ("z_cm", "\t200.0", "could not convert string to float: '\\t200.0'"),
+    ("foot_width_cm", "2_5.0", "could not convert string to float: '2_5.0'"),
+])
+def test_truth_csv_fields_are_strict(field, value, message):
+    row = dict(zip(TRUTH.strip().split(","),
+                   ["1", "50", "1", "10.0", "200.0", "25.0"]))
+    row[field] = value
+    text = TRUTH + "0,0,0,,,25.0\n" + ",".join(row.values()) + "\n"
+    with pytest.raises(ValueError) as exc_info:
+        read_truth_csv(stdio.StringIO(text))
+    assert str(exc_info.value) == f"truth CSV line 3: {message}"
+
+
+def test_the_loose_estimates_row_fails_on_its_line():
+    with pytest.raises(ValueError, match="^estimates CSV line 2: "):
+        read_estimates_csv(stdio.StringIO(ESTIMATES + "1_0,+5,1,1_60.5, 200,1_0.0,2_00\n"))
 
 
 # --- output files: rewritten in place, then cut to length ----------------------
