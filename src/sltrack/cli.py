@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import io as slio
 from .detect import Calibration, CalibrationError, calibrate
-from .geometry import RigConfig, WorldPosition
+from .geometry import RigConfig
 from .pipeline import PositionEstimate, evaluate, track_stream
 from .stream import PositionStreamer
 from .synth import SceneState, frame_timestamp_ms, render
@@ -62,7 +62,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if out_dir.exists():
         if not out_dir.is_dir():
             raise slio.ConfigError(f"output directory {out_dir}: not a directory")
-        foreign = sorted({p.name for p in out_dir.glob("*.pgm")} - set(names))
+        foreign = sorted(set(slio.pgm_names(out_dir)) - set(names))
         if foreign:
             raise slio.ConfigError(
                 f"output directory {out_dir} holds {foreign[0]}, which is not "
@@ -130,13 +130,8 @@ def _fmt(value: float) -> str:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     rows = slio.read_estimates_csv(args.estimates_csv)
     truth = slio.read_truth_csv(args.truth_csv)
-    estimates = [
-        PositionEstimate(
-            frame_index=r.frame, timestamp_ms=r.timestamp_ms,
-            pos=WorldPosition(r.x_cm, r.z_cm) if r.detected else None,
-        )
-        for r in rows
-    ]
+    estimates = [PositionEstimate(frame_index=r.frame, timestamp_ms=r.timestamp_ms,
+                                  pos=r.pos) for r in rows]
     metrics = evaluate(estimates, truth)
     report = {
         "frames": len(rows),

@@ -123,12 +123,14 @@ def edge_test(frame: Frame, u: int, v: int, cal: Calibration, p: DetectParams) -
 
 
 @lru_cache(maxsize=8)
-def _row_limits(cal: Calibration, p: DetectParams) -> np.ndarray:
-    """floor(2 * threshold) of every scan row, capped at 511, as a read-only
-    int16 column: the same for every frame of one (calibration, params)."""
+def _padded_limits(cal: Calibration, p: DetectParams) -> np.ndarray:
+    """floor(2 * threshold) of every scan row, capped at 511, repeated once
+    per pixel of a row padded to width + 2: a flat, read-only int16 array,
+    the same for every frame of one (calibration, params)."""
     delta_v = np.arange(1, cal.height - 1 - cal.v_b)
     thresholds = np.clip(p.ath_base + p.ath_slope * delta_v, p.ath_min, p.ath_max)
-    limits = np.fmin(np.floor(2.0 * thresholds), 511.0).astype(np.int16)[:, None]
+    limits = np.fmin(np.floor(2.0 * thresholds), 511.0).astype(np.int16)
+    limits = np.repeat(limits, cal.width + 2)
     limits.flags.writeable = False
     return limits
 
@@ -144,13 +146,17 @@ def _edge_mask(frame: Frame, cal: Calibration, p: DetectParams) -> np.ndarray:
     there too.
     """
     lo, hi = cal.v_b + 1, frame.height - 1
-    band = frame.pixels[lo - 1:hi + 1].astype(np.int16)
-    twice = band[1:-1] * 2
-    twice -= band[:-2]
-    twice -= band[2:]
-    padded = np.zeros((hi - lo, frame.width + 2), dtype=bool)
-    np.greater(twice, _row_limits(cal, p), out=padded[:, 1:-1])
-    return padded
+    rows, stride = hi - lo, frame.width + 2
+    # the band with a row above and below, in zero-padded rows: the one
+    # strided copy; the rest works on flat views a padded row apart
+    band = np.zeros((rows + 2, stride), np.int16)
+    band[:, 1:-1] = frame.pixels[lo - 1:hi + 1]
+    band = band.ravel()
+    down = band[stride:] - band[:-stride]  # each pixel less the one above it
+    # (P - P_up) - (P_down - P); a pad computes 0, which exceeds no limit:
+    # every limit is >= 0
+    twice = down[:rows * stride] - down[stride:]
+    return np.greater(twice, _padded_limits(cal, p)).reshape(rows, stride)
 
 
 def detect_feet(frame: Frame, cal: Calibration, p: DetectParams) -> Detection | None:
@@ -198,8 +204,11 @@ def detect_feet(frame: Frame, cal: Calibration, p: DetectParams) -> Detection | 
     v = cal.v_b + 1 + row
     start = int(starts[best]) - row * (frame.width + 2)
 
-    weights = frame.pixels[v, start:start + length].astype(np.float64)
-    # a run pixel has P > (P_up + P_down)/2 + ath >= 0, so P >= 1 and mass >= run_len
-    mass = float(weights.sum())
-    u_f = float((np.arange(start, start + length) * weights).sum() / mass)
-    return Detection(u_f=u_f, v_f=v, run_len=length, mass=mass)
+    weights = frame.pixels[v, start:start + length]
+    # a run pixel has P > (P_up + P_down)/2 + ath >= 0, so P >= 1 and mass >= run_len.
+    # The sums are exact integers (a rig has at most 2**24 pixels and at least
+    # 3 rows, so the moment stays below 255 * width**2 / 2 < 2**53), and the
+    # one division rounds the centroid once.
+    mass = int(weights.sum())
+    moment = int(np.dot(np.arange(start, start + length), weights))
+    return Detection(u_f=moment / mass, v_f=v, run_len=length, mass=float(mass))

@@ -120,9 +120,13 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
+# most digits a header number may have after its leading zeros: int() refuses
+# a string past 4300 digits, and no payload holds 10**18 bytes
+_MAX_DIGITS = 18
 # the header write_pgm writes, with any one whitespace byte between fields;
 # \d and \s of a bytes pattern are ASCII only, like the walker's tests
-_PLAIN_HEADER = re.compile(rb"P5\s([1-9]\d*)\s([1-9]\d*)\s255\s")
+_PLAIN_HEADER = re.compile(rb"P5\s([1-9]\d{0,%d})\s([1-9]\d{0,%d})\s255\s"
+                           % (_MAX_DIGITS - 1, _MAX_DIGITS - 1))
 
 
 def _read_file(path: str | os.PathLike) -> np.ndarray:
@@ -148,7 +152,10 @@ def _walk_pgm(data: bytes) -> np.ndarray:
         token, pos = _next_token(data, pos)
         if not token.isdigit():  # ASCII only; int() also takes "+3" and "3_20"
             raise PgmError(f"non-numeric {name} {token!r}", pos - len(token))
-        fields.append(int(token))
+        digits = token.lstrip(b"0")
+        if len(digits) > _MAX_DIGITS:
+            raise PgmError(f"{name} too large: {len(digits)} digits", pos - len(token))
+        fields.append(int(digits or b"0"))
     width, height, maxval = fields
     if width <= 0 or height <= 0:
         raise PgmError(f"bad dimensions {width}x{height}", pos)
@@ -192,6 +199,17 @@ def read_pgm(source: str | BinaryIO, *, index: int = 0,
                  timestamp_ms=timestamp_ms)
 
 
+def pgm_names(directory: str | os.PathLike) -> list[str]:
+    """Sorted names of a directory's entries that end in ``.pgm``, the ones
+    ``Path.glob("*.pgm")`` yields: any kind of entry, dotfiles included,
+    case-sensitive. A missing, unreadable or non-directory path has none."""
+    try:
+        with os.scandir(Path(directory)) as entries:  # Path("") is "."
+            return sorted(entry.name for entry in entries if entry.name.endswith(".pgm"))
+    except (FileNotFoundError, NotADirectoryError, PermissionError):
+        return []
+
+
 def iter_pgm_dir(frames_dir: str, rate_hz: float) -> Iterator[Frame]:
     """The ``*.pgm`` files of a directory as a frame sequence, in name order.
 
@@ -200,10 +218,13 @@ def iter_pgm_dir(frames_dir: str, rate_hz: float) -> Iterator[Frame]:
     raises :class:`ConfigError` here, before any frame is read; a malformed
     frame raises :class:`PgmError` naming its file.
     """
-    paths = sorted(str(path) for path in Path(frames_dir).glob("*.pgm"))
-    if not paths:
+    names = pgm_names(frames_dir)
+    if not names:
         raise ConfigError(f"no .pgm frames in {frames_dir}")
-    return _read_frames(paths, rate_hz)
+    # spelled as Path.glob spells them: "./x/" and "x//" give "x/<name>"
+    base = str(Path(frames_dir))
+    prefix = "" if base == "." else os.path.join(base, "")
+    return _read_frames([prefix + name for name in names], rate_hz)
 
 
 def _read_frames(paths: list[str], rate_hz: float) -> Iterator[Frame]:
@@ -381,8 +402,15 @@ class EstimateRow:
     detected: bool
     u_f: float | None = None
     v_f: int | None = None
-    x_cm: float | None = None
-    z_cm: float | None = None
+    pos: WorldPosition | None = None
+
+    @property
+    def x_cm(self) -> float | None:
+        return None if self.pos is None else self.pos.x
+
+    @property
+    def z_cm(self) -> float | None:
+        return None if self.pos is None else self.pos.z
 
 
 def _read_table(source: str | IO[str], header: str, what: str,
@@ -444,13 +472,21 @@ def _csv_flag(name: str, text: str) -> bool:
     return text == "1"
 
 
+def _csv_empty(flag: str, **values: str) -> None:
+    # a row without a position holds none: write_*_csv leaves these empty
+    for name, text in values.items():
+        if text:
+            raise ValueError(f"{name}: expected empty with {flag} 0, got {text!r}")
+
+
 def _estimate_row(_position: int, frame: str, ts: str, detected: str, u_f: str,
                   v_f: str, x: str, z: str) -> EstimateRow:
     if _csv_flag("detected", detected):
         # an impossible position fails here, where the line is known
         pos = WorldPosition(_csv_float(x), _csv_float(z))
         return EstimateRow(_csv_int(frame), _csv_int(ts), True, _csv_float(u_f),
-                           _csv_int(v_f), pos.x, pos.z)
+                           _csv_int(v_f), pos)
+    _csv_empty("detected", u_f=u_f, v_f=v_f, x_cm=x, z_cm=z)
     return EstimateRow(_csv_int(frame), _csv_int(ts), False)
 
 
@@ -475,8 +511,11 @@ def _truth_row(position: int, frame: str, ts: str, present: str, x: str, z: str,
                foot_width: str) -> SceneState:
     if _csv_int(frame) != position:
         raise ValueError(f"expected frame {position}, got {frame}")
-    user = (WorldPosition(_csv_float(x), _csv_float(z))
-            if _csv_flag("present", present) else None)
+    if _csv_flag("present", present):
+        user = WorldPosition(_csv_float(x), _csv_float(z))
+    else:
+        _csv_empty("present", x_cm=x, z_cm=z)
+        user = None
     return SceneState(user=user, foot_width=_csv_float(foot_width),
                       timestamp_ms=_csv_int(ts))
 

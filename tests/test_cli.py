@@ -496,6 +496,22 @@ def test_track_truncated_frame_exit_2_naming_the_file(tmp_path, capsys):
         f"(byte offset 19)\n")
 
 
+def test_track_frame_with_a_5000_digit_width_exit_2_naming_the_file(tmp_path,
+                                                                    capsys):
+    cfg = stationary_config(tmp_path, duration=0.5)
+    out_dir = tmp_path / "frames"
+    assert main(["simulate", "-c", cfg, "-o", str(out_dir)]) == 0
+    bad = out_dir / "000003.pgm"
+    bad.write_bytes(b"P5\n" + b"1" * 5000 + b" 1\n255\n")
+    cal = tmp_path / "cal.txt"
+    cal.write_text("v_b=160\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["track", "-c", cfg, "--calibration", str(cal), str(out_dir),
+                 "-o", str(tmp_path / "est.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: width too large: 5000 digits (byte offset 3)\n")
+
+
 @pytest.mark.parametrize("command", ["track", "calibrate", "evaluate"])
 def test_missing_input_file_exit_2(tmp_path, capsys, command):
     # a missing calibration file, empty-scene frame or truth CSV is a usage

@@ -220,6 +220,32 @@ def test_detect_run_touching_column_borders_is_still_localized(detect_params):
     assert det.u_f == pytest.approx(314.5)
 
 
+def uneven_levels(length):
+    """Run levels from 56 to 255 in no order, so a centroid is not a midpoint."""
+    return (np.arange(length) * 37 % 200 + 56).astype(np.uint8)
+
+
+@pytest.mark.parametrize("width,height,row,start,length,full", [
+    (320, 240, 238, 0, 320, True),
+    (320, 240, 238, 0, 320, False),
+    (320, 240, 200, 0, 37, False),
+    (320, 240, 200, 283, 37, False),
+    (5000, 8, 6, 0, 5000, True),
+    (5000, 8, 5, 0, 4999, False),
+    (5000, 8, 4, 1, 4999, False),
+], ids=["full-width-255-last-row", "full-width-uneven-last-row", "column-0",
+        "last-column", "width-5000-full-255", "width-5000-column-0",
+        "width-5000-last-column"])
+def test_centroid_at_the_extremes_equals_the_reference(width, height, row, start,
+                                                        length, full):
+    frame = blank_frame(width, height)
+    frame.pixels[row, start:start + length] = 255 if full else uneven_levels(length)
+    cal = Calibration(v_b=160 if height == 240 else 2, width=width, height=height)
+    det = detect_feet(frame, cal, DetectParams())
+    assert (det.v_f, det.run_len) == (row, length)
+    assert det == reference_detect_feet(frame, cal, DetectParams())
+
+
 def test_detect_runs_on_neighbor_rows_do_not_join_across_the_row_end(detect_params):
     # in the flattened mask, row 200's last column sits next to row 201's
     # first; the padding keeps the two runs apart (joined they would be 15)

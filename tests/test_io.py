@@ -23,6 +23,7 @@ from sltrack import (ConfigError, Detection, Frame, PgmError, PositionEstimate,
                      SceneState, WorldPosition, load_config,
                      read_estimates_csv, read_pgm, read_truth_csv,
                      write_estimates_csv, write_pgm, write_truth_csv)
+from sltrack.cli import main as cli_main
 from sltrack.io import iter_pgm_dir
 from conftest import REFERENCE_CONFIG
 
@@ -88,6 +89,37 @@ def test_pgm_header_numbers_are_ascii_digits(data, name, token, offset):
     assert str(exc_info.value) == (
         f"non-numeric {name} {token!r} (byte offset {offset})")
     assert exc_info.value.offset == offset
+
+
+LONG_WIDTH = b"P5\n" + b"1" * 5000 + b" 1\n255\n"
+
+
+@pytest.mark.parametrize("data,message", [
+    (LONG_WIDTH, "width too large: 5000 digits (byte offset 3)"),
+    (b"P5\n2 00" + b"9" * 19 + b"\n255\n", "height too large: 19 digits (byte offset 5)"),
+    (b"P5\n2 1\n" + b"2" * 4301 + b"\n\x05\x06",
+     "maxval too large: 4301 digits (byte offset 7)"),
+], ids=["width-5000-digits", "height-19-digits", "maxval-4301-digits"])
+def test_pgm_header_numbers_past_18_digits_fail_at_their_token(tmp_path, data,
+                                                                message):
+    # int() refuses a string of more than 4300 digits with a plain ValueError
+    path = tmp_path / "frame.pgm"
+    path.write_bytes(data)
+    for source in (str(path), stdio.BytesIO(data)):
+        with pytest.raises(PgmError) as exc_info:
+            read_pgm(source)
+        assert str(exc_info.value) == message
+
+
+def test_pgm_header_numbers_up_to_18_digits_still_read():
+    # leading zeros do not count, and a product of two 18-digit numbers
+    # still prints in the payload message
+    data = b"P5\n" + b"0" * 5000 + b"2 1\n255\n\x05\x06"
+    assert read_pgm(stdio.BytesIO(data)).pixels.tolist() == [[5, 6]]
+    with pytest.raises(PgmError) as exc_info:
+        read_pgm(stdio.BytesIO(b"P5\n" + b"9" * 18 + b" " + b"9" * 18 + b"\n255\n"))
+    assert str(exc_info.value) == (
+        f"truncated payload: want {(10**18 - 1) ** 2} bytes, have 0 (byte offset 45)")
 
 
 def test_pgm_skips_comments():
@@ -205,6 +237,40 @@ def test_a_bad_frame_in_a_directory_names_its_file(tmp_path):
     assert str(exc_info.value) == (
         f"{bad}: truncated payload: want 6 bytes, have 2 (byte offset 13)")
     assert (exc_info.value.offset, exc_info.value.path) == (13, str(bad))
+
+
+def test_a_frame_with_a_5000_digit_width_names_its_file(tmp_path):
+    write_pgm(frame_from([1] * 6, 3, 2), str(tmp_path / "000000.pgm"))
+    bad = tmp_path / "000001.pgm"
+    bad.write_bytes(LONG_WIDTH)
+    frames = iter_pgm_dir(str(tmp_path), 20.0)
+    next(frames)
+    with pytest.raises(PgmError) as exc_info:
+        next(frames)
+    assert str(exc_info.value) == f"{bad}: width too large: 5000 digits (byte offset 3)"
+
+
+def test_a_clip_lists_the_entries_path_glob_lists(tmp_path, monkeypatch, capsys):
+    clip = tmp_path / "x"
+    clip.mkdir()
+    for name in ("a.pgm", ".b.pgm", "C.PGM", "d.pgm.txt"):
+        (clip / name).write_bytes(b"")
+    (clip / "e.pgm").mkdir()
+    (clip / "h.pgm").symlink_to(clip / "missing")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sltrack.io, "read_pgm", lambda path, **_: path)
+    for spelling in ("x", "./x/", "x//", str(clip), str(clip) + "/"):
+        paths = list(iter_pgm_dir(spelling, 20.0))
+        assert paths == sorted(str(path) for path in Path(spelling).glob("*.pgm"))
+    assert list(iter_pgm_dir("./x/", 20.0)) == ["x/.b.pgm", "x/a.pgm", "x/e.pgm",
+                                                "x/h.pgm"]
+    monkeypatch.chdir(clip)
+    assert list(iter_pgm_dir("", 20.0)) == [".b.pgm", "a.pgm", "e.pgm", "h.pgm"]
+    # simulate refuses the same entries as another clip's frames
+    assert cli_main(["simulate", "-c", REFERENCE_CONFIG, "-o", "."]) == 2
+    assert capsys.readouterr().err == (
+        "error: output directory . holds .b.pgm, which is not one of this "
+        "clip's 200 frames\n")
 
 
 # --- config --------------------------------------------------------------------
@@ -620,6 +686,30 @@ def test_truth_csv_fields_are_strict(field, value, message):
     with pytest.raises(ValueError) as exc_info:
         read_truth_csv(stdio.StringIO(text))
     assert str(exc_info.value) == f"truth CSV line 3: {message}"
+
+
+@pytest.mark.parametrize("read,row,message", [
+    (read_estimates_csv, "0,0,0,1.5,200,junk,-5",
+     "estimates CSV line 3: u_f: expected empty with detected 0, got '1.5'"),
+    (read_estimates_csv, "0,0,0,,200,,",
+     "estimates CSV line 3: v_f: expected empty with detected 0, got '200'"),
+    (read_estimates_csv, "0,0,0,,,10.0,",
+     "estimates CSV line 3: x_cm: expected empty with detected 0, got '10.0'"),
+    (read_estimates_csv, "0,0,0,,,, ",
+     "estimates CSV line 3: z_cm: expected empty with detected 0, got ' '"),
+    (read_truth_csv, "1,0,0,junk,,25.0",
+     "truth CSV line 3: x_cm: expected empty with present 0, got 'junk'"),
+    (read_truth_csv, "1,0,0,,200.0,25.0",
+     "truth CSV line 3: z_cm: expected empty with present 0, got '200.0'"),
+], ids=["estimates-u_f", "estimates-v_f", "estimates-x_cm", "estimates-z_cm",
+        "truth-x_cm", "truth-z_cm"])
+def test_a_row_without_a_position_leaves_its_position_fields_empty(read, row,
+                                                                   message):
+    header, first = ((ESTIMATES, "0,0,0,,,,") if read is read_estimates_csv
+                     else (TRUTH, "0,0,0,,,25.0"))
+    with pytest.raises(ValueError) as exc_info:
+        read(stdio.StringIO(f"{header}{first}\n{row}\n"))
+    assert str(exc_info.value) == message
 
 
 def test_the_loose_estimates_row_fails_on_its_line():
