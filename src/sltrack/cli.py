@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import math
 import os
@@ -21,7 +20,7 @@ from . import io as slio
 from .detect import Calibration, CalibrationError, calibrate
 from .geometry import RigConfig
 from .pipeline import PositionEstimate, evaluate, track_stream
-from .stream import PositionStreamer
+from .stream import PositionStreamer, resolve_endpoint
 from .synth import SceneState, frame_timestamp_ms, render
 
 USAGE_ERROR = 2
@@ -101,11 +100,13 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_track(args: argparse.Namespace) -> int:
     cfg = slio.load_config(args.config)
     cal = read_calibration(args.calibration, cfg.rig)
-    # a CSV that cannot be written fails the run before any frame is tracked
-    if not Path(args.out_csv).parent.is_dir():
-        raise FileNotFoundError(errno.ENOENT, "no such directory", args.out_csv)
     frames = slio.iter_pgm_dir(args.frames_dir, cfg.trajectory.rate_hz)
-    streamer = PositionStreamer(args.stream) if args.stream else None
+    endpoint = resolve_endpoint(args.stream) if args.stream else None
+    # the header alone, before any frame is tracked or sent: a CSV that cannot
+    # be written fails the run here, and a run that fails later leaves no
+    # rows of an earlier run behind
+    slio.write_estimates_csv([], args.out_csv)
+    streamer = PositionStreamer(endpoint) if endpoint else None
     try:
         estimates = track_stream(
             frames, cfg.rig, cal, cfg.detect, cfg.smoother,

@@ -81,8 +81,10 @@ def calibrate(frame: Frame) -> Calibration:
     Picks the row with the largest summed intensity (ties toward the
     smaller row index). Fails when no row stands out: the max row-sum must
     exceed the mean row-sum by more than 3 sigma * width, with sigma the
-    pixel std-dev of the whole frame, and the winning row must leave room
-    for the edge test's vertical neighbors.
+    pixel std-dev of the whole frame. Fails when the row is lit across less
+    than half its width (pixels above the frame's mean + 3 sigma), as a foot
+    near the camera is, which can outshine the wall line. The winning row
+    must leave room for the edge test's vertical neighbors.
     """
     px = frame.pixels.astype(np.float64)
     sums = px.sum(axis=1)
@@ -90,6 +92,11 @@ def calibrate(frame: Frame) -> Calibration:
     sigma = float(px.std())
     if sums[v_b] - sums.mean() <= 3.0 * sigma * frame.width:
         raise CalibrationError("no wall line: brightest row within noise of the mean")
+    coverage = np.count_nonzero(px[v_b] > px.mean() + 3.0 * sigma) / frame.width
+    if coverage < 0.5:
+        raise CalibrationError(
+            f"no wall line: brightest row {v_b} is lit across {coverage:.3f} of "
+            f"its width, want at least 0.5 (is the scene empty?)")
     if not 0 < v_b < frame.height - 1:
         raise CalibrationError(f"wall line at border row {v_b} leaves no scan domain")
     return Calibration(v_b=v_b, width=frame.width, height=frame.height)

@@ -100,33 +100,15 @@ def write_pgm(frame: Frame, sink: str | BinaryIO) -> None:
         fh.write(header + payload)
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    """Next whitespace-delimited header token, skipping '#' comments."""
-    n = len(data)
-    while pos < n:
-        c = data[pos:pos + 1]
-        if c == b"#":
-            while pos < n and data[pos:pos + 1] != b"\n":
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    if pos >= n:
-        raise PgmError("truncated header", pos)
-    start = pos
-    while pos < n and not data[pos:pos + 1].isspace():
-        pos += 1
-    return data[start:pos], pos
-
-
 # most digits a header number may have after its leading zeros: int() refuses
 # a string past 4300 digits, and no payload holds 10**18 bytes
 _MAX_DIGITS = 18
-# the header write_pgm writes, with any one whitespace byte between fields;
-# \d and \s of a bytes pattern are ASCII only, like the walker's tests
-_PLAIN_HEADER = re.compile(rb"P5\s([1-9]\d{0,%d})\s([1-9]\d{0,%d})\s255\s"
-                           % (_MAX_DIGITS - 1, _MAX_DIGITS - 1))
+# the four header tokens (magic, width, height, maxval), each the run of
+# non-space bytes after any whitespace and '#' comments; an empty token is
+# the end of the data. \s and \S of a bytes pattern are ASCII only, like
+# bytes.isspace. Every part may match empty, so the pattern always matches,
+# at its first, greedy try: no backtracking
+_HEADER = re.compile(rb"(?:\s|#[^\n]*)*(\S*)" * 4)
 
 
 def _read_file(path: str | os.PathLike) -> np.ndarray:
@@ -141,71 +123,69 @@ def _read_file(path: str | os.PathLike) -> np.ndarray:
         return buf[:got]
 
 
-def _walk_pgm(data: bytes) -> np.ndarray:
-    """Pixels of any P5 PGM with maxval 255, header comments included; the
-    one place that raises :class:`PgmError`."""
-    magic, pos = _next_token(data, 0)
-    if magic != b"P5":
-        raise PgmError(f"unsupported magic {magic!r}, want binary P5", 0)
-    fields = []
-    for name in ("width", "height", "maxval"):
-        token, pos = _next_token(data, pos)
+def read_pgm(source: str | BinaryIO, *, index: int = 0,
+             timestamp_ms: int = 0) -> Frame:
+    """Read a binary (P5) PGM with maxval 255 back into a Frame.
+
+    The header may hold '#' comments and any ASCII whitespace between its
+    fields, and exactly one whitespace byte ends it. Timestamp and index are
+    not part of the format: they are 0 unless the caller passes them.
+    Malformed data, including any byte after the width*height payload,
+    raises :class:`PgmError` at the offset of the problem. The pixels are a
+    writable view of the one buffer the source was read into.
+    """
+    if hasattr(source, "read"):
+        data = np.frombuffer(bytearray(source.read()), np.uint8)
+    else:
+        data = _read_file(source)
+    header = _HEADER.match(data)
+    tokens = header.groups()
+    if tokens[0] != b"P5":
+        if not tokens[0]:  # an empty token: the data ended
+            raise PgmError("truncated header", data.size)
+        raise PgmError(f"unsupported magic {tokens[0]!r}, want binary P5", 0)
+    numbers = []
+    for group, name in (2, "width"), (3, "height"), (4, "maxval"):
+        token = tokens[group - 1]
         if not token.isdigit():  # ASCII only; int() also takes "+3" and "3_20"
-            raise PgmError(f"non-numeric {name} {token!r}", pos - len(token))
-        digits = token.lstrip(b"0")
-        if len(digits) > _MAX_DIGITS:
-            raise PgmError(f"{name} too large: {len(digits)} digits", pos - len(token))
-        fields.append(int(digits or b"0"))
-    width, height, maxval = fields
+            if not token:
+                raise PgmError("truncated header", data.size)
+            raise PgmError(f"non-numeric {name} {token!r}", header.start(group))
+        if len(token) > _MAX_DIGITS:
+            token = token.lstrip(b"0")
+            if len(token) > _MAX_DIGITS:
+                raise PgmError(f"{name} too large: {len(token)} digits",
+                               header.start(group))
+        numbers.append(int(token or b"0"))
+    width, height, maxval = numbers
+    pos = header.end()
     if width <= 0 or height <= 0:
         raise PgmError(f"bad dimensions {width}x{height}", pos)
     if maxval != 255:
         raise PgmError(f"maxval {maxval} unsupported, want 255", pos)
-    if pos == len(data):
+    if pos == data.size:
         raise PgmError("truncated header", pos)
     pos += 1  # single whitespace byte after maxval
     expected = width * height
-    have = len(data) - pos
+    have = data.size - pos
     if have < expected:
         raise PgmError(f"truncated payload: want {expected} bytes, have {have}",
                        pos + have)
     if have > expected:
         raise PgmError(f"{have - expected} bytes after the payload", pos + expected)
-    pixels = np.frombuffer(data, np.uint8, expected, pos).reshape(height, width)
-    return pixels.copy()
-
-
-def read_pgm(source: str | BinaryIO, *, index: int = 0,
-             timestamp_ms: int = 0) -> Frame:
-    """Read a binary (P5) PGM with maxval 255 back into a Frame.
-
-    Timestamp and index are not part of the format: they are 0 unless the
-    caller passes them. Malformed data, including any byte after the
-    width*height payload, raises :class:`PgmError` at the offset of the
-    problem.
-    """
-    if hasattr(source, "read"):
-        pixels = _walk_pgm(source.read())
-    else:
-        data = _read_file(source)
-        plain = _PLAIN_HEADER.match(data)
-        if plain and data.size - plain.end() == int(plain[1]) * int(plain[2]):
-            # a view of the read buffer: no copy
-            pixels = data[plain.end():].reshape(int(plain[2]), int(plain[1]))
-        else:  # anything else, malformed data included
-            pixels = _walk_pgm(data.tobytes())
-    height, width = pixels.shape
-    return Frame(width=width, height=height, pixels=pixels, index=index,
-                 timestamp_ms=timestamp_ms)
+    return Frame(width=width, height=height, pixels=data[pos:].reshape(height, width),
+                 index=index, timestamp_ms=timestamp_ms)
 
 
 def pgm_names(directory: str | os.PathLike) -> list[str]:
-    """Sorted names of a directory's entries that end in ``.pgm``, the ones
-    ``Path.glob("*.pgm")`` yields: any kind of entry, dotfiles included,
-    case-sensitive. A missing, unreadable or non-directory path has none."""
+    """Sorted names of a directory's entries that end in ``.pgm`` and are not
+    directories, dotfiles included, case-sensitive: the ones
+    ``Path.glob("*.pgm")`` yields, less its directories. A dangling symlink
+    stays listed. A missing, unreadable or non-directory path has none."""
     try:
         with os.scandir(Path(directory)) as entries:  # Path("") is "."
-            return sorted(entry.name for entry in entries if entry.name.endswith(".pgm"))
+            return sorted(entry.name for entry in entries
+                          if entry.name.endswith(".pgm") and not entry.is_dir())
     except (FileNotFoundError, NotADirectoryError, PermissionError):
         return []
 

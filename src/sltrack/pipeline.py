@@ -87,28 +87,6 @@ def track_frame(
                             pos=pos, detection=det)
 
 
-class _ExpSmoother:
-    """First-order exponential smoothing with gap reset."""
-
-    def __init__(self, alpha: float) -> None:
-        self.alpha = alpha
-        self._state: WorldPosition | None = None
-
-    def update(self, pos: WorldPosition | None) -> WorldPosition | None:
-        if pos is None:
-            self._state = None  # don't drag stale positions across gaps
-            return None
-        if self._state is None:
-            self._state = pos
-        else:
-            a = self.alpha
-            self._state = WorldPosition(
-                x=a * pos.x + (1 - a) * self._state.x,
-                z=a * pos.z + (1 - a) * self._state.z,
-            )
-        return self._state
-
-
 def track_stream(
     frames: Iterable[Frame],
     rig: RigConfig,
@@ -129,7 +107,8 @@ def track_stream(
     the diagnostics field. ``on_estimate`` is called with each estimate as
     it is produced, e.g. to feed a live telemetry stream.
     """
-    state = _ExpSmoother(smoother.alpha)
+    a = smoother.alpha
+    smoothed: WorldPosition | None = None
     estimates: list[PositionEstimate] = []
     last_ts: int | None = None
     for frame in frames:
@@ -141,7 +120,13 @@ def track_stream(
         last_ts = frame.timestamp_ms
         est = track_frame(frame, rig, cal, p)
         if smoother.enabled:
-            est = replace(est, pos=state.update(est.pos))
+            # a gap (no position) resets the state: no stale drag across it
+            if est.pos is not None and smoothed is not None:
+                smoothed = WorldPosition(x=a * est.pos.x + (1 - a) * smoothed.x,
+                                         z=a * est.pos.z + (1 - a) * smoothed.z)
+            else:
+                smoothed = est.pos
+            est = replace(est, pos=smoothed)
         estimates.append(est)
         if on_estimate is not None:
             on_estimate(est)

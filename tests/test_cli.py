@@ -276,6 +276,23 @@ def test_calibrate_black_frame_exit_2(tmp_path, capsys):
     assert main(["calibrate", "-c", cfg, str(black)]) == 2
 
 
+def test_calibrate_on_a_frame_with_a_near_foot_exit_2(ref_config, tmp_path, capsys):
+    # the reference stroll's first frame: a foot at ~150 cm outshines the
+    # wall line, and its row is lit across a fifth of the width
+    out = tmp_path / "run"
+    assert main(["simulate", "-c", ref_config, "-o", str(out)]) == 0
+    cal = tmp_path / "cal.txt"
+    capsys.readouterr()
+    assert main(["calibrate", "-c", ref_config, str(out / "000000.pgm"),
+                 "-o", str(cal)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: no wall line: brightest row 227 is lit across 0.209 of its "
+        "width, want at least 0.5 (is the scene empty?)\n")
+    assert captured.out == ""
+    assert not cal.exists()
+
+
 def full_run(tmp_path, config, stream=None):
     out_dir = tmp_path / "frames"
     assert main(["simulate", "-c", config, "-o", str(out_dir)]) == 0
@@ -415,7 +432,8 @@ def test_outputs_are_rewritten_in_place_never_truncated(tmp_path, monkeypatch):
     for argv in commands:
         assert main(argv) == 0
     monkeypatch.undo()
-    assert sorted(written) == sorted(outputs)
+    # track writes its CSV twice: the header before any frame, then the table
+    assert sorted(written) == sorted([*outputs, str(est_csv)])
     assert truncated == []
 
 
@@ -510,6 +528,35 @@ def test_track_frame_with_a_5000_digit_width_exit_2_naming_the_file(tmp_path,
                  "-o", str(tmp_path / "est.csv")]) == 2
     assert capsys.readouterr().err == (
         f"error: {bad}: width too large: 5000 digits (byte offset 3)\n")
+
+
+def test_a_failed_track_leaves_the_header_and_no_older_rows(tmp_path, capsys):
+    cfg = stationary_config(tmp_path)
+    est_csv, truth_csv = full_run(tmp_path, cfg)
+    assert len(read_estimates_csv(str(est_csv))) == 20
+    bad = tmp_path / "frames" / "000010.pgm"
+    bad.write_bytes(bad.read_bytes()[:19])
+    assert main(["track", "-c", cfg, "--calibration", str(tmp_path / "cal.txt"),
+                 str(tmp_path / "frames"), "-o", str(est_csv)]) == 2
+    assert est_csv.read_text(encoding="utf-8") == (
+        "frame,timestamp_ms,detected,u_f,v_f,x_cm,z_cm\n")
+    capsys.readouterr()
+    assert main(["evaluate", str(est_csv), str(truth_csv)]) == 2
+    assert capsys.readouterr().err == "error: 0 estimates vs 20 truth frames\n"
+
+
+def test_track_skips_a_directory_named_like_a_frame(tmp_path, capsys):
+    cfg = stationary_config(tmp_path)
+    frames = tmp_path / "frames"
+    assert main(["simulate", "-c", cfg, "-o", str(frames)]) == 0
+    (frames / "000002x.pgm").mkdir()
+    cal = tmp_path / "cal.txt"
+    cal.write_text("v_b=160\n", encoding="utf-8")
+    est_csv = tmp_path / "est.csv"
+    assert main(["track", "-c", cfg, "--calibration", str(cal), str(frames),
+                 "-o", str(est_csv)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [r.frame for r in read_estimates_csv(str(est_csv))] == list(range(20))
 
 
 @pytest.mark.parametrize("command", ["track", "calibrate", "evaluate"])

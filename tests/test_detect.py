@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,6 +62,27 @@ def test_calibrate_under_noise_100_seeded_trials(rig, intensity):
         frame = render(rig, SceneState(user=None), noise, intensity)
         hits += calibrate(frame).v_b == 160
     assert hits >= 99
+
+
+def test_calibrate_on_each_reference_stroll_frame_finds_the_wall_or_raises():
+    # a foot near the camera outshines the wall line over a fifth of the
+    # width; the wall line is lit across most of it
+    cfg = load_config(REFERENCE_CONFIG)
+    refused = []
+    for i, state in enumerate(cfg.trajectory.materialize(cfg.rig)):
+        frame = render(cfg.rig, state, cfg.noise, cfg.intensity, index=i)
+        try:
+            assert calibrate(frame).v_b == 160
+        except CalibrationError as exc:
+            assert re.fullmatch(r"no wall line: brightest row 22[4-7] is lit across "
+                                r"0\.2\d\d of its width, want at least 0\.5 "
+                                r"\(is the scene empty\?\)", str(exc))
+            refused.append(i)
+    assert refused == [0, 1, 2, 197, 198, 199]
+    for seed in (1234, 1, 7, 99):
+        empty = render(cfg.rig, SceneState(user=None), replace(cfg.noise, seed=seed),
+                       cfg.intensity, index=10**6)
+        assert calibrate(empty).v_b == 160
 
 
 def test_calibrate_line_at_border_row_fails():

@@ -190,21 +190,109 @@ def _pgm_bytes(draw):
     return header + payload[:len(payload) - cut] + extra
 
 
-def _read_outcome(source):
+def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
+    """Next whitespace-delimited header token, skipping '#' comments."""
+    n = len(data)
+    while pos < n:
+        c = data[pos:pos + 1]
+        if c == b"#":
+            while pos < n and data[pos:pos + 1] != b"\n":
+                pos += 1
+        elif c.isspace():
+            pos += 1
+        else:
+            break
+    if pos >= n:
+        raise PgmError("truncated header", pos)
+    start = pos
+    while pos < n and not data[pos:pos + 1].isspace():
+        pos += 1
+    return data[start:pos], pos
+
+
+_MAX_DIGITS = 18
+
+
+def reference_read_pgm(data: bytes) -> np.ndarray:
+    """The PGM reader as first written: a byte-by-byte walk over the header
+    tokens, each check in turn, then a copy of the payload."""
+    magic, pos = _next_token(data, 0)
+    if magic != b"P5":
+        raise PgmError(f"unsupported magic {magic!r}, want binary P5", 0)
+    fields = []
+    for name in ("width", "height", "maxval"):
+        token, pos = _next_token(data, pos)
+        if not token.isdigit():  # ASCII only; int() also takes "+3" and "3_20"
+            raise PgmError(f"non-numeric {name} {token!r}", pos - len(token))
+        digits = token.lstrip(b"0")
+        if len(digits) > _MAX_DIGITS:
+            raise PgmError(f"{name} too large: {len(digits)} digits", pos - len(token))
+        fields.append(int(digits or b"0"))
+    width, height, maxval = fields
+    if width <= 0 or height <= 0:
+        raise PgmError(f"bad dimensions {width}x{height}", pos)
+    if maxval != 255:
+        raise PgmError(f"maxval {maxval} unsupported, want 255", pos)
+    if pos == len(data):
+        raise PgmError("truncated header", pos)
+    pos += 1  # single whitespace byte after maxval
+    expected = width * height
+    have = len(data) - pos
+    if have < expected:
+        raise PgmError(f"truncated payload: want {expected} bytes, have {have}",
+                       pos + have)
+    if have > expected:
+        raise PgmError(f"{have - expected} bytes after the payload", pos + expected)
+    pixels = np.frombuffer(data, np.uint8, expected, pos).reshape(height, width)
+    return pixels.copy()
+
+
+def _outcome(read, source):
     try:
-        frame = read_pgm(source)
+        pixels = read(source)
     except PgmError as exc:
         return str(exc), exc.offset
-    assert frame.pixels.flags.writeable
-    return frame.width, frame.height, frame.pixels.tobytes()
+    assert pixels.flags.writeable
+    return pixels.shape, pixels.tobytes()
 
 
-@settings(max_examples=400, deadline=None, database=None)
-@given(data=_pgm_bytes())
-def test_reading_a_pgm_file_equals_reading_its_bytes(tmp_path_factory, data):
+def _read_pixels(source):
+    frame = read_pgm(source)
+    assert frame.pixels.shape == (frame.height, frame.width)
+    return frame.pixels
+
+
+# header bytes worth inserting: comment starts, whitespace, digits, a non-digit
+_HEADER_BYTES = st.lists(st.sampled_from([b"#", b"\n", b" ", b"\t", b"0", b"7", b"x"]),
+                         min_size=1, max_size=4).map(b"".join)
+
+
+@st.composite
+def _pgm_bytes_with_insertion(draw):
+    """:func:`_pgm_bytes` with a few bytes inserted, mostly into the header."""
+    data = draw(_pgm_bytes())
+    at = draw(st.integers(0, min(len(data), 24)))
+    return data[:at] + draw(_HEADER_BYTES | st.binary(min_size=1, max_size=4)) + data[at:]
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(data=_pgm_bytes() | st.binary(max_size=40) | _pgm_bytes_with_insertion())
+def test_reading_a_pgm_path_or_its_bytes_equals_the_reference_reader(tmp_path_factory,
+                                                                     data):
     path = tmp_path_factory.mktemp("pgm") / "frame.pgm"
     path.write_bytes(data)
-    assert _read_outcome(str(path)) == _read_outcome(stdio.BytesIO(data))
+    want = _outcome(reference_read_pgm, data)
+    assert _outcome(_read_pixels, str(path)) == want
+    assert _outcome(_read_pixels, stdio.BytesIO(data)) == want
+
+
+@pytest.mark.parametrize("data", [
+    b"", b"P5", b"P5 #", b"P5 2 1 255 #\n", b"P5\n2#x 1\n255\n\x05\x06",
+    b"#\nP5 2 1 255\n\x05\x06", b"P5 2 1 255", b"P5\t2\r1\x0b255\x0c\x05\x06",
+    b"P5 0 1 255\n", b"P5 2 1 0255\n\x05\x06", b"P5 # 2\n2 1 255\n\x05\x06",
+])
+def test_pgm_header_edge_cases_read_as_the_reference_reader_reads_them(data):
+    assert _outcome(_read_pixels, stdio.BytesIO(data)) == _outcome(reference_read_pgm, data)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -261,11 +349,12 @@ def test_a_clip_lists_the_entries_path_glob_lists(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(sltrack.io, "read_pgm", lambda path, **_: path)
     for spelling in ("x", "./x/", "x//", str(clip), str(clip) + "/"):
         paths = list(iter_pgm_dir(spelling, 20.0))
-        assert paths == sorted(str(path) for path in Path(spelling).glob("*.pgm"))
-    assert list(iter_pgm_dir("./x/", 20.0)) == ["x/.b.pgm", "x/a.pgm", "x/e.pgm",
-                                                "x/h.pgm"]
+        assert paths == sorted(str(path) for path in Path(spelling).glob("*.pgm")
+                               if not path.is_dir())
+    # a directory is not a frame; a dangling symlink is, and fails as one
+    assert list(iter_pgm_dir("./x/", 20.0)) == ["x/.b.pgm", "x/a.pgm", "x/h.pgm"]
     monkeypatch.chdir(clip)
-    assert list(iter_pgm_dir("", 20.0)) == [".b.pgm", "a.pgm", "e.pgm", "h.pgm"]
+    assert list(iter_pgm_dir("", 20.0)) == [".b.pgm", "a.pgm", "h.pgm"]
     # simulate refuses the same entries as another clip's frames
     assert cli_main(["simulate", "-c", REFERENCE_CONFIG, "-o", "."]) == 2
     assert capsys.readouterr().err == (

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import sltrack.pipeline
 from sltrack import (Calibration, Detection, Metrics, PositionEstimate,
                      SceneState, SmootherConfig, WorldPosition, calibrate,
                      depth_resolution, detect_feet, evaluate, render,
@@ -100,17 +102,23 @@ def test_stream_alpha_one_equals_raw(rig, quiet, intensity, detect_params):
     assert [e.pos for e in smoothed] == [e.pos for e in raw]
 
 
-def test_stream_smoothing_reduces_variance(rig, detect_params):
+def test_stream_smoothing_reduces_variance(rig, detect_params, monkeypatch):
     # oracle: exponential smoothing of i.i.d. noise has variance ratio
     # alpha/(2-alpha) ~ 0.053 at alpha=0.1; assert strict reduction over
     # 500 synthetic estimates with quantization-level z jitter
     rng = np.random.default_rng(11)
     zs = 200.0 + rng.normal(0.0, 2.0, 500)
     ests = [estimate(i, 50 * i, 0.0, float(z)) for i, z in enumerate(zs)]
+    monkeypatch.setattr(sltrack.pipeline, "track_frame",
+                        lambda frame, *_: ests[frame.index])
+    frames = [SimpleNamespace(index=e.frame_index, timestamp_ms=e.timestamp_ms)
+              for e in ests]
 
-    from sltrack.pipeline import _ExpSmoother
-    sm = _ExpSmoother(0.1)
-    smoothed = [sm.update(e.pos).z for e in ests]
+    out = track_stream(frames, rig, CAL, detect_params,
+                       SmootherConfig(alpha=0.1, enabled=True))
+    smoothed = [e.pos.z for e in out]
+    assert [e.detection for e in out] == [e.detection for e in ests]
+    assert smoothed[:2] == [zs[0], 0.1 * zs[1] + (1 - 0.1) * zs[0]]
     assert np.var(smoothed) < np.var(zs)
     assert np.var(smoothed) / np.var(zs) == pytest.approx(0.1 / 1.9, rel=0.5)
 
