@@ -32,15 +32,15 @@ def write_calibration(cal: Calibration, path: str) -> None:
 
 
 def read_calibration(path: str, rig: RigConfig) -> Calibration:
-    text = Path(path).read_text(encoding="utf-8").strip()
-    if not text.startswith("v_b="):
-        raise slio.ConfigError(f"calibration file {path}: expected 'v_b=<int>'")
-    digits = text[len("v_b="):]
-    if not (digits.isascii() and digits.isdigit()):
-        raise slio.ConfigError(f"calibration file {path}: bad v_b value")
     try:
+        text = Path(path).read_text(encoding="utf-8").strip()
+        if not text.startswith("v_b="):
+            raise ValueError("expected 'v_b=<int>'")
+        digits = text[len("v_b="):]
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError("bad v_b value")
         return Calibration(v_b=int(digits), width=rig.width, height=rig.height)
-    except ValueError as exc:
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError
         raise slio.ConfigError(f"calibration file {path}: {exc}") from None
 
 
@@ -87,7 +87,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     frame = slio.read_pgm(args.empty_frame)
     if (frame.width, frame.height) != (cfg.rig.width, cfg.rig.height):
         raise slio.ConfigError(
-            f"frame is {frame.width}x{frame.height}, rig expects "
+            f"{args.empty_frame}: frame is {frame.width}x{frame.height}, rig expects "
             f"{cfg.rig.width}x{cfg.rig.height}"
         )
     cal = calibrate(frame)

@@ -42,7 +42,6 @@ class PgmError(ValueError):
     def __init__(self, message: str, offset: int, path: str | None = None) -> None:
         where = f"{path}: " if path is not None else ""
         super().__init__(f"{where}{message} (byte offset {offset})")
-        self.message = message
         self.offset = offset
         self.path = path
 
@@ -131,48 +130,48 @@ def read_pgm(source: str | BinaryIO, *, index: int = 0,
     fields, and exactly one whitespace byte ends it. Timestamp and index are
     not part of the format: they are 0 unless the caller passes them.
     Malformed data, including any byte after the width*height payload,
-    raises :class:`PgmError` at the offset of the problem. The pixels are a
-    writable view of the one buffer the source was read into.
+    raises :class:`PgmError` at the offset of the problem, naming the file of
+    a path. The pixels are a writable view of the one buffer the data fills.
     """
     if hasattr(source, "read"):
-        data = np.frombuffer(bytearray(source.read()), np.uint8)
+        data, path = np.frombuffer(bytearray(source.read()), np.uint8), None
     else:
-        data = _read_file(source)
+        data, path = _read_file(source), os.fspath(source)
     header = _HEADER.match(data)
     tokens = header.groups()
     if tokens[0] != b"P5":
         if not tokens[0]:  # an empty token: the data ended
-            raise PgmError("truncated header", data.size)
-        raise PgmError(f"unsupported magic {tokens[0]!r}, want binary P5", 0)
+            raise PgmError("truncated header", data.size, path)
+        raise PgmError(f"unsupported magic {tokens[0]!r}, want binary P5", 0, path)
     numbers = []
     for group, name in (2, "width"), (3, "height"), (4, "maxval"):
         token = tokens[group - 1]
         if not token.isdigit():  # ASCII only; int() also takes "+3" and "3_20"
             if not token:
-                raise PgmError("truncated header", data.size)
-            raise PgmError(f"non-numeric {name} {token!r}", header.start(group))
+                raise PgmError("truncated header", data.size, path)
+            raise PgmError(f"non-numeric {name} {token!r}", header.start(group), path)
         if len(token) > _MAX_DIGITS:
             token = token.lstrip(b"0")
             if len(token) > _MAX_DIGITS:
                 raise PgmError(f"{name} too large: {len(token)} digits",
-                               header.start(group))
+                               header.start(group), path)
         numbers.append(int(token or b"0"))
     width, height, maxval = numbers
     pos = header.end()
     if width <= 0 or height <= 0:
-        raise PgmError(f"bad dimensions {width}x{height}", pos)
+        raise PgmError(f"bad dimensions {width}x{height}", pos, path)
     if maxval != 255:
-        raise PgmError(f"maxval {maxval} unsupported, want 255", pos)
+        raise PgmError(f"maxval {maxval} unsupported, want 255", pos, path)
     if pos == data.size:
-        raise PgmError("truncated header", pos)
+        raise PgmError("truncated header", pos, path)
     pos += 1  # single whitespace byte after maxval
     expected = width * height
     have = data.size - pos
     if have < expected:
         raise PgmError(f"truncated payload: want {expected} bytes, have {have}",
-                       pos + have)
+                       pos + have, path)
     if have > expected:
-        raise PgmError(f"{have - expected} bytes after the payload", pos + expected)
+        raise PgmError(f"{have - expected} bytes after the payload", pos + expected, path)
     return Frame(width=width, height=height, pixels=data[pos:].reshape(height, width),
                  index=index, timestamp_ms=timestamp_ms)
 
@@ -204,15 +203,8 @@ def iter_pgm_dir(frames_dir: str, rate_hz: float) -> Iterator[Frame]:
     # spelled as Path.glob spells them: "./x/" and "x//" give "x/<name>"
     base = str(Path(frames_dir))
     prefix = "" if base == "." else os.path.join(base, "")
-    return _read_frames([prefix + name for name in names], rate_hz)
-
-
-def _read_frames(paths: list[str], rate_hz: float) -> Iterator[Frame]:
-    for i, path in enumerate(paths):
-        try:
-            yield read_pgm(path, index=i, timestamp_ms=frame_timestamp_ms(i, rate_hz))
-        except PgmError as exc:
-            raise PgmError(exc.message, exc.offset, path) from None
+    return (read_pgm(prefix + name, index=i, timestamp_ms=frame_timestamp_ms(i, rate_hz))
+            for i, name in enumerate(names))
 
 
 # --- run configuration -----------------------------------------------------
@@ -355,13 +347,13 @@ def load_config(source: str | IO[str]) -> RunConfig:
     """Parse and fully validate a JSON run configuration.
 
     Raises :class:`ConfigError` naming the offending key on any missing
-    key, type mismatch, unknown key, or invariant violation.
+    key, type mismatch, unknown key, or invariant violation; text that is
+    not UTF-8 JSON, or nests too deep to parse, is ``not valid JSON``.
     """
-    with _opened(source, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        root = json.loads(text)
-    except json.JSONDecodeError as exc:
+        with _opened(source, "r", encoding="utf-8") as fh:
+            root = json.loads(fh.read())
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise ConfigError(f"config: not valid JSON ({exc})") from None
     if not isinstance(root, dict):
         raise ConfigError("config: top level must be an object")
@@ -395,9 +387,11 @@ class EstimateRow:
 
 def _read_table(source: str | IO[str], header: str, what: str,
                 parse: Callable[..., Any]) -> list[Any]:
-    """``parse(position, *fields)`` of each row after the header line of a
-    CSV, position counting rows from 0. A bad header or row raises
-    ``ValueError`` naming the table and 1-based line."""
+    """``parse(frame, *fields)`` of each row after the header line of a CSV.
+    A row's first field, ``frame``, must be its 0-based position, as
+    ``write_*_csv`` write it and :func:`sltrack.pipeline.evaluate` pairs
+    rows; it is passed as an int, the rest as text. A bad header or row
+    raises ``ValueError`` naming the table and 1-based line."""
     with _opened(source, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != header:
@@ -409,7 +403,9 @@ def _read_table(source: str | IO[str], header: str, what: str,
         try:
             if len(values) != width:
                 raise ValueError(f"expected {width} fields, got {len(values)}")
-            rows.append(parse(len(rows), *values))
+            if _csv_int(values[0]) != len(rows):
+                raise ValueError(f"expected frame {len(rows)}, got {values[0]}")
+            rows.append(parse(len(rows), *values[1:]))
         except ValueError as exc:
             raise ValueError(f"{what} CSV line {number}: {exc}") from None
     return rows
@@ -439,11 +435,14 @@ def _csv_int(text: str) -> int:
     return int(text)
 
 
-def _csv_float(text: str) -> float:
+def _csv_float(text: str, name: str = "") -> float:
     # float() also takes "1_0.0", " 200" and non-ASCII digits
     if not text.isascii() or "_" in text or text != text.strip():
         raise ValueError(f"could not convert string to float: {text!r}")
-    return float(text)
+    value = float(text)
+    if name and not math.isfinite(value):  # x, z: WorldPosition checks
+        raise ValueError(f"{name}: must be finite, got {text!r}")
+    return value
 
 
 def _csv_flag(name: str, text: str) -> bool:
@@ -459,15 +458,15 @@ def _csv_empty(flag: str, **values: str) -> None:
             raise ValueError(f"{name}: expected empty with {flag} 0, got {text!r}")
 
 
-def _estimate_row(_position: int, frame: str, ts: str, detected: str, u_f: str,
-                  v_f: str, x: str, z: str) -> EstimateRow:
+def _estimate_row(frame: int, ts: str, detected: str, u_f: str, v_f: str, x: str,
+                  z: str) -> EstimateRow:
     if _csv_flag("detected", detected):
         # an impossible position fails here, where the line is known
         pos = WorldPosition(_csv_float(x), _csv_float(z))
-        return EstimateRow(_csv_int(frame), _csv_int(ts), True, _csv_float(u_f),
+        return EstimateRow(frame, _csv_int(ts), True, _csv_float(u_f, "u_f"),
                            _csv_int(v_f), pos)
     _csv_empty("detected", u_f=u_f, v_f=v_f, x_cm=x, z_cm=z)
-    return EstimateRow(_csv_int(frame), _csv_int(ts), False)
+    return EstimateRow(frame, _csv_int(ts), False)
 
 
 def read_estimates_csv(source: str | IO[str]) -> list[EstimateRow]:
@@ -487,16 +486,14 @@ def write_truth_csv(truth: Sequence[SceneState], sink: str | IO[str]) -> None:
                 fh.write(f"{i},{state.timestamp_ms},0,,,{state.foot_width:.3f}\n")
 
 
-def _truth_row(position: int, frame: str, ts: str, present: str, x: str, z: str,
+def _truth_row(_frame: int, ts: str, present: str, x: str, z: str,
                foot_width: str) -> SceneState:
-    if _csv_int(frame) != position:
-        raise ValueError(f"expected frame {position}, got {frame}")
     if _csv_flag("present", present):
         user = WorldPosition(_csv_float(x), _csv_float(z))
     else:
         _csv_empty("present", x_cm=x, z_cm=z)
         user = None
-    return SceneState(user=user, foot_width=_csv_float(foot_width),
+    return SceneState(user=user, foot_width=_csv_float(foot_width, "foot_width_cm"),
                       timestamp_ms=_csv_int(ts))
 
 

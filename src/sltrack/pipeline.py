@@ -138,7 +138,8 @@ def evaluate(
     truth: Sequence[SceneState],
 ) -> Metrics:
     """Compare estimates to ground truth, paired by list position (the
-    frame indices are not consulted).
+    frame indices are not consulted; the CSV readers require each row's
+    frame to be its position, so the pairs they give are by frame).
 
     Euclidean floor-plane error over frames where both sides have a
     position; detection rate over frames where the truth has a user.

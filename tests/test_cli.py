@@ -241,6 +241,40 @@ def test_simulate_non_finite_config_number_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def _argv_with_config(command: str, config: str, tmp_path) -> list[str]:
+    """``command`` with ``-c config`` and inputs it never reaches: the
+    config is read first."""
+    return {
+        "simulate": ["simulate", "-c", config, "-o", str(tmp_path / "run")],
+        "calibrate": ["calibrate", "-c", config, str(tmp_path / "empty.pgm")],
+        "track": ["track", "-c", config, "--calibration", str(tmp_path / "cal.txt"),
+                  str(tmp_path), "-o", str(tmp_path / "est.csv")],
+        "bench": ["bench", "-c", config, "-n", "1"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["simulate", "calibrate", "track", "bench"])
+def test_a_config_nested_too_deep_exit_2(tmp_path, capsys, command):
+    # json.loads raises RecursionError, not JSONDecodeError, past its depth
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 200_000, encoding="utf-8")
+    assert main(_argv_with_config(command, str(bad), tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: not valid JSON (maximum recursion depth")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "calibrate", "track", "bench"])
+def test_a_config_not_in_utf8_exit_2(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"rig": "\xe9"}')
+    assert main(_argv_with_config(command, str(bad), tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        "error: config: not valid JSON ('utf-8' codec can't decode byte 0xe9 "
+        "in position 9: invalid continuation byte)\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_calibrate_prints_v_b_and_writes_file(tmp_path, capsys):
     cfg = stationary_config(tmp_path)
     empty = make_empty_frame(tmp_path, cfg)
@@ -291,6 +325,29 @@ def test_calibrate_on_a_frame_with_a_near_foot_exit_2(ref_config, tmp_path, caps
         "width, want at least 0.5 (is the scene empty?)\n")
     assert captured.out == ""
     assert not cal.exists()
+
+
+def test_calibrate_truncated_frame_exit_2_naming_the_file(tmp_path, capsys):
+    cfg = stationary_config(tmp_path)
+    empty = Path(make_empty_frame(tmp_path, cfg))
+    empty.write_bytes(empty.read_bytes()[:17])  # the 15-byte header and 2 pixels
+    assert main(["calibrate", "-c", cfg, str(empty)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {empty}: truncated payload: want 76800 bytes, have 2 "
+        f"(byte offset 17)\n")
+    assert captured.out == ""
+
+
+def test_calibrate_frame_of_another_size_exit_2_naming_the_file(tmp_path, capsys):
+    from sltrack import Frame, write_pgm
+
+    cfg = stationary_config(tmp_path)
+    small = tmp_path / "small.pgm"
+    write_pgm(Frame(width=4, height=3, pixels=np.zeros((3, 4), np.uint8)), str(small))
+    assert main(["calibrate", "-c", cfg, str(small)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {small}: frame is 4x3, rig expects 320x240\n")
 
 
 def full_run(tmp_path, config, stream=None):
@@ -498,6 +555,19 @@ def test_track_calibration_value_not_ascii_digits_exit_2(tmp_path, capsys, text)
     assert not est_csv.exists()
 
 
+def test_track_calibration_file_not_in_utf8_exit_2(tmp_path, capsys):
+    cfg = stationary_config(tmp_path)
+    cal = tmp_path / "cal.txt"
+    cal.write_bytes(b"v_b=\xb1\xb6\xb0\n")
+    est_csv = tmp_path / "est.csv"
+    assert main(["track", "-c", cfg, "--calibration", str(cal), str(tmp_path),
+                 "-o", str(est_csv)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: calibration file {cal}: 'utf-8' codec can't decode byte 0xb1 "
+        f"in position 4: invalid start byte\n")
+    assert not est_csv.exists()
+
+
 def test_track_truncated_frame_exit_2_naming_the_file(tmp_path, capsys):
     cfg = stationary_config(tmp_path)
     out_dir = tmp_path / "frames"
@@ -616,6 +686,27 @@ def test_evaluate_impossible_position_names_its_line_exit_2(tmp_path, capsys):
     assert main(["evaluate", str(est_csv), str(truth_csv)]) == 2
     assert capsys.readouterr().err == (
         "error: estimates CSV line 3: z: must be > 0\n")
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda rows: rows[:5] + [rows[6], rows[5]] + rows[7:],
+     "estimates CSV line 7: expected frame 5, got 6"),
+    (lambda rows: rows[:5] + [rows[4]] + rows[6:],
+     "estimates CSV line 7: expected frame 5, got 4"),
+], ids=["swapped", "duplicated"])
+def test_evaluate_rows_out_of_frame_order_exit_2_naming_the_line(tmp_path, capsys,
+                                                                 edit, message):
+    # evaluate pairs estimates with truth rows by position, so a row out of
+    # place would be scored against another frame's truth
+    cfg = stationary_config(tmp_path)
+    est_csv, truth_csv = full_run(tmp_path, cfg)
+    header, *rows = est_csv.read_text(encoding="utf-8").splitlines()
+    est_csv.write_text("\n".join([header, *edit(rows)]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["evaluate", str(est_csv), str(truth_csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_evaluate_length_mismatch_exit_2(tmp_path):

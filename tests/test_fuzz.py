@@ -2,21 +2,25 @@
 with a located error.
 
 ``read_pgm`` may only raise :class:`PgmError` with a byte offset inside the
-data, the CSV readers only ``ValueError`` naming the table and line, and
+data, the CSV readers only ``ValueError`` naming the table and line,
+``load_config`` only :class:`ConfigError` naming the config or a section, and
 ``decode`` only ``ValueError`` quoting the packet.
 """
 
 from __future__ import annotations
 
 import io as stdio
+import json
 import math
 import re
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sltrack import (PgmError, PositionEstimate, WorldPosition, decode, encode,
-                     read_estimates_csv, read_pgm, read_truth_csv)
+from conftest import REFERENCE_CONFIG
+from sltrack import (ConfigError, PgmError, PositionEstimate, RunConfig,
+                     WorldPosition, decode, encode, load_config, read_estimates_csv,
+                     read_pgm, read_truth_csv)
 from sltrack.io import ESTIMATES_HEADER, TRUTH_HEADER
 
 FUZZ = settings(max_examples=300, deadline=None, database=None,
@@ -85,6 +89,56 @@ def test_read_estimates_csv_fails_only_naming_a_line(text):
 @given(_table(TRUTH_HEADER))
 def test_read_truth_csv_fails_only_naming_a_line(text):
     _assert_located(read_truth_csv, "truth", text)
+
+
+# JSON values of every kind, nested; json.dumps writes NaN and Infinity too
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=12)
+
+with open(REFERENCE_CONFIG, encoding="utf-8") as _fh:
+    _REFERENCE = json.load(_fh)
+
+
+@st.composite
+def _edited_reference(draw) -> dict:
+    """The reference config with a key of one section (or a new key) set to
+    any JSON value, or the section itself replaced."""
+    cfg = json.loads(json.dumps(_REFERENCE))
+    name = draw(st.sampled_from(sorted(cfg)))
+    value = draw(_json)
+    if draw(st.booleans()):
+        cfg[name] = value
+    else:
+        cfg[name][draw(st.sampled_from(sorted(cfg[name])) | st.text(max_size=5))] = value
+    return cfg
+
+
+def _assert_config_or_config_error(source) -> None:
+    try:
+        cfg = load_config(source)
+    except ConfigError as exc:
+        assert re.match(r"(config|rig|detect|noise|intensity|smoother|trajectory)[.:]",
+                        str(exc)), str(exc)
+    else:
+        assert isinstance(cfg, RunConfig)
+
+
+@FUZZ
+@given(st.binary(max_size=64))
+def test_load_config_of_any_bytes_fails_only_with_a_config_error(data):
+    _assert_config_or_config_error(stdio.TextIOWrapper(stdio.BytesIO(data),
+                                                       encoding="utf-8"))
+
+
+@FUZZ
+@given(_json.map(json.dumps) | _edited_reference().map(json.dumps))
+@example("[" * 10**5)  # json.loads raises RecursionError past its depth
+@example('{"rig": ' + "1" * 5000 + "}")  # and a plain ValueError past 4300 digits
+def test_load_config_of_any_json_fails_only_with_a_config_error(text):
+    _assert_config_or_config_error(stdio.StringIO(text))
 
 
 # SLT1 packets: random bytes, and valid-looking lines built from fields that

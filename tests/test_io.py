@@ -105,10 +105,10 @@ def test_pgm_header_numbers_past_18_digits_fail_at_their_token(tmp_path, data,
     # int() refuses a string of more than 4300 digits with a plain ValueError
     path = tmp_path / "frame.pgm"
     path.write_bytes(data)
-    for source in (str(path), stdio.BytesIO(data)):
+    for source, where in (str(path), f"{path}: "), (stdio.BytesIO(data), ""):
         with pytest.raises(PgmError) as exc_info:
             read_pgm(source)
-        assert str(exc_info.value) == message
+        assert str(exc_info.value) == where + message
 
 
 def test_pgm_header_numbers_up_to_18_digits_still_read():
@@ -282,8 +282,11 @@ def test_reading_a_pgm_path_or_its_bytes_equals_the_reference_reader(tmp_path_fa
     path = tmp_path_factory.mktemp("pgm") / "frame.pgm"
     path.write_bytes(data)
     want = _outcome(reference_read_pgm, data)
-    assert _outcome(_read_pixels, str(path)) == want
     assert _outcome(_read_pixels, stdio.BytesIO(data)) == want
+    # a path names its file before the reference's message, at the same offset
+    if isinstance(want[0], str):
+        want = (f"{path}: {want[0]}", want[1])
+    assert _outcome(_read_pixels, str(path)) == want
 
 
 @pytest.mark.parametrize("data", [
@@ -718,6 +721,8 @@ TRUTH = "frame,timestamp_ms,present,x_cm,z_cm,foot_width_cm\n"
      "estimates CSV line 3: position must be finite"),
     (read_estimates_csv, ESTIMATES + "0,0,1,1.5,200,10.0,-5\n",
      "estimates CSV line 2: z: must be > 0"),
+    (read_estimates_csv, ESTIMATES + "1,50,0,,,,\n0,0,0,,,,\n",
+     "estimates CSV line 2: expected frame 0, got 1"),
     (read_truth_csv, "",
      f"truth CSV line 1: expected header {TRUTH.strip()!r}"),
     (read_truth_csv, TRUTH + "0,0,1,0.0,200.0,25.0,9\n",
@@ -728,6 +733,7 @@ TRUTH = "frame,timestamp_ms,present,x_cm,z_cm,foot_width_cm\n"
      "truth CSV line 3: expected frame 1, got 5"),
 ], ids=["estimates-header", "estimates-short-row", "estimates-int",
         "estimates-float", "estimates-nan-position", "estimates-invariant",
+        "estimates-frame-not-its-position",
         "truth-header", "truth-long-row", "truth-invariant",
         "truth-frame-not-its-position"])
 def test_csv_errors_name_table_and_line(read, text, message):
@@ -746,11 +752,13 @@ def test_csv_errors_name_table_and_line(read, text, message):
     ("z_cm", "2_00", "could not convert string to float: '2_00'"),
     ("z_cm", "200.0 ", "could not convert string to float: '200.0 '"),
     ("frame", "\u0661", "invalid literal for int() with base 10: '\u0661'"),
+    ("u_f", "nan", "u_f: must be finite, got 'nan'"),
+    ("u_f", "inf", "u_f: must be finite, got 'inf'"),
 ])
 def test_estimates_csv_fields_are_strict(field, value, message):
     # int() and float() alone read 1_0 as 10, +5 as 5 and " 200" as 200
     row = dict(zip(ESTIMATES.strip().split(","),
-                   ["10", "5", "1", "160.5", "200", "10.0", "200.0"]))
+                   ["1", "5", "1", "160.5", "200", "10.0", "200.0"]))
     row[field] = value
     text = ESTIMATES + "0,0,0,,,,\n" + ",".join(row.values()) + "\n"
     with pytest.raises(ValueError) as exc_info:
@@ -766,6 +774,8 @@ def test_estimates_csv_fields_are_strict(field, value, message):
     ("x_cm", "1_0.0", "could not convert string to float: '1_0.0'"),
     ("z_cm", "\t200.0", "could not convert string to float: '\\t200.0'"),
     ("foot_width_cm", "2_5.0", "could not convert string to float: '2_5.0'"),
+    ("foot_width_cm", "inf", "foot_width_cm: must be finite, got 'inf'"),
+    ("foot_width_cm", "nan", "foot_width_cm: must be finite, got 'nan'"),
 ])
 def test_truth_csv_fields_are_strict(field, value, message):
     row = dict(zip(TRUTH.strip().split(","),
@@ -778,13 +788,13 @@ def test_truth_csv_fields_are_strict(field, value, message):
 
 
 @pytest.mark.parametrize("read,row,message", [
-    (read_estimates_csv, "0,0,0,1.5,200,junk,-5",
+    (read_estimates_csv, "1,0,0,1.5,200,junk,-5",
      "estimates CSV line 3: u_f: expected empty with detected 0, got '1.5'"),
-    (read_estimates_csv, "0,0,0,,200,,",
+    (read_estimates_csv, "1,0,0,,200,,",
      "estimates CSV line 3: v_f: expected empty with detected 0, got '200'"),
-    (read_estimates_csv, "0,0,0,,,10.0,",
+    (read_estimates_csv, "1,0,0,,,10.0,",
      "estimates CSV line 3: x_cm: expected empty with detected 0, got '10.0'"),
-    (read_estimates_csv, "0,0,0,,,, ",
+    (read_estimates_csv, "1,0,0,,,, ",
      "estimates CSV line 3: z_cm: expected empty with detected 0, got ' '"),
     (read_truth_csv, "1,0,0,junk,,25.0",
      "truth CSV line 3: x_cm: expected empty with present 0, got 'junk'"),
