@@ -1,7 +1,7 @@
 """Command-line toolkit: simulate, calibrate, track, evaluate, bench.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error
-(a missing input file included).
+(a missing file, or a directory given for a file, included).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from . import io as slio
 from .detect import Calibration, CalibrationError, calibrate
 from .geometry import RigConfig
-from .pipeline import PositionEstimate, evaluate, track_stream
+from .pipeline import evaluate, track_stream
 from .stream import PositionStreamer, resolve_endpoint
 from .synth import SceneState, frame_timestamp_ms, render
 
@@ -131,9 +131,7 @@ def _fmt(value: float) -> str:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     rows = slio.read_estimates_csv(args.estimates_csv)
     truth = slio.read_truth_csv(args.truth_csv)
-    estimates = [PositionEstimate(frame_index=r.frame, timestamp_ms=r.timestamp_ms,
-                                  pos=r.pos) for r in rows]
-    metrics = evaluate(estimates, truth)
+    metrics = evaluate(rows, truth)
     report = {
         "frames": len(rows),
         "detection_rate": metrics.detection_rate,
@@ -234,6 +232,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
+        return USAGE_ERROR
+    except IsADirectoryError as exc:
+        print(f"error: is a directory: {exc.filename}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,8 +10,8 @@ edge pixels.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -129,22 +129,71 @@ def edge_test(frame: Frame, u: int, v: int, cal: Calibration, p: DetectParams) -
     return response > 0.0
 
 
-@lru_cache(maxsize=8)
-def _padded_limits(cal: Calibration, p: DetectParams) -> np.ndarray:
-    """floor(2 * threshold) of every scan row, capped at 511, repeated once
-    per pixel of a row padded to width + 2: a flat, read-only int16 array,
-    the same for every frame of one (calibration, params)."""
-    delta_v = np.arange(1, cal.height - 1 - cal.v_b)
-    thresholds = np.clip(p.ath_base + p.ath_slope * delta_v, p.ath_min, p.ath_max)
-    limits = np.fmin(np.floor(2.0 * thresholds), 511.0).astype(np.int16)
-    limits = np.repeat(limits, cal.width + 2)
-    limits.flags.writeable = False
-    return limits
+class _Workspace:
+    """Every scratch array ``detect_feet`` needs for frames of one
+    (calibration, params), allocated once, and the flat views over them.
+
+    The band holds the scan rows and one row above and below them, in rows
+    padded to width + 2 by a zero column on each side; a frame writes only
+    the interior, so the pads stay zero. ``limits`` is floor(2 * threshold)
+    of every scan row, capped at 511, repeated once per padded pixel. The
+    erosion passes and the run ends take turns writing two bool buffers,
+    the first of which is ``mask``.
+    """
+
+    def __init__(self, cal: Calibration, p: DetectParams) -> None:
+        self.key = (cal, p)
+        rows, stride = cal.height - 2 - cal.v_b, cal.width + 2
+        size = rows * stride
+        self.first_row, self.stride = cal.v_b + 1, stride
+        band = np.zeros((rows + 2, stride), np.int16)
+        self.interior = band[:, 1:-1]
+        band = band.ravel()
+        self.above, self.below = band[:-stride], band[stride:]
+        self.down = np.empty((rows + 1) * stride, np.int16)
+        self.down_here, self.down_next = self.down[:size], self.down[stride:]
+        self.twice = np.empty(size, np.int16)
+        delta_v = np.arange(1, rows + 1)
+        thresholds = np.clip(p.ath_base + p.ath_slope * delta_v, p.ath_min, p.ath_max)
+        limits = np.fmin(np.floor(2.0 * thresholds), 511.0).astype(np.int16)
+        self.limits = np.repeat(limits, stride)
+        self.mask = np.empty((rows, stride), bool)
+        self.mask_flat = self.mask.ravel()
+        buffers = (self.mask_flat, np.empty(size, bool))
+        # (left, right, out) of each erosion pass; a band too short for a
+        # shift (v_b = height - 2 leaves it empty) gives empty views
+        self.erosion = []
+        eroded, span = buffers[0], 1
+        while span < p.min_run:
+            shift = min(span, p.min_run - span)
+            out = buffers[(len(self.erosion) + 1) % 2][:max(eroded.size - shift, 0)]
+            self.erosion.append((eroded[:-shift], eroded[shift:], out))
+            eroded, span = out, span + shift
+        # (after, before, out) of the run ends of the eroded mask
+        out = buffers[(len(self.erosion) + 1) % 2][:max(eroded.size - 1, 0)]
+        self.ends = (eroded[1:], eroded[:-1], out)
+        # one dot product with these rows gives a run's mass and moment
+        self.ones_and_cols = np.stack((np.ones(cal.width, np.int64),
+                                       np.arange(cal.width, dtype=np.int64)))
 
 
-def _edge_mask(frame: Frame, cal: Calibration, p: DetectParams) -> np.ndarray:
+_local = threading.local()
+
+
+def _workspace(cal: Calibration, p: DetectParams) -> _Workspace:
+    """This thread's workspace, rebuilt when (cal, p) changes: one per
+    thread, so memory stays bounded by one frame's scratch."""
+    ws = getattr(_local, "workspace", None)
+    if ws is None or ws.key != (cal, p):
+        ws = _local.workspace = _Workspace(cal, p)
+    return ws
+
+
+def _edge_mask(frame: Frame, ws: _Workspace) -> np.ndarray:
     """Edge-test result for every scan row, as a bool array of shape
-    (rows, width + 2) whose first and last columns are false padding.
+    (rows, width + 2) whose first and last columns are false padding. It is
+    a view into the thread's workspace ``ws``: it stays valid until the
+    thread's next frame.
 
     Row i is image row v_b + 1 + i. Pixels are whole numbers, so
     P - (P_up + P_down)/2 > thr holds iff the integer 2P - P_up - P_down
@@ -152,18 +201,14 @@ def _edge_mask(frame: Frame, cal: Calibration, p: DetectParams) -> np.ndarray:
     the left side can take; a NaN threshold, which no pixel passes, caps
     there too.
     """
-    lo, hi = cal.v_b + 1, frame.height - 1
-    rows, stride = hi - lo, frame.width + 2
-    # the band with a row above and below, in zero-padded rows: the one
-    # strided copy; the rest works on flat views a padded row apart
-    band = np.zeros((rows + 2, stride), np.int16)
-    band[:, 1:-1] = frame.pixels[lo - 1:hi + 1]
-    band = band.ravel()
-    down = band[stride:] - band[:-stride]  # each pixel less the one above it
+    # the one strided copy; the rest works on flat views a padded row apart
+    np.copyto(ws.interior, frame.pixels[ws.first_row - 1:])
+    np.subtract(ws.below, ws.above, out=ws.down)  # each pixel less the one above
     # (P - P_up) - (P_down - P); a pad computes 0, which exceeds no limit:
     # every limit is >= 0
-    twice = down[:rows * stride] - down[stride:]
-    return np.greater(twice, _padded_limits(cal, p)).reshape(rows, stride)
+    np.subtract(ws.down_here, ws.down_next, out=ws.twice)
+    np.greater(ws.twice, ws.limits, out=ws.mask_flat)
+    return ws.mask
 
 
 def detect_feet(frame: Frame, cal: Calibration, p: DetectParams) -> Detection | None:
@@ -183,39 +228,36 @@ def detect_feet(frame: Frame, cal: Calibration, p: DetectParams) -> Detection | 
         )
     if p.min_run > frame.width:  # no run fits in a row; min_run may be huge
         return None
+    ws = _workspace(cal, p)
+    _edge_mask(frame, ws)
     # Erode the flattened mask: position i stays true iff all min_run pixels
     # from i are edges. A run of at least min_run keeps its start and loses
     # min_run - 1 pixels; a shorter one, most of the noise, vanishes. A window
     # across a row end holds false padding, and the shifts double, so this
     # takes O(log min_run) passes.
-    eroded = _edge_mask(frame, cal, p).ravel()
-    span = 1  # window length eroded so far
-    while span < p.min_run:
-        shift = min(span, p.min_run - span)
-        eroded = eroded[:-shift] & eroded[shift:]
-        span += shift
+    for left, right, out in ws.erosion:
+        np.logical_and(left, right, out=out)
     # the eroded mask still begins and ends with padding, so its changes
     # alternate start, end; the band is empty when v_b = height - 2 and then
     # holds no run
-    changes = (eroded[1:] != eroded[:-1]).nonzero()[0]
+    after, before, out = ws.ends
+    changes = np.not_equal(after, before, out=out).nonzero()[0]
     starts = changes[0::2]
     if not starts.size:
         return None
-    lengths = changes[1::2] - starts
-    rows = starts // (frame.width + 2)
     # starts ascend, so the first maximum of this key is the longest run,
     # then the lowest in the image (larger v), then the leftmost start
-    best = int(np.argmax(lengths * (frame.height + 1) + rows))
-    length = int(lengths[best]) + p.min_run - 1
-    row = int(rows[best])
-    v = cal.v_b + 1 + row
-    start = int(starts[best]) - row * (frame.width + 2)
+    key = (changes[1::2] - starts) * (frame.height + 1) + starts // ws.stride
+    best = 2 * key.argmax()
+    start, end = changes[best:best + 2].tolist()
+    length = end - start + p.min_run - 1
+    row, start = divmod(start, ws.stride)
+    v = ws.first_row + row
 
     weights = frame.pixels[v, start:start + length]
     # a run pixel has P > (P_up + P_down)/2 + ath >= 0, so P >= 1 and mass >= run_len.
     # The sums are exact integers (a rig has at most 2**24 pixels and at least
     # 3 rows, so the moment stays below 255 * width**2 / 2 < 2**53), and the
     # one division rounds the centroid once.
-    mass = int(weights.sum())
-    moment = int(np.dot(np.arange(start, start + length), weights))
+    mass, moment = np.dot(ws.ones_and_cols[:, start:start + length], weights).tolist()
     return Detection(u_f=moment / mass, v_f=v, run_len=length, mass=float(mass))

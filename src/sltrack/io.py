@@ -11,6 +11,7 @@ parameters of its kind's path builder in ``synth.TRAJECTORIES``.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -18,7 +19,6 @@ import re
 import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from io import FileIO
 from pathlib import Path
 from typing import (IO, Any, BinaryIO, Callable, Iterator, Mapping, Sequence,
                     get_args, get_type_hints)
@@ -111,15 +111,22 @@ _HEADER = re.compile(rb"(?:\s|#[^\n]*)*(\S*)" * 4)
 
 
 def _read_file(path: str | os.PathLike) -> np.ndarray:
-    """Every byte of a file, read into one uint8 buffer sized by its stat."""
-    with FileIO(path) as fh:
-        buf = np.empty(os.fstat(fh.fileno()).st_size + 1, np.uint8)
+    """Every byte of a file, read into one uint8 buffer sized by its stat.
+    A directory raises ``IsADirectoryError`` naming it, as ``open`` does."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        info = os.fstat(fd)
+        if stat.S_ISDIR(info.st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        buf = np.empty(info.st_size + 1, np.uint8)
         got = 0
-        while n := fh.readinto(buf[got:]):
+        while n := os.readv(fd, [buf[got:]]):
             got += n
             if got == buf.size:  # longer than its stat said: grown, or not a regular file
                 buf = np.concatenate((buf, np.empty_like(buf)))
         return buf[:got]
+    finally:
+        os.close(fd)
 
 
 def read_pgm(source: str | BinaryIO, *, index: int = 0,

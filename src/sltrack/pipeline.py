@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -126,7 +126,8 @@ def track_stream(
                                          z=a * est.pos.z + (1 - a) * smoothed.z)
             else:
                 smoothed = est.pos
-            est = replace(est, pos=smoothed)
+            est = PositionEstimate(est.frame_index, est.timestamp_ms, smoothed,
+                                   est.detection)
         estimates.append(est)
         if on_estimate is not None:
             on_estimate(est)
@@ -139,7 +140,9 @@ def evaluate(
 ) -> Metrics:
     """Compare estimates to ground truth, paired by list position (the
     frame indices are not consulted; the CSV readers require each row's
-    frame to be its position, so the pairs they give are by frame).
+    frame to be its position, so the pairs they give are by frame). Only
+    each estimate's ``pos`` is read, so the rows of
+    :func:`sltrack.io.read_estimates_csv` serve as estimates too.
 
     Euclidean floor-plane error over frames where both sides have a
     position; detection rate over frames where the truth has a user.

@@ -16,7 +16,7 @@ only counted.
 from __future__ import annotations
 
 import logging
-import math
+import re
 import socket
 import threading
 from dataclasses import dataclass
@@ -28,6 +28,8 @@ logger = logging.getLogger(__name__)
 PROTOCOL_TAG = "SLT1"
 MAX_PACKET_BYTES = 128
 _SEQ_LIMIT = 2**32
+# x and z as encode writes them, ":.3f" of a finite number
+_COORDINATE = re.compile(r"-?[0-9]+\.[0-9]{3}")
 
 
 @dataclass(frozen=True)
@@ -58,22 +60,30 @@ def encode(est: PositionEstimate, seq: int) -> bytes:
 
 def decode(data: bytes) -> StreamPacket:
     """Parse one SLT1 line back into a packet. A packet that is not SLT1
-    ASCII, has a bad field, a seq outside [0, 2**32) or a non-finite x or z
-    raises ``ValueError`` quoting the packet."""
+    ASCII, or has a field in another form than :func:`encode` writes (seq
+    in ASCII digits below 2**32, a timestamp of ASCII digits after an
+    optional ``-``, x and z with three decimals), raises ``ValueError``
+    quoting the packet."""
     try:
-        parts = data.decode("ascii").rstrip("\n").split(" ")
+        parts = data.decode("ascii").removesuffix("\n").split(" ")
         if len(parts) < 4 or parts[0] != PROTOCOL_TAG:
             raise ValueError(f"not an {PROTOCOL_TAG} packet")
+        # the text is ASCII, so isdigit() means 0-9; int() and float() also
+        # take "+5", "1_0", "-0" and "nan"
+        if not parts[1].isdigit():
+            raise ValueError(f"bad seq {parts[1]!r}")
+        if not parts[2].removeprefix("-").isdigit():
+            raise ValueError(f"bad timestamp {parts[2]!r}")
         seq, ts, detected = int(parts[1]), int(parts[2]), parts[3]
         if not 0 <= seq < _SEQ_LIMIT:
             raise ValueError("seq outside [0, 2**32)")
         if detected == "1":
             if len(parts) != 6:
                 raise ValueError("detected packet needs x and z fields")
-            x, z = float(parts[4]), float(parts[5])
-            if not (math.isfinite(x) and math.isfinite(z)):
-                raise ValueError("x and z must be finite")
-            return StreamPacket(seq, ts, True, x, z)
+            for name, text in ("x", parts[4]), ("z", parts[5]):
+                if not _COORDINATE.fullmatch(text):
+                    raise ValueError(f"bad {name} {text!r}")
+            return StreamPacket(seq, ts, True, float(parts[4]), float(parts[5]))
         if detected == "0" and len(parts) == 4:
             return StreamPacket(seq, ts, False)
         raise ValueError("malformed packet")

@@ -647,6 +647,31 @@ def test_missing_input_file_exit_2(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: no such file: {missing}\n"
 
 
+@pytest.mark.parametrize("command", ["calibrate", "evaluate", "track-calibration",
+                                     "track-out", "track-config"])
+def test_a_directory_given_for_a_file_exit_2_naming_it(tmp_path, capsys, command):
+    # a usage error, as a missing file is, not a runtime fault
+    cfg = stationary_config(tmp_path)
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    make_empty_frame(frames, cfg)
+    cal = tmp_path / "cal.txt"
+    cal.write_text("v_b=160\n", encoding="utf-8")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    cal, frames, folder, out = str(cal), str(frames), str(folder), str(tmp_path / "e.csv")
+    argv = {
+        "calibrate": ["calibrate", "-c", cfg, folder],
+        "evaluate": ["evaluate", folder, cal],
+        "track-calibration": ["track", "-c", cfg, "--calibration", folder, frames,
+                              "-o", out],
+        "track-out": ["track", "-c", cfg, "--calibration", cal, frames, "-o", folder],
+        "track-config": ["track", "-c", folder, "--calibration", cal, frames, "-o", out],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: is a directory: {folder}\n"
+
+
 def test_evaluate_identical_files_rms_zero(tmp_path, capsys):
     cfg = stationary_config(tmp_path)
     est_csv, truth_csv = full_run(tmp_path, cfg)

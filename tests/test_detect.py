@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 import json
 import re
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +19,7 @@ from sltrack import (Calibration, CalibrationError, DetectParams, Detection,
                      Frame, IntensityModel, NoiseParams, SceneState, ath,
                      calibrate, detect_feet, edge_test, load_config, render,
                      render_trajectory)
-from sltrack.detect import _edge_mask
+from sltrack.detect import _edge_mask, _workspace
 
 
 def blank_frame(width=320, height=240, fill=0):
@@ -271,7 +273,12 @@ def test_centroid_at_the_extremes_equals_the_reference(width, height, row, start
 
 def test_detect_runs_on_neighbor_rows_do_not_join_across_the_row_end(detect_params):
     # in the flattened mask, row 200's last column sits next to row 201's
-    # first; the padding keeps the two runs apart (joined they would be 15)
+    # first; the padding keeps the two runs apart (joined they would be 15).
+    # The frame before has an edge at every pixel of every other scan row:
+    # the pads stay zero from frame to frame
+    stripes = blank_frame()
+    stripes.pixels[1::2] = 255
+    assert detect_feet(stripes, CAL, detect_params).run_len == 320
     frame = frame_with_run(200, 312, 8)
     frame.pixels[201, 0:7] = 200
     det = detect_feet(frame, CAL, detect_params)
@@ -298,6 +305,46 @@ def test_detect_under_interleaved_calibrations_and_params():
     assert {det.v_f for det in found} == {200, 210, 220, 230}
 
 
+def test_threads_detect_at_once_with_their_own_calibration_and_params():
+    # each thread keeps its own workspace: threads that detect at once, on
+    # the same or on different (calibration, params), must each get the
+    # reference
+    cfg = load_config(REFERENCE_CONFIG)
+    frames = render_trajectory(cfg.rig, cfg.trajectory.materialize(cfg.rig)[::10],
+                               cfg.noise, cfg.intensity)
+    flipped = [Frame(width=f.width, height=f.height, pixels=f.pixels[:, ::-1])
+               for f in frames]
+    other = (Calibration(v_b=161, width=320, height=240),
+             DetectParams(ath_base=5.0, ath_slope=1.5, min_run=5))
+    jobs = [(frames, CAL, cfg.detect), (flipped, CAL, cfg.detect),
+            (flipped, *other), (frames, *other)]
+    expected = [[reference_detect_feet(f, cal, p) for f in fs] for fs, cal, p in jobs]
+    assert all(det is not None for want in expected for det in want)
+    assert len({tuple(want) for want in expected}) == len(jobs)
+    start = threading.Barrier(len(jobs))
+    mismatches = []
+
+    def run(job, want):
+        frames, cal, p = job
+        start.wait(timeout=30)
+        for _ in range(10):
+            got = [detect_feet(frame, cal, p) for frame in frames]
+            mismatches.extend(g for g, w in zip(got, want) if g != w)
+
+    threads = [threading.Thread(target=run, args=pair) for pair in zip(jobs, expected)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
 @pytest.mark.parametrize("params", [
     DetectParams(ath_slope=float("nan")),
     DetectParams(ath_base=10.0, ath_slope=1e6, ath_max=1e9),
@@ -312,7 +359,7 @@ def test_detect_unreachable_threshold_finds_nothing(params):
 def test_edge_mask_is_boolean(detect_params):
     # detect_feet finds run ends with nonzero over the mask, which is several
     # times slower on int8 than on bool
-    assert _edge_mask(blank_frame(), CAL, detect_params).dtype == bool
+    assert _edge_mask(blank_frame(), _workspace(CAL, detect_params)).dtype == bool
 
 
 def test_detect_rejects_mismatched_calibration(detect_params):
@@ -407,7 +454,7 @@ def test_detect_feet_equals_the_per_row_reference(case):
 @given(_frame_cal_params())
 def test_edge_mask_equals_edge_test_at_every_scan_pixel(case):
     frame, cal, params = case
-    mask = _edge_mask(frame, cal, params)
+    mask = _edge_mask(frame, _workspace(cal, params))
     scan_rows = range(cal.v_b + 1, frame.height - 1)
     assert mask.shape == (len(scan_rows), frame.width + 2)
     assert not mask[:, 0].any() and not mask[:, -1].any()
@@ -435,11 +482,11 @@ def test_detect_feet_equals_the_reference_for_min_run_up_to_past_the_width(min_r
 def test_min_run_past_the_width_returns_none_before_the_edge_mask(monkeypatch):
     # a config may set min_run up to 2**63 - 1: no shift loop or mask may
     # depend on it once no run can fit in a row
-    def no_mask(*args):
-        raise AssertionError("edge mask built for an impossible min_run")
+    def no_workspace(*args):
+        raise AssertionError("workspace built for an impossible min_run")
 
     frame = frame_with_run(200, 0, 320)
-    monkeypatch.setattr("sltrack.detect._edge_mask", no_mask)
+    monkeypatch.setattr("sltrack.detect._workspace", no_workspace)
     for min_run in (321, 2**62, 2**63 - 1):
         assert detect_feet(frame, CAL, DetectParams(min_run=min_run)) is None
 

@@ -89,11 +89,19 @@ def test_decode_round_trip_randomized():
 
 def test_decode_rejects_garbage():
     # every failure quotes the packet, including fields encode never writes:
-    # a seq outside [0, 2**32), a non-finite x or z, a non-numeric field
+    # a seq outside [0, 2**32), a non-finite x or z, a non-numeric field, and
+    # numbers int() or float() read but encode does not write them so
     for bad in (b"", b"NOPE 1 2 3\n", b"SLT1 1 2\n", b"SLT1 1 2 1 5.0\n",
                 b"SLT1 1 2 2\n", b"SLT1 -5 -3 0\n", b"SLT1 4294967296 0 0\n",
                 b"SLT1 1 2 1 nan inf\n", b"SLT1 1 2 1 0.0 -inf\n",
-                b"SLT1 x 0 0\n", b"SLT1 1 2 1 5.0 y\n", b"SLT1 1 2 \xff\n"):
+                b"SLT1 x 0 0\n", b"SLT1 1 2 1 5.0 y\n", b"SLT1 1 2 \xff\n",
+                b"SLT1 1_0 +5 1 1_0.5 2_00\n", b"SLT1 -0 5 0", b"SLT1 +1 5 0\n",
+                b"SLT1 1_0 5 0\n", b"SLT1 1 +5 0\n", b"SLT1 1 1_5 0\n",
+                b"SLT1 1 - 0\n", b"SLT1 1 -+5 0\n", b"SLT1 1 5 1 1_0.500 2.000\n",
+                b"SLT1 1 5 1 1.000 2_00.000\n", b"SLT1 1 5 1 10.5 200.000\n",
+                b"SLT1 1 5 1 10.500 2e2\n", b"SLT1 1 5 1 +10.500 200.000\n",
+                b"SLT1 1 5 1 .500 200.000\n", b"SLT1 1 5 1 10.5000 200.000\n",
+                b"SLT1 1 5 0\n\n"):
         with pytest.raises(ValueError) as exc_info:
             decode(bad)
         assert str(exc_info.value).endswith(f": {bad!r}")
