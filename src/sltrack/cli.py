@@ -21,7 +21,7 @@ from .detect import Calibration, CalibrationError, calibrate
 from .geometry import RigConfig
 from .pipeline import evaluate, track_stream
 from .stream import PositionStreamer, resolve_endpoint
-from .synth import SceneState, frame_timestamp_ms, render
+from .synth import SceneState, frame_timestamp_ms, render, render_trajectory
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -162,12 +162,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # pre-render outside the timed region; the benchmark covers only the
     # detection + triangulation path. Frames past the end of the trajectory
     # replay it with timestamps that keep counting up.
-    frames = [
-        render(cfg.rig, replace(states[i % len(states)],
-                                timestamp_ms=frame_timestamp_ms(i, rate)),
-               cfg.noise, cfg.intensity, index=i)
-        for i in range(args.frames)
-    ]
+    wrapped = [replace(states[i % len(states)], timestamp_ms=frame_timestamp_ms(i, rate))
+               for i in range(args.frames)]
+    frames = render_trajectory(cfg.rig, wrapped, cfg.noise, cfg.intensity)
     empty = render(cfg.rig, SceneState(user=None), cfg.noise, cfg.intensity,
                    index=args.frames)
     cal = calibrate(empty)

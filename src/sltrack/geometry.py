@@ -139,8 +139,6 @@ def project(rig: RigConfig, pos: WorldPosition) -> ImagePoint:
     Algebraic inverse of the two triangulation equations:
     ``u = u0 + f*x/z`` and ``v = v0 + d*f/z``.
     """
-    if not pos.z > 0:
-        raise ValueError("z: must be > 0")
     if pos.z > rig.z_b:
         raise ValueError(f"z={pos.z:.3f} lies behind the back wall (z_b={rig.z_b:.3f})")
     return ImagePoint(

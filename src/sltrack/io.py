@@ -93,10 +93,9 @@ def write_text(text: str, path: str) -> None:
 
 def write_pgm(frame: Frame, sink: str | BinaryIO) -> None:
     """Write a frame as binary PGM: ``P5\\n<w> <h>\\n255\\n`` + raw rows."""
-    header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
-    payload = frame.pixels.tobytes()
     with _opened(sink, "wb") as fh:
-        fh.write(header + payload)
+        fh.write(f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii"))
+        fh.write(np.ascontiguousarray(frame.pixels))
 
 
 # most digits a header number may have after its leading zeros: int() refuses

@@ -99,8 +99,11 @@ def resolve_endpoint(address: str | tuple[str, int]) -> tuple[str, int]:
         if not sep or not host:
             raise ValueError(f"address {address!r}: want host:port")
         try:
+            # ASCII digits only: int() also takes "8_0", "+80", " 80" and "\u0668\u0660"
+            if not (port_text.isascii() and port_text.isdigit()):
+                raise ValueError
             port = int(port_text)
-        except ValueError:
+        except ValueError:  # past int()'s digit limit too
             raise ValueError(f"address {address!r}: bad port") from None
     else:
         host, port = address

@@ -23,16 +23,19 @@ _PathFn = Callable[[float], Point]  # time in s -> (x_cm, z_cm)
 
 @dataclass(eq=False)
 class Frame:
-    """Single 8-bit grayscale capture."""
+    """Single 8-bit grayscale capture. ``pixels`` must be a uint8 ndarray of
+    shape (height, width): it is checked, never converted."""
 
     width: int
     height: int
-    pixels: np.ndarray  # uint8, shape (height, width), row-major
+    pixels: np.ndarray  # uint8, shape (height, width)
     timestamp_ms: int = 0
     index: int = 0
 
     def __post_init__(self) -> None:
-        self.pixels = np.asarray(self.pixels, dtype=np.uint8)
+        if not (isinstance(self.pixels, np.ndarray) and self.pixels.dtype == np.uint8):
+            got = getattr(self.pixels, "dtype", type(self.pixels).__name__)
+            raise ValueError(f"pixel buffer must be a uint8 ndarray, got {got}")
         if self.pixels.shape != (self.height, self.width):
             raise ValueError(
                 f"pixel buffer shape {self.pixels.shape} does not match "
@@ -91,22 +94,20 @@ def intensity_at(im: IntensityModel, z: float) -> float:
     return min(max(im.i_ref * (im.z_ref / z) ** 2, 0.0), 255.0)
 
 
-def _run_columns(center_u: float, width_px: float, frame_width: int) -> np.ndarray:
+def _run_columns(center_u: float, width_px: float, frame_width: int) -> slice:
     """Integer columns covered by a run [center - w/2, center + w/2],
     clipped to the sensor. Empty when fully outside."""
-    lo = math.ceil(center_u - width_px / 2.0)
-    hi = math.floor(center_u + width_px / 2.0)
-    lo, hi = max(lo, 0), min(hi, frame_width - 1)
-    if lo > hi:
-        return np.empty(0, dtype=np.intp)
-    return np.arange(lo, hi + 1, dtype=np.intp)
+    lo = max(math.ceil(center_u - width_px / 2.0), 0)
+    hi = min(math.floor(center_u + width_px / 2.0), frame_width - 1)
+    return slice(lo, max(lo, hi + 1))  # hi + 1 <= 0 would count from the end
 
 
-def _stamp_line(img: np.ndarray, row: float, cols: np.ndarray, level: float) -> None:
-    """Add a 1 px tall line segment at round(row) over ``cols`` (column
-    indices or a boolean mask of the row); off-frame rows draw nothing."""
+def _stamp_line(img: np.ndarray, row: float, cols: slice | np.ndarray,
+                level: float) -> None:
+    """Add a 1 px tall line segment at round(row) over ``cols`` (a column
+    slice or a boolean mask of the row); off-frame rows draw nothing."""
     center = round(row)
-    if 0 <= center < img.shape[0] and cols.size:
+    if 0 <= center < img.shape[0]:
         img[center, cols] += level
 
 
@@ -170,24 +171,22 @@ def _stationary(position: Point) -> _PathFn:
 
 
 def _stroll(a: Point, b: Point, speed: float) -> _PathFn:
-    ax, az = a
-    bx, bz = b
+    ax, az = map(float, a)
+    bx, bz = map(float, b)
     speed = float(speed)
     if speed <= 0:
         raise ValueError("speed: must be > 0")
-    a = np.array([float(ax), float(az)])
-    b = np.array([float(bx), float(bz)])
-    leg = float(np.linalg.norm(b - a))
+    dx, dz = bx - ax, bz - az
+    leg = float(np.linalg.norm((dx, dz)))
     if leg == 0:
-        return lambda t: (a[0], a[1])
+        return lambda t: (ax, az)
     leg_time = leg / speed
 
     def at(t: float) -> Point:
         # ping-pong between the endpoints at constant speed
         phase = math.fmod(t, 2.0 * leg_time) / leg_time
         frac = phase if phase <= 1.0 else 2.0 - phase
-        p = a + (b - a) * frac
-        return p[0], p[1]
+        return ax + dx * frac, az + dz * frac
 
     return at
 

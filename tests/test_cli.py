@@ -12,6 +12,7 @@ import re
 import shutil
 import socket
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -540,6 +541,52 @@ def test_track_out_of_range_port_exit_2_before_tracking(tmp_path, capsys,
     assert not est_csv.exists()
 
 
+def test_track_port_not_ascii_digits_exit_2_before_tracking(tmp_path, capsys,
+                                                           monkeypatch):
+    # int() would read "8_0" as port 80
+    import sltrack.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "track_stream",
+                        lambda *a, **kw: calls.append("track_stream") or [])
+    cfg = stationary_config(tmp_path)
+    make_empty_frame(tmp_path, cfg)  # one frame in the frames directory
+    cal = tmp_path / "cal.txt"
+    cal.write_text("v_b=160\n", encoding="utf-8")
+    est_csv = tmp_path / "est.csv"
+    assert main(["track", "-c", cfg, "--calibration", str(cal), str(tmp_path),
+                 "-o", str(est_csv), "--stream", "127.0.0.1:8_0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: address '127.0.0.1:8_0': bad port\n"
+    assert captured.out == ""
+    assert calls == []
+    assert not est_csv.exists()
+
+
+def test_track_missing_frames_directory_exit_2(tmp_path, capsys):
+    cfg = stationary_config(tmp_path)
+    cal = tmp_path / "cal.txt"
+    cal.write_text("v_b=160\n", encoding="utf-8")
+    missing, est_csv = tmp_path / "no_such_dir", tmp_path / "est.csv"
+    assert main(["track", "-c", cfg, "--calibration", str(cal), str(missing),
+                 "-o", str(est_csv)]) == 2
+    assert capsys.readouterr().err == f"error: no .pgm frames in {missing}\n"
+    assert not est_csv.exists()
+
+
+def test_track_calibration_without_prefix_exit_2_naming_the_file(tmp_path, capsys):
+    cfg = stationary_config(tmp_path)
+    make_empty_frame(tmp_path, cfg)
+    cal = tmp_path / "cal.txt"
+    cal.write_text("160\n", encoding="utf-8")
+    est_csv = tmp_path / "est.csv"
+    assert main(["track", "-c", cfg, "--calibration", str(cal), str(tmp_path),
+                 "-o", str(est_csv)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: calibration file {cal}: expected 'v_b=<int>'\n")
+    assert not est_csv.exists()
+
+
 @pytest.mark.parametrize("text", ["v_b=1_60\n", "v_b=\u0661\u0666\u0660\n",
                                   "v_b= 160\n", "v_b=+160\n"],
                          ids=["underscore", "arabic-indic-digits", "space", "plus"])
@@ -757,6 +804,25 @@ def test_bench_replays_trajectory_past_its_end(ref_config, capsys):
     out = capsys.readouterr().out
     assert re.fullmatch(
         r"250 frames in \d+\.\d{4} s -> \d+\.\d fps \(250 detections\)\n", out)
+
+
+def test_bench_tracks_a_serial_render_of_the_wrapped_states(ref_config, monkeypatch):
+    # frames 200..204 replay the 200-state trajectory from its start
+    import sltrack.cli as cli
+    from sltrack import load_config, render
+
+    tracked = []
+    monkeypatch.setattr(cli, "track_stream",
+                        lambda frames, *a, **kw: tracked.extend(frames) or [])
+    assert main(["bench", "-c", ref_config, "-n", "205"]) == 0
+    cfg = load_config(ref_config)
+    states = cfg.trajectory.materialize(cfg.rig)
+    assert len(tracked) == 205
+    for i, frame in enumerate(tracked):
+        state = replace(states[i % len(states)], timestamp_ms=50 * i)
+        want = render(cfg.rig, state, cfg.noise, cfg.intensity, index=i)
+        assert (frame.index, frame.timestamp_ms) == (i, 50 * i)
+        assert np.array_equal(frame.pixels, want.pixels)
 
 
 def test_bench_zero_frames_usage_error(ref_config):

@@ -127,6 +127,12 @@ def test_detect_params_validation():
         DetectParams(min_run=0)
 
 
+@pytest.mark.parametrize("name", ["ath_min", "ath_slope"])
+def test_detect_params_refuse_a_negative_floor_or_slope(name):
+    with pytest.raises(ValueError, match=f"{name}: must be >= 0"):
+        DetectParams(**{name: -0.5})
+
+
 # --- edge test ---------------------------------------------------------------
 
 def test_edge_test_hand_cases(detect_params):

@@ -143,6 +143,16 @@ def test_pgm_round_trip_1000_random_frames():
         assert np.array_equal(back.pixels, frame.pixels)
 
 
+@pytest.mark.parametrize("to_path", [False, True], ids=["stream", "path"])
+def test_pgm_round_trip_of_a_non_contiguous_view(tmp_path, to_path):
+    pixels = np.arange(24, dtype=np.uint8).reshape(4, 6)[::-1, ::2]  # 4x3, strided
+    sink = str(tmp_path / "view.pgm") if to_path else stdio.BytesIO()
+    write_pgm(Frame(width=3, height=4, pixels=pixels), sink)
+    data = Path(sink).read_bytes() if to_path else sink.getvalue()
+    assert data == b"P5\n3 4\n255\n" + pixels.tobytes()
+    assert np.array_equal(read_pgm(stdio.BytesIO(data)).pixels, pixels)
+
+
 def test_pgm_file_path_round_trip(tmp_path, rig, quiet, intensity):
     from sltrack import render
     frame = render(rig, SceneState(user=WorldPosition(0.0, 200.0)), quiet,

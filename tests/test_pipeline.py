@@ -188,6 +188,17 @@ def test_evaluate_all_absent():
     assert math.isnan(m.p95_error) and math.isnan(m.within_10cm_fraction)
 
 
+def test_evaluate_leaves_empty_truth_frames_out_of_the_detection_rate():
+    # frames 4 and 5 hold no user: neither the miss on 4 nor the position
+    # on 5 counts, so 3 of 4 frames with a user were detected, all exactly
+    refs = truth(4) + [SceneState(user=None, timestamp_ms=50 * i) for i in (4, 5)]
+    ests = [estimate(0, 0, 0.0, 200.0), estimate(1, 50), estimate(2, 100, 0.0, 200.0),
+            estimate(3, 150, 0.0, 200.0), estimate(4, 200), estimate(5, 250, 9.0, 90.0)]
+    m = evaluate(ests, refs)
+    assert m.detection_rate == 0.75
+    assert m.rms_error == 0.0 and m.max_error == 0.0
+
+
 def test_evaluate_length_mismatch():
     with pytest.raises(ValueError):
         evaluate([estimate(0, 0)], truth(2))

@@ -60,6 +60,13 @@ def test_encode_single_trailing_newline_and_size():
     assert len(data) <= 128
 
 
+def test_encode_refuses_a_packet_over_128_bytes():
+    e = PositionEstimate(frame_index=0, timestamp_ms=0,
+                         pos=WorldPosition(1e110, 200.0))  # 111 digits of x
+    with pytest.raises(ValueError, match=r"packet is 1\d\d bytes, limit 128"):
+        encode(e, 0)
+
+
 def test_encode_rejects_out_of_range_seq():
     with pytest.raises(ValueError):
         encode(est(0, 0), 2**32)
@@ -118,6 +125,16 @@ def test_resolve_endpoint_forms():
     for bad in ("127.0.0.1:70000", "127.0.0.1:0", ("127.0.0.1", 70000)):
         with pytest.raises(ValueError, match="port must lie in 1..65535"):
             resolve_endpoint(bad)
+
+
+@pytest.mark.parametrize("port", ["8_0", "+80", " 80", "80 ", "\u0668\u0660", "",
+                                  "0x50", "8" * 5000],
+                         ids=["underscore", "plus", "leading-space", "trailing-space",
+                              "arabic-indic-digits", "empty", "hex", "5000-digits"])
+def test_resolve_endpoint_port_is_ascii_digits_only(port):
+    # int() reads each of the first five as 80
+    with pytest.raises(ValueError, match=r"^address '127\.0\.0\.1:.*': bad port$"):
+        resolve_endpoint(f"127.0.0.1:{port}")
 
 
 # --- publisher --------------------------------------------------------------------

@@ -9,13 +9,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sltrack import (IntensityModel, NoiseParams, RigConfig, SceneState,
+from sltrack import (Frame, IntensityModel, NoiseParams, RigConfig, SceneState,
                      TrajectorySpec, WorldPosition, intensity_at, project, render)
 
 
 def user_at(x, z, foot_width=25.0, t=0):
     return SceneState(user=WorldPosition(x, z), foot_width=foot_width,
                       timestamp_ms=t)
+
+
+# --- frames ------------------------------------------------------------------
+
+@pytest.mark.parametrize("pixels", [np.array([[300]], dtype=np.int64),
+                                    np.array([[0.9]]), 0.9, [[7]]],
+                         ids=["int64", "float-array", "float", "nested-list"])
+def test_frame_refuses_pixels_that_are_not_a_uint8_array(pixels):
+    # converting would wrap 300 to 44 and floor 0.9 to 0 without a word
+    with pytest.raises(ValueError, match="pixel buffer must be a uint8 ndarray"):
+        Frame(width=1, height=1, pixels=pixels)
+
+
+def test_frame_refuses_a_shape_mismatch():
+    with pytest.raises(ValueError, match=r"shape \(3, 2\) does not match 2x3"):
+        Frame(width=3, height=2, pixels=np.zeros((3, 2), np.uint8))
+
+
+def test_frame_keeps_a_non_contiguous_uint8_view_as_given():
+    flipped = np.arange(12, dtype=np.uint8).reshape(3, 4)[:, ::-1]
+    assert Frame(width=4, height=3, pixels=flipped).pixels is flipped
 
 
 # --- intensity model ---------------------------------------------------------
@@ -184,6 +205,20 @@ def test_foot_run_of_column_0_alone_is_drawn(rig, quiet, intensity):
                                                          intensity))
 
 
+@pytest.mark.parametrize("x", [-150.0, -92.75, 92.25, 150.0],
+                         ids=["left", "ends-at-column-minus-1", "starts-at-width",
+                              "right"])
+def test_foot_run_off_the_sensor_stamps_nothing(rig, quiet, intensity, x):
+    # at z = 200 the 50 px run is centred on u = 160 + 2x, wholly off the
+    # 320 columns; the foot row is 200 and the wall row 160, lit at 60
+    scene = user_at(x, 200.0)
+    frame = render(rig, scene, quiet, intensity)
+    assert not frame.pixels[200].any()
+    assert (frame.pixels[160] == 60).all()  # nothing shadows the wall
+    assert np.array_equal(frame.pixels, reference_render(rig, scene, quiet,
+                                                         intensity))
+
+
 # --- trajectories ------------------------------------------------------------
 
 def trajectory(kind, rate_hz, duration_s, **params) -> TrajectorySpec:
@@ -221,6 +256,16 @@ def test_stroll_returns_to_start(rig):
     assert states[0].user.z == pytest.approx(150.0)
     assert states[50].user.z == pytest.approx(250.0)  # t = 5 s
     assert states[-1].user.z == pytest.approx(150.0 + 20.0 * 0.1)  # t = 9.9 s
+
+
+@pytest.mark.parametrize("b, still", [((-31.7, 151.3), True), ((29.9, 338.1), False)],
+                         ids=["equal-endpoints", "moving"])
+def test_stroll_positions_are_plain_floats(rig, b, still):
+    states = trajectory("stroll", 10.0, 2.0, a=(-31.7, 151.3), b=b,
+                        speed=37.3).materialize(rig)
+    assert {(type(s.user.x), type(s.user.z)) for s in states} == {(float, float)}
+    # with a == b the stroll stands still
+    assert all(s.user == states[0].user for s in states) == still
 
 
 def test_trajectory_exiting_workspace_rejected(rig):
