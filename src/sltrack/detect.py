@@ -43,22 +43,24 @@ class Calibration:
 class DetectParams:
     """Edge-test threshold schedule and run acceptance.
 
-    The threshold is affine in the distance below the wall row,
-    clamp(ath_base + ath_slope * (v - v_b), ath_min, ath_max): rows that
-    would hold closer (brighter) reflections demand a stronger edge.
+    The threshold is affine in the distance below the wall row, capped,
+    min(ath_base + ath_slope * (v - v_b), ath_max): rows that would hold
+    closer (brighter) reflections demand a stronger edge. ``ath_min`` is an
+    optional floor that is checked but never binds: it lies at or below
+    ``ath_base`` and the slope is not negative.
     """
 
     ath_base: float = 10.0
     ath_slope: float = 0.5
-    ath_min: float = 1.0
+    ath_min: float | None = None
     ath_max: float = 255.0
     min_run: int = 3
 
     def __post_init__(self) -> None:
-        if not self.ath_min <= self.ath_base <= self.ath_max:
-            raise ValueError("require ath_min <= ath_base <= ath_max")
-        if self.ath_min < 0:
-            raise ValueError("ath_min: must be >= 0")
+        if not 0 <= self.ath_base <= self.ath_max:
+            raise ValueError("ath_base: must lie in [0, ath_max]")
+        if self.ath_min is not None and not 0 <= self.ath_min <= self.ath_base:
+            raise ValueError("ath_min: must lie in [0, ath_base]")
         if self.ath_slope < 0:
             raise ValueError("ath_slope: must be >= 0")
         if self.min_run < 1:
@@ -106,7 +108,7 @@ def ath(delta_v: float, p: DetectParams) -> float:
     """Adaptive threshold for a row delta_v pixels below the wall line."""
     if delta_v < 0:
         raise ValueError("delta_v: must be >= 0")
-    return min(max(p.ath_base + p.ath_slope * delta_v, p.ath_min), p.ath_max)
+    return min(p.ath_base + p.ath_slope * delta_v, p.ath_max)
 
 
 def edge_test(frame: Frame, u: int, v: int, cal: Calibration, p: DetectParams) -> bool:
@@ -154,7 +156,8 @@ class _Workspace:
         self.down_here, self.down_next = self.down[:size], self.down[stride:]
         self.twice = np.empty(size, np.int16)
         delta_v = np.arange(1, rows + 1)
-        thresholds = np.clip(p.ath_base + p.ath_slope * delta_v, p.ath_min, p.ath_max)
+        # np.minimum keeps a NaN threshold NaN, so np.fmin caps it at 511
+        thresholds = np.minimum(p.ath_base + p.ath_slope * delta_v, p.ath_max)
         limits = np.fmin(np.floor(2.0 * thresholds), 511.0).astype(np.int16)
         self.limits = np.repeat(limits, stride)
         self.mask = np.empty((rows, stride), bool)

@@ -2,10 +2,11 @@
 
 The config file is strict JSON: every section and key is validated,
 unknown keys are rejected so experiment configs stay reproducible, and a
-number must be finite (``json.loads`` reads NaN and Infinity). A
-section's keys and types are the fields of the dataclass it builds; a
-trajectory's are the scalar fields of ``synth.TrajectorySpec`` and the
-parameters of its kind's path builder in ``synth.TRAJECTORIES``.
+number must be finite (``json.loads`` reads NaN and Infinity). The
+sections are the fields of ``RunConfig``, and a section's keys and types
+are the fields of the dataclass it builds; a trajectory's are the scalar
+fields of ``synth.TrajectorySpec`` and the parameters of its kind's path
+builder in ``synth.TRAJECTORIES``.
 ``configs/reference.json`` is a worked example.
 """
 
@@ -287,17 +288,6 @@ def _section(root: Mapping[str, Any], name: str) -> Mapping[str, Any]:
     return value
 
 
-# config section -> the dataclass it builds and the prefix put before that
-# dataclass's own ValueError messages
-_SECTIONS = {
-    "rig": (RigConfig, "rig."),
-    "detect": (DetectParams, "detect: "),
-    "noise": (NoiseParams, "noise."),
-    "intensity": (IntensityModel, "intensity."),
-    "smoother": (SmootherConfig, "smoother."),
-}
-
-
 def _parse_keys(section: Mapping[str, Any], name: str,
                 types: Mapping[str, Any]) -> dict[str, Any]:
     """One value per key of ``types``, parsed by its type, after rejecting
@@ -313,24 +303,18 @@ def _parse_keys(section: Mapping[str, Any], name: str,
     return values
 
 
-def _construct(cls: type, prefix: str, **values: Any) -> Any:
-    """``cls(**values)``, its ValueError turned into a prefixed ConfigError."""
+def _construct(cls: type, name: str, **values: Any) -> Any:
+    """``cls(**values)``, its ValueError a ConfigError prefixed ``<name>.``"""
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{prefix}{exc}") from None
+        raise ConfigError(f"{name}.{exc}") from None
 
 
 def _field_types(cls: type) -> dict[str, Any]:
     """Name -> annotated type of each constructor field of a dataclass."""
     hints = get_type_hints(cls)
     return {f.name: hints[f.name] for f in fields(cls) if f.init}
-
-
-def _build_section(section: Mapping[str, Any], name: str) -> Any:
-    """Build a section's dataclass from one key per field, of the field's type."""
-    cls, prefix = _SECTIONS[name]
-    return _construct(cls, prefix, **_parse_keys(section, name, _field_types(cls)))
 
 
 def _build_trajectory(section: Mapping[str, Any]) -> TrajectorySpec:
@@ -345,7 +329,7 @@ def _build_trajectory(section: Mapping[str, Any]) -> TrajectorySpec:
     types = {**_field_types(TrajectorySpec), **params}
     del types["kind"], types["params"]
     values = _parse_keys({k: v for k, v in section.items() if k != "kind"}, name, types)
-    return _construct(TrajectorySpec, f"{name}.", kind=kind,
+    return _construct(TrajectorySpec, name, kind=kind,
                       params={key: values.pop(key) for key in params}, **values)
 
 
@@ -363,10 +347,17 @@ def load_config(source: str | IO[str]) -> RunConfig:
         raise ConfigError(f"config: not valid JSON ({exc})") from None
     if not isinstance(root, dict):
         raise ConfigError("config: top level must be an object")
-    _reject_unknown(root, "config", {*_SECTIONS, "trajectory"})
-    built = {name: _build_section(_section(root, name), name) for name in _SECTIONS}
-    return RunConfig(**built,
-                     trajectory=_build_trajectory(_section(root, "trajectory")))
+    sections = _field_types(RunConfig)
+    _reject_unknown(root, "config", set(sections))
+    built = {}
+    for name, cls in sections.items():
+        section = _section(root, name)
+        if cls is TrajectorySpec:  # its kind's path parameters are keys too
+            built[name] = _build_trajectory(section)
+        else:  # one key per field, of the field's type
+            built[name] = _construct(cls, name,
+                                     **_parse_keys(section, name, _field_types(cls)))
+    return RunConfig(**built)
 
 
 # --- CSV tables -------------------------------------------------------------
@@ -381,14 +372,6 @@ class EstimateRow:
     u_f: float | None = None
     v_f: int | None = None
     pos: WorldPosition | None = None
-
-    @property
-    def x_cm(self) -> float | None:
-        return None if self.pos is None else self.pos.x
-
-    @property
-    def z_cm(self) -> float | None:
-        return None if self.pos is None else self.pos.z
 
 
 def _read_table(source: str | IO[str], header: str, what: str,
@@ -420,18 +403,23 @@ def _read_table(source: str | IO[str], header: str, what: str,
 def write_estimates_csv(estimates: Sequence[PositionEstimate],
                         sink: str | IO[str]) -> None:
     """Write per-frame estimates; absent values become empty fields and
-    cm/pixel centroids carry three decimals."""
+    cm/pixel centroids carry three decimals. A detected row needs the
+    detection's centroid, so an estimate with a position but no detection
+    raises ``ValueError`` naming its frame."""
     with _opened(sink, "w", encoding="utf-8", newline="") as fh:
         fh.write(ESTIMATES_HEADER + "\n")
         for est in estimates:
-            if est.pos is not None and est.detection is not None:
+            if est.pos is None:
+                fh.write(f"{est.frame_index},{est.timestamp_ms},0,,,,\n")
+            elif est.detection is None:
+                raise ValueError(f"frame {est.frame_index}: a position without "
+                                 "a detection has no u_f, v_f to write")
+            else:
                 fh.write(
                     f"{est.frame_index},{est.timestamp_ms},1,"
                     f"{est.detection.u_f:.3f},{est.detection.v_f},"
                     f"{est.pos.x:.3f},{est.pos.z:.3f}\n"
                 )
-            else:
-                fh.write(f"{est.frame_index},{est.timestamp_ms},0,,,,\n")
 
 
 def _csv_int(text: str) -> int:

@@ -31,12 +31,15 @@ class PositionEstimate:
 
 @dataclass(frozen=True)
 class SmootherConfig:
-    """Exponential position smoothing; a stand-in for proper filtering."""
+    """Exponential position smoothing; a stand-in for proper filtering.
+    ``enabled`` defaults to ``alpha < 1``: alpha 1 keeps every position."""
 
     alpha: float = 1.0
-    enabled: bool = False
+    enabled: bool | None = None
 
     def __post_init__(self) -> None:
+        if self.enabled is None:
+            object.__setattr__(self, "enabled", self.alpha < 1)
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha: must lie in (0, 1]")
 

@@ -23,8 +23,9 @@ _PathFn = Callable[[float], Point]  # time in s -> (x_cm, z_cm)
 
 @dataclass(eq=False)
 class Frame:
-    """Single 8-bit grayscale capture. ``pixels`` must be a uint8 ndarray of
-    shape (height, width): it is checked, never converted."""
+    """Single 8-bit grayscale capture. ``width`` and ``height`` must be ints
+    and ``pixels`` a uint8 ndarray of shape (height, width): they are
+    checked, never converted."""
 
     width: int
     height: int
@@ -33,6 +34,9 @@ class Frame:
     index: int = 0
 
     def __post_init__(self) -> None:
+        for name, value in ("width", self.width), ("height", self.height):
+            if type(value) is not int:  # a float or bool would reach a PGM header
+                raise ValueError(f"{name}: must be an int, got {value!r}")
         if not (isinstance(self.pixels, np.ndarray) and self.pixels.dtype == np.uint8):
             got = getattr(self.pixels, "dtype", type(self.pixels).__name__)
             raise ValueError(f"pixel buffer must be a uint8 ndarray, got {got}")

@@ -367,8 +367,8 @@ def test_acceptance_8_golden_formats_and_round_trips():
         if (row.frame, row.timestamp_ms) == (est.frame_index, est.timestamp_ms)
         and (est.pos is None) == (not row.detected)
         and (est.pos is None
-             or (abs(row.x_cm - est.pos.x) < 5e-4
-                 and abs(row.z_cm - est.pos.z) < 5e-4
+             or (abs(row.pos.x - est.pos.x) < 5e-4
+                 and abs(row.pos.z - est.pos.z) < 5e-4
                  and abs(row.u_f - est.detection.u_f) < 5e-4
                  and row.v_f == est.detection.v_f)))
 

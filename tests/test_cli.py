@@ -11,6 +11,7 @@ import os
 import re
 import shutil
 import socket
+import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -20,7 +21,7 @@ import pytest
 
 from conftest import REFERENCE_CONFIG
 from sltrack import PositionEstimate, read_estimates_csv, write_estimates_csv
-from sltrack.cli import main
+from sltrack.cli import entrypoint, main
 
 
 @pytest.fixture
@@ -81,6 +82,18 @@ def test_simulate_deterministic_bytes(ref_config, tmp_path):
     assert files1 == files2
     for name in files1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["bench", "-c", REFERENCE_CONFIG, "-n", "2"], 0),
+    (["bench", "-c", REFERENCE_CONFIG, "-n", "0"], 2),
+], ids=["ok", "usage-error"])
+def test_entrypoint_exits_with_the_code_of_main(monkeypatch, capsys, argv, code):
+    # the installed sltrack command calls entrypoint, which reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["sltrack", *argv])
+    with pytest.raises(SystemExit) as exc_info:
+        entrypoint()
+    assert exc_info.value.code == code == main(argv)
 
 
 def test_simulate_invalid_config_exit_2(tmp_path):
@@ -372,7 +385,7 @@ def test_track_noiseless_stationary_all_detected(tmp_path):
     rows = read_estimates_csv(str(est_csv))
     assert len(rows) == 20
     assert all(r.detected for r in rows)
-    assert all(abs(r.z_cm - 200.0) <= 2.5 for r in rows)
+    assert all(abs(r.pos.z - 200.0) <= 2.5 for r in rows)
 
 
 def test_track_empty_scene_all_undetected(tmp_path):

@@ -127,10 +127,32 @@ def test_detect_params_validation():
         DetectParams(min_run=0)
 
 
-@pytest.mark.parametrize("name", ["ath_min", "ath_slope"])
-def test_detect_params_refuse_a_negative_floor_or_slope(name):
-    with pytest.raises(ValueError, match=f"{name}: must be >= 0"):
+@pytest.mark.parametrize("name,message", [
+    ("ath_min", r"ath_min: must lie in \[0, ath_base\]"),
+    ("ath_slope", "ath_slope: must be >= 0"),
+], ids=["ath_min", "ath_slope"])
+def test_detect_params_refuse_a_negative_floor_or_slope(name, message):
+    with pytest.raises(ValueError, match=message):
         DetectParams(**{name: -0.5})
+
+
+def test_ath_base_is_checked_without_a_floor():
+    # a negative base would give negative row limits, and the zero pads of
+    # the band would read as edges
+    with pytest.raises(ValueError, match=r"ath_base: must lie in \[0, ath_max\]"):
+        DetectParams(ath_base=-1.0)
+
+
+def test_a_config_without_a_floor_gets_the_row_limits_of_the_old_floor():
+    p = load_config(REFERENCE_CONFIG).detect
+    assert p.ath_min is None
+    rows = CAL.height - 2 - CAL.v_b
+    delta_v = np.arange(1, rows + 1)
+    floored = np.clip(p.ath_base + p.ath_slope * delta_v, 1.0, p.ath_max)
+    limits = _workspace(CAL, p).limits.reshape(rows, -1)
+    assert (limits == np.fmin(np.floor(2.0 * floored), 511.0)[:, None]).all()
+    assert np.array_equal(_workspace(CAL, replace(p, ath_min=1.0)).limits,
+                          limits.ravel())
 
 
 # --- edge test ---------------------------------------------------------------

@@ -120,7 +120,8 @@ def _assert_config_or_config_error(source) -> None:
     try:
         cfg = load_config(source)
     except ConfigError as exc:
-        assert re.match(r"(config|rig|detect|noise|intensity|smoother|trajectory)[.:]",
+        # one prefix: the section and a dot, or "config: " for the document
+        assert re.match(r"config[.:]|(rig|detect|noise|intensity|smoother|trajectory)\.",
                         str(exc)), str(exc)
     else:
         assert isinstance(cfg, RunConfig)

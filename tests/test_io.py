@@ -524,14 +524,20 @@ EVERY_KEY = [
 ]
 
 
+# optional keys -> the value each takes when left out of the reference config:
+# the frame center, no floor, and smoothing as alpha (1.0) sets it
+OPTIONAL = {("rig", "u0"): 160.0, ("rig", "v0"): 120.0,
+            ("detect", "ath_min"): None, ("smoother", "enabled"): False}
+
+
 @pytest.mark.parametrize("kind,section,key,type_message", EVERY_KEY,
                          ids=[f"{k}:{s}.{key}" for k, s, key, _ in EVERY_KEY])
 def test_config_message_for_every_key(kind, section, key, type_message):
     cfg = base_config(kind)
-    del cfg[section][key]
-    if (section, key) in (("rig", "u0"), ("rig", "v0")):
-        rig = load_from_dict(cfg).rig  # optional: defaults to the frame center
-        assert (rig.u0, rig.v0) == (160.0, 120.0)
+    cfg[section].pop(key, None)
+    if (section, key) in OPTIONAL:
+        loaded = getattr(load_from_dict(cfg), section)
+        assert getattr(loaded, key) == OPTIONAL[section, key]
     else:
         assert config_error(cfg) == f"{section}.{key}: missing"
 
@@ -578,7 +584,7 @@ def test_config_message_for_every_section(section):
     # each section's own invariant keeps exactly one section prefix
     (lambda c: c["rig"].update(d=0.0), "rig.d: must be > 0"),
     (lambda c: c["detect"].update(ath_min=20.0),
-     "detect: require ath_min <= ath_base <= ath_max"),
+     "detect.ath_min: must lie in [0, ath_base]"),
     (lambda c: c["noise"].update(seed=-1), "noise.seed: must be >= 0"),
     (lambda c: c["intensity"].update(z_ref=0.0), "intensity.z_ref: must be > 0"),
     (lambda c: c["smoother"].update(alpha=0.0),
@@ -610,16 +616,27 @@ def test_config_message_for_every_section(section):
     # a sensor too large to render fails at load, not in numpy
     (lambda c: c["rig"].update(width=2**40),
      "rig.width: width * height must be <= 16777216"),
+    # checked on its own: with no floor a negative base gives negative limits
+    (lambda c: c["detect"].update(ath_base=-1),
+     "detect.ath_base: must lie in [0, ath_max]"),
 ], ids=["top-level-unknown", "unhashable-kind", "other-kinds-key", "rig",
         "detect", "noise", "intensity", "smoother", "trajectory",
         "negative-speed", "zero-speed", "rate-above-1000", "empty-clip",
         "negative-radius", "stationary-at-z-0", "number-past-float-range",
         "point-past-float-range", "width-past-int64-range",
-        "seed-below-int64-range", "pixel-count-above-cap"])
+        "seed-below-int64-range", "pixel-count-above-cap",
+        "negative-base-without-floor"])
 def test_config_section_and_invariant_messages(mutate, message):
     cfg = base_config("stroll")
     mutate(cfg)
     assert config_error(cfg) == message
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0])
+def test_config_without_enabled_smooths_iff_alpha_below_1(alpha):
+    cfg = base_config("stroll")
+    cfg["smoother"] = {"alpha": alpha}
+    assert load_from_dict(cfg).smoother.enabled is (alpha < 1)
 
 
 def test_trajectory_leaving_the_workspace_fails_at_materialize():
@@ -650,6 +667,14 @@ def test_estimates_csv_format():
     assert lines[1] == "0,0,1,180.250,200,50.000,200.000"
     assert lines[2] == "1,50,0,,,,"
     assert lines[3] == "2,100,1,145.500,170,-12.346,333.333"
+
+
+def test_estimates_csv_refuses_a_position_without_a_detection():
+    # a detected row needs u_f and v_f; "1,50,0,,,," would lose the position
+    estimates = [PositionEstimate(0, 0),
+                 PositionEstimate(1, 50, WorldPosition(10.0, 200.0))]
+    with pytest.raises(ValueError, match="frame 1: a position without a detection"):
+        write_estimates_csv(estimates, stdio.StringIO())
 
 
 def test_estimates_csv_empty_stream_is_header_only():
@@ -683,8 +708,8 @@ def test_estimates_csv_round_trip_1000_random():
             assert not row.detected
         else:
             assert row.detected
-            assert row.x_cm == pytest.approx(est.pos.x, abs=5e-4)
-            assert row.z_cm == pytest.approx(est.pos.z, abs=5e-4)
+            assert row.pos.x == pytest.approx(est.pos.x, abs=5e-4)
+            assert row.pos.z == pytest.approx(est.pos.z, abs=5e-4)
             assert row.u_f == pytest.approx(est.detection.u_f, abs=5e-4)
             assert row.v_f == est.detection.v_f
 

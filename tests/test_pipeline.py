@@ -123,6 +123,27 @@ def test_stream_smoothing_reduces_variance(rig, detect_params, monkeypatch):
     assert np.var(smoothed) / np.var(zs) == pytest.approx(0.1 / 1.9, rel=0.5)
 
 
+def test_smoother_left_unset_is_on_iff_alpha_below_1(rig, detect_params,
+                                                     monkeypatch):
+    zs = [200.0, 210.0, 190.0, 205.0]
+    ests = [estimate(i, 50 * i, 0.0, z) for i, z in enumerate(zs)]
+    monkeypatch.setattr(sltrack.pipeline, "track_frame",
+                        lambda frame, *_: ests[frame.index])
+    frames = [SimpleNamespace(index=e.frame_index, timestamp_ms=e.timestamp_ms)
+              for e in ests]
+
+    def stream(smoother):
+        return track_stream(frames, rig, CAL, detect_params, smoother)
+
+    assert SmootherConfig().enabled is False
+    assert stream(SmootherConfig()) == ests
+    assert SmootherConfig(alpha=0.3) == SmootherConfig(alpha=0.3, enabled=True)
+    smoothed = stream(SmootherConfig(alpha=0.3))
+    assert smoothed == stream(SmootherConfig(alpha=0.3, enabled=True))
+    assert [e.pos.z for e in smoothed][:2] == [200.0, 0.3 * 210.0 + 0.7 * 200.0]
+    assert stream(SmootherConfig(alpha=0.3, enabled=False)) == ests
+
+
 def test_stream_smoothing_preserves_absence_and_resets(rig, quiet, intensity,
                                                        detect_params):
     import copy

@@ -34,6 +34,16 @@ def test_frame_refuses_a_shape_mismatch():
         Frame(width=3, height=2, pixels=np.zeros((3, 2), np.uint8))
 
 
+@pytest.mark.parametrize("width,height,shape", [
+    (3.0, 2, (2, 3)), (True, 2, (2, 1)), (3, 2.0, (2, 3)), (3, np.int64(2), (2, 3)),
+], ids=["float-width", "bool-width", "float-height", "numpy-height"])
+def test_frame_refuses_dimensions_that_are_not_ints(width, height, shape):
+    # each passes the shape check, and write_pgm would put "3.0" or "True"
+    # in a header that read_pgm refuses
+    with pytest.raises(ValueError, match=r"(width|height): must be an int, got "):
+        Frame(width=width, height=height, pixels=np.zeros(shape, np.uint8))
+
+
 def test_frame_keeps_a_non_contiguous_uint8_view_as_given():
     flipped = np.arange(12, dtype=np.uint8).reshape(3, 4)[:, ::-1]
     assert Frame(width=4, height=3, pixels=flipped).pixels is flipped
@@ -162,8 +172,18 @@ def _render_case(draw):
                     height=height, u0=draw(st.floats(0.0, width - 0.5)), v0=v0)
     if draw(st.booleans()):
         z = draw(st.floats(1.0, z_b))
-        user = WorldPosition(draw(st.floats(-2.0, 2.0)) * z, z)
-        scene = SceneState(user=user, foot_width=draw(st.floats(0.01, 80.0)))
+        foot_width = draw(st.floats(0.01, 80.0))
+        half = foot_width * f / z / 2.0
+        # some feet run wholly off the sensor: ending up to 50 px left of
+        # column 0, or starting up to 50 px right of the last column
+        side = draw(st.sampled_from(["on", "left", "right"]))
+        if side == "on":
+            x = draw(st.floats(-2.0, 2.0)) * z
+        else:
+            gap = draw(st.floats(0.0, 50.0))
+            u = -gap - half if side == "left" else width - 1 + gap + half
+            x = (u - rig.u0) * z / f
+        scene = SceneState(user=WorldPosition(x, z), foot_width=foot_width)
     else:
         scene = SceneState(user=None)
     noise = NoiseParams(
