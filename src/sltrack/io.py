@@ -218,6 +218,8 @@ def iter_pgm_dir(frames_dir: str, rate_hz: float) -> Iterator[Frame]:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A validated run configuration, one field per JSON section."""
+
     rig: RigConfig
     detect: DetectParams
     noise: NoiseParams
@@ -232,41 +234,37 @@ def _require(section: Mapping[str, Any], section_name: str, key: str) -> Any:
     return section[key]
 
 
-def _number(section: Mapping[str, Any], section_name: str, key: str) -> float:
-    value = _require(section, section_name, key)
+def _number(value: Any, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section_name}.{key}: expected a number, got {value!r}")
+        raise ConfigError(f"{label}: expected a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # a JSON integer past the float range
-        raise ConfigError(f"{section_name}.{key}: out of range for a float") from None
+        raise ConfigError(f"{label}: out of range for a float") from None
     if not math.isfinite(number):
-        raise ConfigError(f"{section_name}.{key}: must be finite")
+        raise ConfigError(f"{label}: must be finite")
     return number
 
 
-def _integer(section: Mapping[str, Any], section_name: str, key: str) -> int:
-    value = _require(section, section_name, key)
+def _integer(value: Any, label: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{section_name}.{key}: expected an integer, got {value!r}")
+        raise ConfigError(f"{label}: expected an integer, got {value!r}")
     if not -2**63 <= value < 2**63:  # digits not echoed, as for floats
-        raise ConfigError(f"{section_name}.{key}: out of range for a 64-bit integer")
+        raise ConfigError(f"{label}: out of range for a 64-bit integer")
     return value
 
 
-def _boolean(section: Mapping[str, Any], section_name: str, key: str) -> bool:
-    value = _require(section, section_name, key)
+def _boolean(value: Any, label: str) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(f"{section_name}.{key}: expected true/false, got {value!r}")
+        raise ConfigError(f"{label}: expected true/false, got {value!r}")
     return value
 
 
-def _point(section: Mapping[str, Any], section_name: str, key: str) -> Point:
-    value = _require(section, section_name, key)
+def _point(value: Any, label: str) -> Point:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
-        raise ConfigError(f"{section_name}.{key}: expected [x_cm, z_cm]")
-    x, z = (_number({key: v}, section_name, key) for v in value)
+        raise ConfigError(f"{label}: expected [x_cm, z_cm]")
+    x, z = (_number(v, label) for v in value)
     return x, z
 
 
@@ -281,13 +279,6 @@ def _reject_unknown(section: Mapping[str, Any], section_name: str,
         raise ConfigError(f"{section_name}.{sorted(unknown)[0]}: unknown key")
 
 
-def _section(root: Mapping[str, Any], name: str) -> Mapping[str, Any]:
-    value = _require(root, "config", name)
-    if not isinstance(value, dict):
-        raise ConfigError(f"config.{name}: expected an object")
-    return value
-
-
 def _parse_keys(section: Mapping[str, Any], name: str,
                 types: Mapping[str, Any]) -> dict[str, Any]:
     """One value per key of ``types``, parsed by its type, after rejecting
@@ -299,7 +290,7 @@ def _parse_keys(section: Mapping[str, Any], name: str,
             if key not in section:
                 continue
             kind = get_args(kind)[0]  # ``T | None`` -> T
-        values[key] = _PARSERS[kind](section, name, key)
+        values[key] = _PARSERS[kind](_require(section, name, key), f"{name}.{key}")
     return values
 
 
@@ -351,7 +342,9 @@ def load_config(source: str | IO[str]) -> RunConfig:
     _reject_unknown(root, "config", set(sections))
     built = {}
     for name, cls in sections.items():
-        section = _section(root, name)
+        section = _require(root, "config", name)
+        if not isinstance(section, dict):
+            raise ConfigError(f"config.{name}: expected an object")
         if cls is TrajectorySpec:  # its kind's path parameters are keys too
             built[name] = _build_trajectory(section)
         else:  # one key per field, of the field's type
@@ -464,10 +457,14 @@ def _estimate_row(frame: int, ts: str, detected: str, u_f: str, v_f: str, x: str
 
 
 def read_estimates_csv(source: str | IO[str]) -> list[EstimateRow]:
+    """Estimate rows in file order; a row's ``frame`` must be its 0-based
+    position, as :func:`write_estimates_csv` writes it."""
     return _read_table(source, ESTIMATES_HEADER, "estimates", _estimate_row)
 
 
 def write_truth_csv(truth: Sequence[SceneState], sink: str | IO[str]) -> None:
+    """Write one truth row per scene, ``frame`` its 0-based position; an
+    empty scene's position fields are empty, cm values carry 3 decimals."""
     with _opened(sink, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRUTH_HEADER + "\n")
         for i, state in enumerate(truth):

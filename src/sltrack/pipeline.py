@@ -81,7 +81,7 @@ def track_frame(
     """Detect and triangulate a single frame."""
     if (frame.width, frame.height) != (rig.width, rig.height):
         raise ValueError(
-            f"frame is {frame.width}x{frame.height}, rig expects "
+            f"frame {frame.index} is {frame.width}x{frame.height}, rig expects "
             f"{rig.width}x{rig.height}"
         )
     det = detect_feet(frame, cal, p)

@@ -28,14 +28,13 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE_CONFIG
-from sltrack import (Calibration, DetectParams, Detection, Frame,
-                     IntensityModel, NoiseParams, PositionEstimate, RigConfig,
-                     SceneState, TrajectorySpec, WorldPosition, calibrate,
-                     depth_resolution, detect_feet, edge_test, encode, evaluate,
-                     read_estimates_csv, read_pgm, render, render_trajectory,
-                     track_frame, track_stream, triangulate_depth,
-                     triangulate_detection, triangulate_lateral,
-                     write_estimates_csv, write_pgm)
+from sltrack import (Calibration, DetectParams, Detection, Frame, NoiseParams,
+                     PositionEstimate, RigConfig, SceneState, TrajectorySpec,
+                     WorldPosition, calibrate, depth_resolution, edge_test,
+                     encode, evaluate, read_estimates_csv, read_pgm, render,
+                     render_trajectory, track_frame, track_stream,
+                     triangulate_depth, triangulate_detection,
+                     triangulate_lateral, write_estimates_csv, write_pgm)
 from sltrack.cli import main
 
 RNG_SEED = 20240817

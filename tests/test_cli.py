@@ -364,6 +364,23 @@ def test_calibrate_frame_of_another_size_exit_2_naming_the_file(tmp_path, capsys
         f"error: {small}: frame is 4x3, rig expects 320x240\n")
 
 
+def test_track_frame_of_another_size_exit_2_naming_the_frame(tmp_path, capsys):
+    from sltrack import Frame, write_pgm
+
+    cfg = stationary_config(tmp_path)
+    out_dir = tmp_path / "frames"
+    assert main(["simulate", "-c", cfg, "-o", str(out_dir)]) == 0
+    cal = tmp_path / "cal.txt"
+    assert main(["calibrate", "-c", cfg, make_empty_frame(tmp_path, cfg),
+                 "-o", str(cal)]) == 0
+    write_pgm(Frame(width=4, height=3, pixels=np.zeros((3, 4), np.uint8)),
+              str(out_dir / "000005.pgm"))
+    capsys.readouterr()
+    assert main(["track", "-c", cfg, "--calibration", str(cal), str(out_dir),
+                 "-o", str(tmp_path / "est.csv")]) == 2
+    assert capsys.readouterr().err == "error: frame 5 is 4x3, rig expects 320x240\n"
+
+
 def full_run(tmp_path, config, stream=None):
     out_dir = tmp_path / "frames"
     assert main(["simulate", "-c", config, "-o", str(out_dir)]) == 0

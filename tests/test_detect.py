@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import REFERENCE_CONFIG
 from sltrack import (Calibration, CalibrationError, DetectParams, Detection,
-                     Frame, IntensityModel, NoiseParams, SceneState, ath,
-                     calibrate, detect_feet, edge_test, load_config, render,
+                     Frame, NoiseParams, SceneState, ath, calibrate,
+                     detect_feet, edge_test, load_config, render,
                      render_trajectory)
 from sltrack.detect import _edge_mask, _workspace
 

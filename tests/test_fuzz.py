@@ -142,15 +142,20 @@ def test_load_config_of_any_json_fails_only_with_a_config_error(text):
     _assert_config_or_config_error(stdio.StringIO(text))
 
 
-# SLT1 packets: random bytes, and valid-looking lines built from fields that
-# encode writes, fields it never writes, and junk
+# SLT1 packets: random bytes; valid-looking lines built from fields that
+# encode writes, fields it never writes, and junk; and SLT1 lines whose
+# timestamp, x or z runs to thousands of digits, past int()'s digit limit
+# and float()'s range
+_digits = st.integers(1, 5000).map(lambda n: "9" * n)
 _token = st.one_of(st.sampled_from(["SLT1", "0", "1", "-5", "4294967296", "nan",
                                     "inf", "-0.000", "12.500", "x", "", "\xff"]),
-                   st.text("0123456789.-+e", max_size=6))
+                   st.text("0123456789.-+e", max_size=6), _digits)
 _packet = st.one_of(
     st.binary(max_size=40),
     st.lists(_token, max_size=7).map(
         lambda parts: (" ".join(parts) + "\n").encode("latin-1")),
+    st.tuples(_digits, _digits, _digits).map(
+        lambda d: f"SLT1 1 {d[0]} 1 {d[1]}.000 {d[2]}.500\n".encode("ascii")),
 )
 
 

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 import sltrack.pipeline
-from sltrack import (Calibration, Detection, Metrics, PositionEstimate,
-                     SceneState, SmootherConfig, WorldPosition, calibrate,
-                     depth_resolution, detect_feet, evaluate, render,
-                     track_frame, track_stream, triangulate_depth,
-                     triangulate_detection)
+from sltrack import (Calibration, Detection, PositionEstimate, SceneState,
+                     SmootherConfig, WorldPosition, calibrate,
+                     depth_resolution, evaluate, render, track_frame,
+                     track_stream, triangulate_depth, triangulate_detection)
 
 CAL = Calibration(v_b=160, width=320, height=240)
 

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import errno
+import re
 import socket
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sltrack import (PositionEstimate, PositionStreamer, StreamPacket,
                      WorldPosition, decode, encode, resolve_endpoint)
+from sltrack.stream import _SEQ_LIMIT, PROTOCOL_TAG
 
 
 def est(seq_hint, t, x=None, z=None):
@@ -108,10 +112,82 @@ def test_decode_rejects_garbage():
                 b"SLT1 1 5 1 1.000 2_00.000\n", b"SLT1 1 5 1 10.5 200.000\n",
                 b"SLT1 1 5 1 10.500 2e2\n", b"SLT1 1 5 1 +10.500 200.000\n",
                 b"SLT1 1 5 1 .500 200.000\n", b"SLT1 1 5 1 10.5000 200.000\n",
-                b"SLT1 1 5 0\n\n"):
+                b"SLT1 1 5 0\n\n",
+                # 422 bytes, a 400-digit x: float() reads it as inf
+                b"SLT1 1 5 1 " + b"9" * 400 + b".000 2.000\n",
+                # past int()'s 4300-digit limit
+                b"SLT1 1 " + b"5" * 5000 + b" 0\n"):
         with pytest.raises(ValueError) as exc_info:
             decode(bad)
         assert str(exc_info.value).endswith(f": {bad!r}")
+
+
+_COORDINATE = re.compile(r"-?[0-9]+\.[0-9]{3}")
+
+
+def reference_decode(data: bytes) -> StreamPacket:
+    """The hand-checked decoder that the one pattern replaced: split on
+    spaces, then check each field in turn; it has no length bound."""
+    try:
+        parts = data.decode("ascii").removesuffix("\n").split(" ")
+        if len(parts) < 4 or parts[0] != PROTOCOL_TAG:
+            raise ValueError(f"not an {PROTOCOL_TAG} packet")
+        # the text is ASCII, so isdigit() means 0-9; int() and float() also
+        # take "+5", "1_0", "-0" and "nan"
+        if not parts[1].isdigit():
+            raise ValueError(f"bad seq {parts[1]!r}")
+        if not parts[2].removeprefix("-").isdigit():
+            raise ValueError(f"bad timestamp {parts[2]!r}")
+        seq, ts, detected = int(parts[1]), int(parts[2]), parts[3]
+        if not 0 <= seq < _SEQ_LIMIT:
+            raise ValueError("seq outside [0, 2**32)")
+        if detected == "1":
+            if len(parts) != 6:
+                raise ValueError("detected packet needs x and z fields")
+            for name, text in ("x", parts[4]), ("z", parts[5]):
+                if not _COORDINATE.fullmatch(text):
+                    raise ValueError(f"bad {name} {text!r}")
+            return StreamPacket(seq, ts, True, float(parts[4]), float(parts[5]))
+        if detected == "0" and len(parts) == 4:
+            return StreamPacket(seq, ts, False)
+        raise ValueError("malformed packet")
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ValueError(f"{exc}: {data!r}") from None
+
+
+def _decoded(decoder, data):
+    try:
+        return decoder(data)
+    except ValueError:
+        return None
+
+
+# random bytes; lines of tokens encode writes, near misses and junk; and
+# encoded packets with their newline dropped, doubled or moved
+_field = st.one_of(st.sampled_from(["SLT1", "0", "1", "-0", "-5", "4294967295",
+                                    "4294967296", "nan", "inf", "-0.000", "12.500",
+                                    "1_0", "+5", "", "\xff", "\n", " "]),
+                   st.text("0123456789.-+_e\n", max_size=24))
+_encoded = st.builds(
+    lambda seq, ts, pos: encode(PositionEstimate(
+        frame_index=0, timestamp_ms=ts, pos=WorldPosition(*pos) if pos else None), seq),
+    st.integers(0, 2**32 - 1), st.integers(-10**12, 10**12),
+    st.none() | st.tuples(st.floats(-1e9, 1e9), st.floats(1e-3, 1e9)))
+_wire = st.one_of(
+    st.binary(max_size=128),
+    st.lists(_field, max_size=8).map(lambda parts: " ".join(parts).encode("latin-1")),
+    st.tuples(_encoded, st.sampled_from([b"", b"\n", b" ", b"\r\n"])).map(
+        lambda pair: pair[0].rstrip(b"\n") + pair[1]),
+    st.tuples(_encoded, st.integers(0, 127)).map(
+        lambda pair: pair[0][:pair[1]] + b"\n" + pair[0][pair[1]:]),
+).filter(lambda data: len(data) <= 128)
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(_wire)
+def test_decode_takes_what_the_reference_decoder_takes(data):
+    # within the 128-byte bound, the one pattern is the hand checks
+    assert _decoded(decode, data) == _decoded(reference_decode, data)
 
 
 def test_resolve_endpoint_forms():
