@@ -9,9 +9,9 @@ tracking pipeline, file formats, and a UDP telemetry stream.
 
 from .detect import (Calibration, CalibrationError, DetectParams, Detection,
                      ath, calibrate, detect_feet, edge_test)
-from .geometry import (ImagePoint, RigConfig, TriangulationError,
-                       WorldPosition, depth_resolution, project,
-                       triangulate_depth, triangulate_lateral)
+from .geometry import (RigConfig, TriangulationError, WorldPosition,
+                       depth_resolution, project, triangulate_depth,
+                       triangulate_lateral)
 from .io import (ConfigError, PgmError, RunConfig, load_config,
                  read_estimates_csv, read_pgm, read_truth_csv,
                  write_estimates_csv, write_pgm, write_truth_csv)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Calibration", "CalibrationError", "ConfigError", "DetectParams",
-    "Detection", "Frame", "ImagePoint", "IntensityModel", "Metrics",
+    "Detection", "Frame", "IntensityModel", "Metrics",
     "NoiseParams", "PgmError", "PositionEstimate", "PositionStreamer",
     "RigConfig", "RunConfig", "SceneState", "SmootherConfig", "StreamPacket",
     "TrajectorySpec", "TriangulationError", "WorldPosition", "ath",

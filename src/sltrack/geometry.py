@@ -68,8 +68,8 @@ class RigConfig:
             raise ValueError("v0: must lie in [0, height)")
         if not 0 <= self.back_wall_row < self.height:
             raise ValueError(
-                "rig unusable: back-wall line row "
-                f"{self.back_wall_row:.1f} falls outside the frame"
+                f"v0: back-wall line row {self.back_wall_row:.1f} "
+                "(v0 + d*f/z_b) falls outside the frame"
             )
 
     @property
@@ -90,18 +90,6 @@ class WorldPosition:
             raise ValueError("position must be finite")
         if not self.z > 0:
             raise ValueError("z: must be > 0")
-
-
-@dataclass(frozen=True)
-class ImagePoint:
-    """Sub-pixel image coordinates; may fall outside the sensor."""
-
-    u: float
-    v: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.u) and math.isfinite(self.v)):
-            raise ValueError("image point must be finite")
 
 
 def triangulate_depth(rig: RigConfig, v_f: float, v_b: float) -> float:
@@ -133,18 +121,20 @@ def triangulate_lateral(rig: RigConfig, u_f: float, z_f: float) -> float:
     return u_f * z_f / rig.f
 
 
-def project(rig: RigConfig, pos: WorldPosition) -> ImagePoint:
-    """Image a floor position through the pinhole model.
+def project(rig: RigConfig, pos: WorldPosition) -> tuple[float, float]:
+    """Image a floor position through the pinhole model as a sub-pixel
+    ``(u, v)`` pair, which may fall outside the sensor.
 
     Algebraic inverse of the two triangulation equations:
     ``u = u0 + f*x/z`` and ``v = v0 + d*f/z``.
     """
     if pos.z > rig.z_b:
         raise ValueError(f"z={pos.z:.3f} lies behind the back wall (z_b={rig.z_b:.3f})")
-    return ImagePoint(
-        u=rig.u0 + rig.f * pos.x / pos.z,
-        v=rig.v0 + rig.d * rig.f / pos.z,
-    )
+    u = rig.u0 + rig.f * pos.x / pos.z
+    v = rig.v0 + rig.d * rig.f / pos.z
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise ValueError("image point must be finite")
+    return u, v
 
 
 def depth_resolution(rig: RigConfig, z: float) -> float:

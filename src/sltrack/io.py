@@ -27,7 +27,7 @@ from typing import (IO, Any, BinaryIO, Callable, Iterator, Mapping, Sequence,
 import numpy as np
 
 from .detect import DetectParams
-from .geometry import RigConfig, WorldPosition
+from .geometry import MAX_PIXELS, RigConfig, WorldPosition
 from .pipeline import PositionEstimate, SmootherConfig
 from .synth import (TRAJECTORIES, Frame, IntensityModel, NoiseParams, Point,
                     SceneState, TrajectorySpec, frame_timestamp_ms)
@@ -108,21 +108,30 @@ _MAX_DIGITS = 18
 # bytes.isspace. Every part may match empty, so the pattern always matches,
 # at its first, greedy try: no backtracking
 _HEADER = re.compile(rb"(?:\s|#[^\n]*)*(\S*)" * 4)
+# no frame file a rig allows is longer: a MAX_PIXELS payload, 64 KiB of header
+_MAX_FILE_BYTES = MAX_PIXELS + 2**16
 
 
 def _read_file(path: str | os.PathLike) -> np.ndarray:
     """Every byte of a file, read into one uint8 buffer sized by its stat.
-    A directory raises ``IsADirectoryError`` naming it, as ``open`` does."""
+    A directory raises ``IsADirectoryError`` naming it, as ``open`` does,
+    and a file longer than any frame :class:`PgmError`, before it is read."""
     fd = os.open(path, os.O_RDONLY)
     try:
         info = os.fstat(fd)
         if stat.S_ISDIR(info.st_mode):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if info.st_size > _MAX_FILE_BYTES:
+            raise PgmError(f"file of {info.st_size} bytes is longer than any frame",
+                           _MAX_FILE_BYTES, os.fspath(path))
         buf = np.empty(info.st_size + 1, np.uint8)
         got = 0
         while n := os.readv(fd, [buf[got:]]):
             got += n
             if got == buf.size:  # longer than its stat said: grown, or not a regular file
+                if got > _MAX_FILE_BYTES:
+                    raise PgmError(f"file of over {_MAX_FILE_BYTES} bytes is longer "
+                                   "than any frame", _MAX_FILE_BYTES, os.fspath(path))
                 buf = np.concatenate((buf, np.empty_like(buf)))
         return buf[:got]
     finally:
@@ -373,10 +382,11 @@ def _read_table(source: str | IO[str], header: str, what: str,
     A row's first field, ``frame``, must be its 0-based position, as
     ``write_*_csv`` write it and :func:`sltrack.pipeline.evaluate` pairs
     rows; it is passed as an int, the rest as text. A bad header or row
-    raises ``ValueError`` naming the table and 1-based line."""
+    raises ``ValueError`` naming the table and 1-based line. Rows end at
+    ``\\n`` or ``\\r\\n``; any other line break stays inside its row."""
     with _opened(source, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != header:
+        lines = fh.read().replace("\r\n", "\n").removesuffix("\n").split("\n")
+    if lines[0] != header:
         raise ValueError(f"{what} CSV line 1: expected header {header!r}")
     width = header.count(",") + 1
     rows = []
@@ -396,20 +406,21 @@ def _read_table(source: str | IO[str], header: str, what: str,
 def write_estimates_csv(estimates: Sequence[PositionEstimate],
                         sink: str | IO[str]) -> None:
     """Write per-frame estimates; absent values become empty fields and
-    cm/pixel centroids carry three decimals. A detected row needs the
-    detection's centroid, so an estimate with a position but no detection
-    raises ``ValueError`` naming its frame."""
+    cm/pixel centroids carry three decimals; ``frame`` is the row's 0-based
+    position, as :func:`read_estimates_csv` reads it. A detected row needs
+    the detection's centroid, so an estimate with a position but no
+    detection raises ``ValueError`` naming its frame."""
     with _opened(sink, "w", encoding="utf-8", newline="") as fh:
         fh.write(ESTIMATES_HEADER + "\n")
-        for est in estimates:
+        for i, est in enumerate(estimates):
             if est.pos is None:
-                fh.write(f"{est.frame_index},{est.timestamp_ms},0,,,,\n")
+                fh.write(f"{i},{est.timestamp_ms},0,,,,\n")
             elif est.detection is None:
-                raise ValueError(f"frame {est.frame_index}: a position without "
+                raise ValueError(f"frame {i}: a position without "
                                  "a detection has no u_f, v_f to write")
             else:
                 fh.write(
-                    f"{est.frame_index},{est.timestamp_ms},1,"
+                    f"{i},{est.timestamp_ms},1,"
                     f"{est.detection.u_f:.3f},{est.detection.v_f},"
                     f"{est.pos.x:.3f},{est.pos.z:.3f}\n"
                 )

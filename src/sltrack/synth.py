@@ -135,8 +135,6 @@ def render(
     concurrently, as ``sltrack simulate`` does on one thread per CPU. A user
     behind the back wall raises ``ValueError``.
     """
-    foot = project(rig, scene.user) if scene.user is not None else None
-
     h, w = rig.height, rig.width
     if noise.background_sigma > 0:
         # scaled in place: the same bits as rng.normal(mean, sigma, (h, w)),
@@ -149,10 +147,10 @@ def render(
         img = np.full((h, w), float(noise.background_mean))
 
     wall = np.ones(w, dtype=bool)
-    if foot is not None:
-        z = scene.user.z
-        cols = _run_columns(foot.u, scene.foot_width * rig.f / z, w)
-        _stamp_line(img, foot.v, cols, intensity_at(im, z))
+    if scene.user is not None:
+        (u, v), z = project(rig, scene.user), scene.user.z
+        cols = _run_columns(u, scene.foot_width * rig.f / z, w)
+        _stamp_line(img, v, cols, intensity_at(im, z))
         wall[cols] = False  # the body shadows the wall
     _stamp_line(img, rig.back_wall_row, wall, intensity_at(im, rig.z_b))
 

@@ -227,6 +227,16 @@ def test_simulate_out_dir_naming_a_file_exit_2(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == "not a directory"
 
 
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+def test_a_user_imaged_past_the_float_range_exit_2(tmp_path, capsys, command):
+    # u0 + f*x/z overflows to inf for x = 1e306
+    cfg = stationary_config(tmp_path, position=(1e306, 200.0))
+    argv = {"simulate": ["simulate", "-c", cfg, "-o", str(tmp_path / "run")],
+            "bench": ["bench", "-c", cfg, "-n", "5"]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: image point must be finite\n"
+
+
 def test_track_bad_trajectory_exit_2(tmp_path, capsys):
     # the trajectory is checked when the config loads, also for commands
     # that never materialize it
@@ -350,6 +360,19 @@ def test_calibrate_truncated_frame_exit_2_naming_the_file(tmp_path, capsys):
     assert captured.err == (
         f"error: {empty}: truncated payload: want 76800 bytes, have 2 "
         f"(byte offset 17)\n")
+    assert captured.out == ""
+
+
+def test_calibrate_file_longer_than_any_frame_exit_2_naming_it(tmp_path, capsys):
+    cfg = stationary_config(tmp_path)
+    huge = tmp_path / "huge.pgm"
+    huge.write_bytes(b"")
+    os.truncate(huge, 2**24 + 2**16 + 1)  # sparse: no disk, and never read
+    assert main(["calibrate", "-c", cfg, str(huge)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {huge}: file of {2**24 + 2**16 + 1} bytes is longer than any "
+        f"frame (byte offset {2**24 + 2**16})\n")
     assert captured.out == ""
 
 

@@ -1,10 +1,12 @@
-"""Fuzzing of the file readers and the SLT1 decoder: malformed input fails
-with a located error.
+"""Fuzzing of the file readers, the SLT1 decoder and the command line:
+malformed input fails with a located error.
 
 ``read_pgm`` may only raise :class:`PgmError` with a byte offset inside the
 data, the CSV readers only ``ValueError`` naming the table and line,
 ``load_config`` only :class:`ConfigError` naming the config or a section, and
-``decode`` only ``ValueError`` quoting the packet.
+``decode`` only ``ValueError`` quoting the packet. ``sltrack calibrate``,
+``track`` and ``evaluate`` on corrupted input files exit 0, 1 or 2, with one
+``error:`` line when not 0, and never raise.
 """
 
 from __future__ import annotations
@@ -13,14 +15,17 @@ import io as stdio
 import json
 import math
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_CONFIG
 from sltrack import (ConfigError, PgmError, PositionEstimate, RunConfig,
-                     WorldPosition, decode, encode, load_config, read_estimates_csv,
-                     read_pgm, read_truth_csv)
+                     SceneState, WorldPosition, decode, encode, load_config,
+                     read_estimates_csv, read_pgm, read_truth_csv, render, write_pgm)
+from sltrack.cli import main
 from sltrack.io import ESTIMATES_HEADER, TRUTH_HEADER
 
 FUZZ = settings(max_examples=300, deadline=None, database=None,
@@ -186,3 +191,90 @@ def test_decode_inverts_encode(seq, ts, pos):
     if pos is not None:
         assert (packet.x_cm, packet.z_cm) == (float(f"{pos[0]:.3f}"),
                                               float(f"{pos[1]:.3f}"))
+
+
+# --- the command line over corrupted input files ----------------------------
+
+# a 32x24 rig with the wall on row 16 and a foot on row 20: small frames keep
+# each command at a few milliseconds
+_SMALL_RIG = {"d": 40.0, "f": 40.0, "z_b": 400.0, "width": 32, "height": 24,
+              "u0": 16.0, "v0": 12.0}
+_INPUTS = ["frames/000002.pgm", "frames/truth.csv", "empty.pgm", "cal.txt", "est.csv"]
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A valid 4-frame clip with its truth CSV, an empty frame, a calibration
+    file and an estimates CSV; maps each input file to its valid bytes."""
+    root = tmp_path_factory.mktemp("cli_fuzz")
+    cfg = json.loads(json.dumps(_REFERENCE))
+    cfg["rig"] = _SMALL_RIG
+    cfg["noise"]["background_sigma"] = 2.0
+    cfg["trajectory"] = {"kind": "stationary", "rate_hz": 20.0, "duration_s": 0.2,
+                         "foot_width": 25.0, "position": [0.0, 200.0]}
+    (root / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    config = load_config(str(root / "config.json"))
+    write_pgm(render(config.rig, SceneState(user=None), config.noise,
+                     config.intensity, index=99), str(root / "empty.pgm"))
+    with redirect_stdout(stdio.StringIO()):
+        assert main(["simulate", "-c", str(root / "config.json"),
+                     "-o", str(root / "frames")]) == 0
+        assert main(["calibrate", "-c", str(root / "config.json"),
+                     str(root / "empty.pgm"), "-o", str(root / "cal.txt")]) == 0
+        assert main(["track", "-c", str(root / "config.json"), "--calibration",
+                     str(root / "cal.txt"), str(root / "frames"),
+                     "-o", str(root / "est.csv")]) == 0
+    return root, {name: (root / name).read_bytes() for name in _INPUTS}
+
+
+_insert = st.sampled_from([b"0", b"7", b"99", b"\0", b"\r", b"\n", b",", b"#",
+                           b"nan", b"1e999", b"-", b"\xff"])
+
+
+@st.composite
+def _corruption(draw) -> tuple[str, list]:
+    """One input file and up to three truncations, overwrites or insertions."""
+    name = draw(st.sampled_from(_INPUTS))
+    edits = draw(st.lists(st.tuples(st.sampled_from(["cut", "overwrite", "insert"]),
+                                    st.floats(0, 1), _insert),
+                          min_size=1, max_size=3))
+    return name, edits
+
+
+def _corrupt(data: bytes, edits: list) -> bytes:
+    out = bytearray(data)
+    for edit, where, token in edits:
+        at = int(where * len(out))
+        if edit == "cut":
+            del out[at:]
+        elif edit == "overwrite":
+            out[at:at + len(token)] = token
+        else:
+            out[at:at] = token
+    return bytes(out)
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_corruption())
+def test_cli_on_a_corrupted_input_exits_with_one_error_line(small_run, corruption):
+    root, valid = small_run
+    name, edits = corruption
+    (root / name).write_bytes(_corrupt(valid[name], edits))
+    config = str(root / "config.json")
+    try:
+        for argv in (["calibrate", "-c", config, str(root / "empty.pgm")],
+                     ["track", "-c", config, "--calibration", str(root / "cal.txt"),
+                      str(root / "frames"), "-o", str(root / "out.csv")],
+                     ["evaluate", str(root / "est.csv"),
+                      str(root / "frames" / "truth.csv")]):
+            err = stdio.StringIO()
+            with redirect_stdout(stdio.StringIO()), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv[0], code)
+            if code:
+                assert re.fullmatch(r"error: [^\n]+\n", err.getvalue()), err.getvalue()
+            else:
+                assert err.getvalue() == ""
+    finally:
+        (root / name).write_bytes(valid[name])

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sltrack import (ImagePoint, RigConfig, TriangulationError, WorldPosition,
+from sltrack import (RigConfig, TriangulationError, WorldPosition,
                      depth_resolution, project, triangulate_depth,
                      triangulate_lateral)
 
@@ -65,13 +65,13 @@ def test_lateral_requires_positive_depth(rig):
 
 def test_project_back_wall_point_on_axis(rig):
     pt = project(rig, WorldPosition(x=0.0, z=400.0))
-    assert pt == ImagePoint(u=160.0, v=160.0)  # v0 + d*f/z_b = 120 + 40
+    assert pt == (160.0, 160.0)  # v0 + d*f/z_b = 120 + 40
 
 
 def test_project_hand_evaluated_row(rig):
     # d*f/z = 16000/200 = 80 below the principal row
-    pt = project(rig, WorldPosition(x=0.0, z=200.0))
-    assert pt.v == pytest.approx(120.0 + 80.0, rel=1e-12)
+    _, v = project(rig, WorldPosition(x=0.0, z=200.0))
+    assert v == pytest.approx(120.0 + 80.0, rel=1e-12)
 
 
 def test_project_rejects_bad_depth(rig):
@@ -88,9 +88,9 @@ def test_project_triangulate_round_trip_10k(rig):
     for _ in range(10_000):
         z = float(rng.uniform(1.0, rig.z_b))
         x = float(rng.uniform(-500.0, 500.0))
-        pt = project(rig, WorldPosition(x=x, z=z))
-        z_hat = triangulate_depth(rig, pt.v, v_b)
-        x_hat = triangulate_lateral(rig, pt.u - rig.u0, z_hat)
+        u, v = project(rig, WorldPosition(x=x, z=z))
+        z_hat = triangulate_depth(rig, v, v_b)
+        x_hat = triangulate_lateral(rig, u - rig.u0, z_hat)
         assert z_hat == pytest.approx(z, rel=1e-9)
         assert x_hat == pytest.approx(x, rel=1e-9, abs=1e-9)
 
@@ -110,8 +110,8 @@ def test_depth_resolution_matches_finite_difference_row_slope(rig):
     # resolution * |dv/dz| == 1, dv/dz estimated by central differences
     for z in (60.0, 135.0, 200.0, 333.0, 399.0):
         h = z * 1e-4
-        v_plus = project(rig, WorldPosition(0.0, z + h)).v
-        v_minus = project(rig, WorldPosition(0.0, z - h)).v
+        _, v_plus = project(rig, WorldPosition(0.0, z + h))
+        _, v_minus = project(rig, WorldPosition(0.0, z - h))
         slope = abs((v_plus - v_minus) / (2 * h))
         assert depth_resolution(rig, z) * slope == pytest.approx(1.0, abs=1e-6)
 

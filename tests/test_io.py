@@ -323,6 +323,41 @@ def test_pgm_from_a_pipe_is_read_to_its_end(tmp_path):
     assert frame.pixels.tobytes() == data[len(b"P5\n300 200\n255\n"):]
 
 
+def test_pgm_file_longer_than_any_frame_fails_before_it_is_read(tmp_path):
+    # sparse: the file takes no disk, and the reader must not allocate for it
+    path = tmp_path / "huge.pgm"
+    path.write_bytes(b"")
+    bound = sltrack.geometry.MAX_PIXELS + 2**16
+    os.truncate(path, bound + 1)
+    with pytest.raises(PgmError) as exc_info:
+        read_pgm(str(path))
+    assert str(exc_info.value) == (
+        f"{path}: file of {bound + 1} bytes is longer than any frame "
+        f"(byte offset {bound})")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_pgm_pipe_longer_than_any_frame_stops_at_the_bound(tmp_path):
+    # a pipe's stat size is 0: the buffer doubles, and a doubling past the
+    # bound fails instead of growing without end
+    path = tmp_path / "frame.pgm"
+    os.mkfifo(path)
+
+    def write():
+        try:
+            path.write_bytes(bytes(2**25 + 1))
+        except BrokenPipeError:  # the reader stopped at the bound
+            pass
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        with pytest.raises(PgmError, match="longer than any frame"):
+            read_pgm(str(path))
+    finally:
+        writer.join()
+
+
 def test_a_bad_frame_in_a_directory_names_its_file(tmp_path):
     for i in range(3):
         write_pgm(frame_from([i] * 6, 3, 2), str(tmp_path / f"{i:06d}.pgm"))
@@ -619,13 +654,15 @@ def test_config_message_for_every_section(section):
     # checked on its own: with no floor a negative base gives negative limits
     (lambda c: c["detect"].update(ath_base=-1),
      "detect.ath_base: must lie in [0, ath_max]"),
+    (lambda c: c["rig"].update(v0=230),
+     "rig.v0: back-wall line row 270.0 (v0 + d*f/z_b) falls outside the frame"),
 ], ids=["top-level-unknown", "unhashable-kind", "other-kinds-key", "rig",
         "detect", "noise", "intensity", "smoother", "trajectory",
         "negative-speed", "zero-speed", "rate-above-1000", "empty-clip",
         "negative-radius", "stationary-at-z-0", "number-past-float-range",
         "point-past-float-range", "width-past-int64-range",
         "seed-below-int64-range", "pixel-count-above-cap",
-        "negative-base-without-floor"])
+        "negative-base-without-floor", "wall-row-outside-frame"])
 def test_config_section_and_invariant_messages(mutate, message):
     cfg = base_config("stroll")
     mutate(cfg)
@@ -675,6 +712,18 @@ def test_estimates_csv_refuses_a_position_without_a_detection():
                  PositionEstimate(1, 50, WorldPosition(10.0, 200.0))]
     with pytest.raises(ValueError, match="frame 1: a position without a detection"):
         write_estimates_csv(estimates, stdio.StringIO())
+
+
+def test_estimates_csv_numbers_rows_by_position_and_reads_back():
+    # frame is the row's position, whatever frame_index the estimates carry
+    estimates = [PositionEstimate(i, 50 * i) for i in (5, 6, 7)]
+    buf = stdio.StringIO()
+    write_estimates_csv(estimates, buf)
+    assert buf.getvalue().splitlines()[1:] == ["0,250,0,,,,", "1,300,0,,,,",
+                                               "2,350,0,,,,"]
+    buf.seek(0)
+    assert [(r.frame, r.timestamp_ms) for r in read_estimates_csv(buf)] == [
+        (0, 250), (1, 300), (2, 350)]
 
 
 def test_estimates_csv_empty_stream_is_header_only():
@@ -844,6 +893,30 @@ def test_a_row_without_a_position_leaves_its_position_fields_empty(read, row,
     with pytest.raises(ValueError) as exc_info:
         read(stdio.StringIO(f"{header}{first}\n{row}\n"))
     assert str(exc_info.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    # a form feed inside line 3 does not end it: that line fails
+    (TRUTH + "0,0,0,,,25.0\n1,50,0,,,25.0\x0c\nbad\n",
+     "truth CSV line 3: could not convert string to float: '25.0\\x0c'"),
+    # nor does U+2028: csv reads this as one row, and so does the reader
+    (TRUTH + "0,0,0,,,25.000\u20281,50,0,,,25.000\n",
+     "truth CSV line 2: expected 6 fields, got 11"),
+    # a lone carriage return is not a line end either
+    (TRUTH + "0,0,0,,,25.0\r1,50,0,,,25.0\n",
+     "truth CSV line 2: expected 6 fields, got 11"),
+], ids=["form-feed", "line-separator", "lone-carriage-return"])
+def test_csv_rows_end_only_at_newline(text, message):
+    with pytest.raises(ValueError) as exc_info:
+        read_truth_csv(stdio.StringIO(text))
+    assert str(exc_info.value) == message
+
+
+def test_csv_with_crlf_row_ends_still_reads():
+    buf = stdio.StringIO()
+    write_truth_csv(truth_states(), buf)
+    crlf = buf.getvalue().replace("\n", "\r\n")
+    assert read_truth_csv(stdio.StringIO(crlf)) == truth_states()
 
 
 def test_the_loose_estimates_row_fails_on_its_line():

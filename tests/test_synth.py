@@ -150,11 +150,11 @@ def reference_render(rig, scene, noise, im, index=0) -> np.ndarray:
 
     wall_cols = np.arange(w)
     if scene.user is not None:
-        foot, z = project(rig, scene.user), scene.user.z
+        (u, v), z = project(rig, scene.user), scene.user.z
         half = scene.foot_width * rig.f / z / 2.0
-        cols = np.arange(max(math.ceil(foot.u - half), 0),
-                         min(math.floor(foot.u + half), w - 1) + 1)
-        stamp(foot.v, cols, intensity_at(im, z))
+        cols = np.arange(max(math.ceil(u - half), 0),
+                         min(math.floor(u + half), w - 1) + 1)
+        stamp(v, cols, intensity_at(im, z))
         wall_cols = np.setdiff1d(wall_cols, cols)
     stamp(rig.back_wall_row, wall_cols, intensity_at(im, rig.z_b))
     return np.clip(np.rint(img), 0, 255).astype(np.uint8)
