@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -178,7 +179,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``sltrack`` parser, built on the first call and shared after it:
+    parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="sltrack",
         description="Structured-light laser-line floor tracker toolkit.",

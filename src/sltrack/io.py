@@ -13,6 +13,7 @@ builder in ``synth.TRAJECTORIES``.
 from __future__ import annotations
 
 import errno
+import functools
 import json
 import math
 import os
@@ -108,6 +109,9 @@ _MAX_DIGITS = 18
 # bytes.isspace. Every part may match empty, so the pattern always matches,
 # at its first, greedy try: no backtracking
 _HEADER = re.compile(rb"(?:\s|#[^\n]*)*(\S*)" * 4)
+# most bytes of a header token that an error message quotes: a token is a
+# run of non-space bytes, as long as the file at most
+_QUOTE_BYTES = 32
 # no frame file a rig allows is longer: a MAX_PIXELS payload, 64 KiB of header
 _MAX_FILE_BYTES = MAX_PIXELS + 2**16
 
@@ -133,39 +137,39 @@ def _read_file(path: str | os.PathLike) -> np.ndarray:
                     raise PgmError(f"file of over {_MAX_FILE_BYTES} bytes is longer "
                                    "than any frame", _MAX_FILE_BYTES, os.fspath(path))
                 buf = np.concatenate((buf, np.empty_like(buf)))
+            elif got == n == info.st_size and stat.S_ISREG(info.st_mode):
+                break  # one read took the whole file and left the byte past it empty
         return buf[:got]
     finally:
         os.close(fd)
 
 
-def read_pgm(source: str | BinaryIO, *, index: int = 0,
-             timestamp_ms: int = 0) -> Frame:
-    """Read a binary (P5) PGM with maxval 255 back into a Frame.
+def _quote(token: bytes) -> str:
+    """``repr(token)``; a token past ``_QUOTE_BYTES`` bytes, its first
+    ``_QUOTE_BYTES`` and its length."""
+    if len(token) <= _QUOTE_BYTES:
+        return repr(token)
+    return f"{token[:_QUOTE_BYTES]!r}... ({len(token)} bytes)"
 
-    The header may hold '#' comments and any ASCII whitespace between its
-    fields, and exactly one whitespace byte ends it. Timestamp and index are
-    not part of the format: they are 0 unless the caller passes them.
-    Malformed data, including any byte after the width*height payload,
-    raises :class:`PgmError` at the offset of the problem, naming the file of
-    a path. The pixels are a writable view of the one buffer the data fills.
-    """
-    if hasattr(source, "read"):
-        data, path = np.frombuffer(bytearray(source.read()), np.uint8), None
-    else:
-        data, path = _read_file(source), os.fspath(source)
+
+def _parse_header(data: np.ndarray, path: str | None) -> tuple[bytes, int, int]:
+    """The header bytes, the one whitespace byte after maxval included, with
+    width and height. The parse reads no byte past that whitespace byte."""
     header = _HEADER.match(data)
     tokens = header.groups()
     if tokens[0] != b"P5":
         if not tokens[0]:  # an empty token: the data ended
             raise PgmError("truncated header", data.size, path)
-        raise PgmError(f"unsupported magic {tokens[0]!r}, want binary P5", 0, path)
+        raise PgmError(f"unsupported magic {_quote(tokens[0])}, want binary P5",
+                       0, path)
     numbers = []
     for group, name in (2, "width"), (3, "height"), (4, "maxval"):
         token = tokens[group - 1]
         if not token.isdigit():  # ASCII only; int() also takes "+3" and "3_20"
             if not token:
                 raise PgmError("truncated header", data.size, path)
-            raise PgmError(f"non-numeric {name} {token!r}", header.start(group), path)
+            raise PgmError(f"non-numeric {name} {_quote(token)}",
+                           header.start(group), path)
         if len(token) > _MAX_DIGITS:
             token = token.lstrip(b"0")
             if len(token) > _MAX_DIGITS:
@@ -181,6 +185,36 @@ def read_pgm(source: str | BinaryIO, *, index: int = 0,
     if pos == data.size:
         raise PgmError("truncated header", pos, path)
     pos += 1  # single whitespace byte after maxval
+    return data[:pos].tobytes(), width, height
+
+
+# the last header _parse_header gave: a frame that starts with the same bytes
+# has the same width, height and payload offset. One tuple, replaced whole,
+# so a thread that races another's read can miss, never read a mixed entry
+_last_header: tuple[bytes, int, int] | None = None
+
+
+def read_pgm(source: str | BinaryIO, *, index: int = 0,
+             timestamp_ms: int = 0) -> Frame:
+    """Read a binary (P5) PGM with maxval 255 back into a Frame.
+
+    The header may hold '#' comments and any ASCII whitespace between its
+    fields, and exactly one whitespace byte ends it. Timestamp and index are
+    not part of the format: they are 0 unless the caller passes them.
+    Malformed data, including any byte after the width*height payload,
+    raises :class:`PgmError` at the offset of the problem, naming the file of
+    a path. The pixels are a writable view of the one buffer the data fills.
+    """
+    global _last_header
+    if hasattr(source, "read"):
+        data, path = np.frombuffer(bytearray(source.read()), np.uint8), None
+    else:
+        data, path = _read_file(source), os.fspath(source)
+    header = _last_header
+    if header is None or data[:len(header[0])].tobytes() != header[0]:
+        header = _last_header = _parse_header(data, path)
+    prefix, width, height = header
+    pos = len(prefix)
     expected = width * height
     have = data.size - pos
     if have < expected:
@@ -311,10 +345,19 @@ def _construct(cls: type, name: str, **values: Any) -> Any:
         raise ConfigError(f"{name}.{exc}") from None
 
 
+@functools.cache
 def _field_types(cls: type) -> dict[str, Any]:
-    """Name -> annotated type of each constructor field of a dataclass."""
+    """Name -> annotated type of each constructor field of a dataclass;
+    resolved once per class and shared, so never mutated."""
     hints = get_type_hints(cls)
     return {f.name: hints[f.name] for f in fields(cls) if f.init}
+
+
+@functools.cache
+def _param_types(builder: Callable[..., Any]) -> dict[str, Any]:
+    """Name -> annotated type of each parameter of a path builder; resolved
+    once per builder and shared, so never mutated."""
+    return {k: v for k, v in get_type_hints(builder).items() if k != "return"}
 
 
 def _build_trajectory(section: Mapping[str, Any]) -> TrajectorySpec:
@@ -324,8 +367,7 @@ def _build_trajectory(section: Mapping[str, Any]) -> TrajectorySpec:
     kind = _require(section, name, "kind")
     if not isinstance(kind, str) or kind not in TRAJECTORIES:
         raise ConfigError(f"{name}.kind: unknown kind {kind!r}")
-    params = get_type_hints(TRAJECTORIES[kind])
-    del params["return"]
+    params = _param_types(TRAJECTORIES[kind])
     types = {**_field_types(TrajectorySpec), **params}
     del types["kind"], types["params"]
     values = _parse_keys({k: v for k, v in section.items() if k != "kind"}, name, types)

@@ -11,6 +11,7 @@ import os
 import re
 import shutil
 import socket
+import subprocess
 import sys
 import threading
 from dataclasses import replace
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE_CONFIG
+import sltrack
 from sltrack import PositionEstimate, read_estimates_csv, write_estimates_csv
 from sltrack.cli import entrypoint, main
 
@@ -700,6 +702,22 @@ def test_track_frame_with_a_5000_digit_width_exit_2_naming_the_file(tmp_path,
         f"error: {bad}: width too large: 5000 digits (byte offset 3)\n")
 
 
+def test_track_frame_of_a_mebibyte_of_zero_bytes_exit_2_with_one_short_line(
+        tmp_path, capsys, monkeypatch):
+    # the magic token is the whole file: its quote is cut at 32 bytes
+    monkeypatch.chdir(tmp_path)
+    cfg = stationary_config(tmp_path)
+    Path("frames").mkdir()
+    Path("frames/000000.pgm").write_bytes(bytes(2**20))
+    Path("cal.txt").write_text("v_b=160\n", encoding="utf-8")
+    assert main(["track", "-c", cfg, "--calibration", "cal.txt", "frames",
+                 "-o", "est.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: frames/000000.pgm: unsupported magic b'" + r"\x00" * 32
+                   + "'... (1048576 bytes), want binary P5 (byte offset 0)\n")
+    assert len(err) < 300
+
+
 def test_a_failed_track_leaves_the_header_and_no_older_rows(tmp_path, capsys):
     cfg = stationary_config(tmp_path)
     est_csv, truth_csv = full_run(tmp_path, cfg)
@@ -880,6 +898,39 @@ def test_bench_tracks_a_serial_render_of_the_wrapped_states(ref_config, monkeypa
 
 def test_bench_zero_frames_usage_error(ref_config):
     assert main(["bench", "-c", ref_config, "-n", "0"]) == 2
+
+
+def test_a_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    from sltrack import SceneState, WorldPosition, write_truth_csv
+    from sltrack.detect import Detection
+
+    truth = [SceneState(user=WorldPosition(0.0, 200.0), timestamp_ms=50 * i)
+             for i in range(3)]
+    ests = [PositionEstimate(0, 0), *(
+        PositionEstimate(i, 50 * i, WorldPosition(3.0 * i, 204.0),
+                         Detection(160.0, 200, 10, 100.0)) for i in (1, 2))]
+    est_csv, truth_csv = tmp_path / "e.csv", tmp_path / "t.csv"
+    write_estimates_csv(ests, str(est_csv))
+    write_truth_csv(truth, str(truth_csv))
+    argv = ["evaluate", str(est_csv), str(truth_csv)]
+    src = str(Path(sltrack.__file__).resolve().parent.parent)
+    alone = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from sltrack.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=60)
+    assert (alone.returncode, alone.stderr) == (0, "")
+    with pytest.raises(SystemExit) as exc_info:
+        main(["track"])
+    assert exc_info.value.code == 2
+    assert "the following arguments are required" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc_info:
+        main(["--help"])
+    assert exc_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sltrack")
+    assert main(argv) == 0
+    assert capsys.readouterr() == (alone.stdout, "")
 
 
 def test_unknown_command_exit_2():

@@ -223,17 +223,23 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 _MAX_DIGITS = 18
 
 
+def _quoted(token: bytes) -> str:
+    """A token as PgmError quotes it: whole up to 32 bytes, else its first 32
+    bytes and its length."""
+    return repr(token) if len(token) <= 32 else f"{token[:32]!r}... ({len(token)} bytes)"
+
+
 def reference_read_pgm(data: bytes) -> np.ndarray:
     """The PGM reader as first written: a byte-by-byte walk over the header
     tokens, each check in turn, then a copy of the payload."""
     magic, pos = _next_token(data, 0)
     if magic != b"P5":
-        raise PgmError(f"unsupported magic {magic!r}, want binary P5", 0)
+        raise PgmError(f"unsupported magic {_quoted(magic)}, want binary P5", 0)
     fields = []
     for name in ("width", "height", "maxval"):
         token, pos = _next_token(data, pos)
         if not token.isdigit():  # ASCII only; int() also takes "+3" and "3_20"
-            raise PgmError(f"non-numeric {name} {token!r}", pos - len(token))
+            raise PgmError(f"non-numeric {name} {_quoted(token)}", pos - len(token))
         digits = token.lstrip(b"0")
         if len(digits) > _MAX_DIGITS:
             raise PgmError(f"{name} too large: {len(digits)} digits", pos - len(token))
@@ -286,17 +292,26 @@ def _pgm_bytes_with_insertion(draw):
 
 
 @settings(max_examples=600, deadline=None, database=None)
-@given(data=_pgm_bytes() | st.binary(max_size=40) | _pgm_bytes_with_insertion())
+@given(data=_pgm_bytes() | st.binary(max_size=40) | _pgm_bytes_with_insertion(),
+       other=st.tuples(st.integers(1, 5), st.integers(1, 5)))
 def test_reading_a_pgm_path_or_its_bytes_equals_the_reference_reader(tmp_path_factory,
-                                                                     data):
+                                                                     data, other):
     path = tmp_path_factory.mktemp("pgm") / "frame.pgm"
     path.write_bytes(data)
     want = _outcome(reference_read_pgm, data)
-    assert _outcome(_read_pixels, stdio.BytesIO(data)) == want
     # a path names its file before the reference's message, at the same offset
-    if isinstance(want[0], str):
-        want = (f"{path}: {want[0]}", want[1])
-    assert _outcome(_read_pixels, str(path)) == want
+    want_path = (f"{path}: {want[0]}", want[1]) if isinstance(want[0], str) else want
+    another = b"P5\n%d %d\n255\n" % other + bytes(other[0] * other[1])
+    for source, expected in [(lambda: stdio.BytesIO(data), want),
+                             (lambda: str(path), want_path)]:
+        # cold, right after another valid frame (whose header differs but for
+        # a chance draw), and twice in a row: a header taken from the last
+        # parse reads as a parse
+        sltrack.io._last_header = None
+        assert _outcome(_read_pixels, source()) == expected
+        read_pgm(stdio.BytesIO(another))
+        assert _outcome(_read_pixels, source()) == expected
+        assert _outcome(_read_pixels, source()) == expected
 
 
 @pytest.mark.parametrize("data", [
@@ -306,6 +321,98 @@ def test_reading_a_pgm_path_or_its_bytes_equals_the_reference_reader(tmp_path_fa
 ])
 def test_pgm_header_edge_cases_read_as_the_reference_reader_reads_them(data):
     assert _outcome(_read_pixels, stdio.BytesIO(data)) == _outcome(reference_read_pgm, data)
+
+
+@pytest.mark.parametrize("second,message", [
+    (b"P5\n3 2\n255\n\5\6\7\10\11",
+     "truncated payload: want 6 bytes, have 5 (byte offset 16)"),
+    (b"P5\n3 2\n255\n\5\6\7\10\11\12\13", "1 bytes after the payload (byte offset 17)"),
+    (b"P5\n3 2\n2550\n\5\6\7\10\11\12", "maxval 2550 unsupported, want 255 "
+     "(byte offset 11)"),
+], ids=["one-byte-short", "one-byte-long", "maxval-one-digit-longer"])
+def test_a_frame_starting_like_the_last_header_reads_as_a_parse(tmp_path, second,
+                                                                message):
+    (tmp_path / "000000.pgm").write_bytes(b"P5\n3 2\n255\n" + bytes(range(6)))
+    (tmp_path / "000001.pgm").write_bytes(second)
+    frames = iter_pgm_dir(str(tmp_path), 20.0)
+    assert next(frames).pixels.tolist() == [[0, 1, 2], [3, 4, 5]]
+    with pytest.raises(PgmError) as exc_info:
+        next(frames)
+    assert str(exc_info.value) == f"{tmp_path / '000001.pgm'}: {message}"
+    # the reference's message carries no path
+    assert _outcome(reference_read_pgm, second) == (message, exc_info.value.offset)
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"\0" * 40, r"unsupported magic b'" + r"\x00" * 32 + "'... (40 bytes), "
+     "want binary P5 (byte offset 0)"),
+    (b"P5 " + b"x" * 33 + b" 1 255\n\0", "non-numeric width b'" + "x" * 32
+     + "'... (33 bytes) (byte offset 3)"),
+    (b"P5 1 " + b"y" * 32 + b" 255\n\0", "non-numeric height b'" + "y" * 32
+     + "' (byte offset 5)"),
+], ids=["magic", "width-33-bytes", "height-32-bytes"])
+def test_pgm_errors_quote_at_most_32_bytes_of_a_token(data, message):
+    with pytest.raises(PgmError) as exc_info:
+        read_pgm(stdio.BytesIO(data))
+    assert str(exc_info.value) == message
+
+
+def _count_readv(monkeypatch, first_read_bytes=None):
+    """Patch ``os.readv`` as ``sltrack.io`` calls it to record what each call
+    returns; the first call, if ``first_read_bytes`` is given, reads at most
+    that many bytes."""
+    real = os.readv
+    returns = []
+
+    def readv(fd, buffers):
+        if first_read_bytes is not None and not returns:
+            buffers = [buffers[0][:first_read_bytes]]
+        returns.append(real(fd, buffers))
+        return returns[-1]
+
+    monkeypatch.setattr(sltrack.io.os, "readv", readv)
+    return returns
+
+
+_FRAME_300x200 = b"P5\n300 200\n255\n" + (bytes(range(256)) * 235)[:60000]
+
+
+def test_an_unchanged_regular_file_takes_one_read(tmp_path, monkeypatch):
+    path = tmp_path / "frame.pgm"
+    path.write_bytes(_FRAME_300x200)
+    returns = _count_readv(monkeypatch)
+    frame = read_pgm(str(path))
+    assert returns == [len(_FRAME_300x200)]
+    assert frame.pixels.tobytes() == _FRAME_300x200[15:]
+
+
+def test_a_short_first_read_reads_on_to_the_end_of_the_file(tmp_path, monkeypatch):
+    path = tmp_path / "frame.pgm"
+    path.write_bytes(_FRAME_300x200)
+    returns = _count_readv(monkeypatch, first_read_bytes=1000)
+    frame = read_pgm(str(path))
+    assert returns[0] == 1000 and returns[-1] == 0
+    assert sum(returns) == len(_FRAME_300x200)
+    assert frame.pixels.tobytes() == _FRAME_300x200[15:]
+
+
+@pytest.mark.parametrize("error", [-1, -10, -60000, +10], ids=str)
+def test_a_file_whose_stat_size_is_wrong_still_reads_whole(tmp_path, monkeypatch,
+                                                          error):
+    path = tmp_path / "frame.pgm"
+    path.write_bytes(_FRAME_300x200)
+    real = os.fstat
+
+    def fstat(fd):
+        info = list(real(fd))
+        info[stat.ST_SIZE] += error
+        return os.stat_result(info)
+
+    monkeypatch.setattr(sltrack.io.os, "fstat", fstat)
+    returns = _count_readv(monkeypatch)
+    frame = read_pgm(str(path))
+    assert returns[-1] == 0
+    assert frame.pixels.tobytes() == _FRAME_300x200[15:]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
