@@ -34,13 +34,11 @@ def write_calibration(cal: Calibration, path: str) -> None:
 
 def read_calibration(path: str, rig: RigConfig) -> Calibration:
     try:
-        text = Path(path).read_text(encoding="utf-8").strip()
+        text = slio.read_text(path).strip()
         if not text.startswith("v_b="):
             raise ValueError("expected 'v_b=<int>'")
-        digits = text[len("v_b="):]
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError("bad v_b value")
-        return Calibration(v_b=int(digits), width=rig.width, height=rig.height)
+        return Calibration(v_b=slio.whole_number(text[len("v_b="):], "v_b"),
+                           width=rig.width, height=rig.height)
     except ValueError as exc:  # UnicodeDecodeError is a ValueError
         raise slio.ConfigError(f"calibration file {path}: {exc}") from None
 
@@ -125,37 +123,32 @@ def cmd_track(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fmt(value: float) -> str:
-    return "n/a" if math.isnan(value) else f"{value:.3f}"
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     rows = slio.read_estimates_csv(args.estimates_csv)
     truth = slio.read_truth_csv(args.truth_csv)
     metrics = evaluate(rows, truth)
-    report = {
-        "frames": len(rows),
-        "detection_rate": metrics.detection_rate,
-        "rms_error_cm": metrics.rms_error,
-        "max_error_cm": metrics.max_error,
-        "p95_error_cm": metrics.p95_error,
-        "within_10cm_fraction": metrics.within_10cm_fraction,
-    }
-    print(f"frames:            {report['frames']}")
-    print(f"detection rate:    {metrics.detection_rate:.3f}")
-    print(f"rms error (cm):    {_fmt(metrics.rms_error)}")
-    print(f"max error (cm):    {_fmt(metrics.max_error)}")
-    print(f"p95 error (cm):    {_fmt(metrics.p95_error)}")
-    print(f"within 10 cm:      {_fmt(metrics.within_10cm_fraction)}")
+    # (JSON key, label, value); a NaN metric had nothing to score: n/a, null
+    report = [
+        ("frames", "frames", len(rows)),
+        ("detection_rate", "detection rate", metrics.detection_rate),
+        ("rms_error_cm", "rms error (cm)", metrics.rms_error),
+        ("max_error_cm", "max error (cm)", metrics.max_error),
+        ("p95_error_cm", "p95 error (cm)", metrics.p95_error),
+        ("within_10cm_fraction", "within 10 cm", metrics.within_10cm_fraction),
+    ]
+    for _, label, value in report:
+        if isinstance(value, float):
+            value = "n/a" if math.isnan(value) else f"{value:.3f}"
+        print(f"{label + ':':19}{value}")
     if args.json:
-        clean = {k: (None if isinstance(v, float) and math.isnan(v) else v)
-                 for k, v in report.items()}
+        clean = {key: None if math.isnan(value) else value for key, _, value in report}
         slio.write_text(json.dumps(clean, indent=2) + "\n", args.json)
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.frames < 1:
+    n = slio.whole_number(args.frames, "frames")
+    if n < 1:
         raise slio.ConfigError("bench: need at least one frame")
     cfg = slio.load_config(args.config)
     states = cfg.trajectory.materialize(cfg.rig)
@@ -164,18 +157,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # detection + triangulation path. Frames past the end of the trajectory
     # replay it with timestamps that keep counting up.
     wrapped = [replace(states[i % len(states)], timestamp_ms=frame_timestamp_ms(i, rate))
-               for i in range(args.frames)]
+               for i in range(n)]
     frames = render_trajectory(cfg.rig, wrapped, cfg.noise, cfg.intensity)
-    empty = render(cfg.rig, SceneState(user=None), cfg.noise, cfg.intensity,
-                   index=args.frames)
+    empty = render(cfg.rig, SceneState(user=None), cfg.noise, cfg.intensity, index=n)
     cal = calibrate(empty)
     start = time.perf_counter()
     estimates = track_stream(frames, cfg.rig, cal, cfg.detect)
     elapsed = time.perf_counter() - start
-    fps = args.frames / elapsed if elapsed > 0 else float("inf")
+    fps = n / elapsed if elapsed > 0 else float("inf")
     detected = sum(1 for e in estimates if e.pos is not None)
-    print(f"{args.frames} frames in {elapsed:.4f} s -> {fps:.1f} fps "
-          f"({detected} detections)")
+    print(f"{n} frames in {elapsed:.4f} s -> {fps:.1f} fps ({detected} detections)")
     return 0
 
 
@@ -217,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="measure detection+triangulation throughput")
     p.add_argument("-c", "--config", required=True)
-    p.add_argument("-n", "--frames", type=int, required=True)
+    p.add_argument("-n", "--frames", required=True)
     p.set_defaults(fn=cmd_bench)
 
     return parser

@@ -84,11 +84,63 @@ def _opened(target: str | IO, mode: str, **kwargs: Any) -> Iterator[IO]:
                         os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
+# most characters a config or calibration file may hold; both are under 1 KB
+_MAX_TEXT_CHARS = 2**20
+
+
+def read_text(source: str | IO[str]) -> str:
+    """The text of a UTF-8 file, or of a text file object. One of more than
+    ``_MAX_TEXT_CHARS`` characters raises :class:`ConfigError` once one
+    character past them is read, so a huge file is never read whole."""
+    text = ""
+    with _opened(source, "r", encoding="utf-8") as fh:
+        # in steps: one read of the whole bound allocates a buffer that size
+        while len(text) <= _MAX_TEXT_CHARS and (step := fh.read(2**16)):
+            text += step
+    if len(text) > _MAX_TEXT_CHARS:
+        raise ConfigError(f"longer than {_MAX_TEXT_CHARS} characters")
+    return text
+
+
 def write_text(text: str, path: str) -> None:
     """Write ``text`` as UTF-8 to ``path``; an existing file is rewritten in
     place and cut to length."""
     with _opened(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+# --- whole numbers in text -------------------------------------------------
+
+# most digits a whole number may have after its leading zeros: int() refuses
+# a string past 4300 digits, and no frame, clip or port comes near 10**18
+_MAX_DIGITS = 18
+# most characters of a bad token that an error message quotes: a PGM header
+# token is a run of non-space bytes, as long as the file at most
+_QUOTE_BYTES = 32
+
+
+def _quote(token: str | bytes) -> str:
+    """``repr(token)``; a token past ``_QUOTE_BYTES`` long, its first
+    ``_QUOTE_BYTES`` and its length."""
+    if len(token) <= _QUOTE_BYTES:
+        return repr(token)
+    unit = "bytes" if isinstance(token, bytes) else "characters"
+    return f"{token[:_QUOTE_BYTES]!r}... ({len(token)} {unit})"
+
+
+def whole_number(token: str | bytes, name: str) -> int:
+    """The whole number ``token`` spells: ASCII digits, at most 18 after any
+    leading zeros. Anything else raises ``ValueError`` naming the field,
+    ``non-numeric <name> <token>`` or ``<name> too large: <n> digits``;
+    ``int()`` alone also takes a sign, spaces, ``_`` and non-ASCII digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"non-numeric {name} {_quote(token)}")
+    if len(token) > _MAX_DIGITS:
+        digits = len(token.lstrip(b"0" if isinstance(token, bytes) else "0"))
+        if digits > _MAX_DIGITS:
+            raise ValueError(f"{name} too large: {digits} digits")
+        token = token[-_MAX_DIGITS:]  # drop zeros that int() would count
+    return int(token)
 
 
 # --- PGM (binary P5, maxval 255) -----------------------------------------
@@ -100,18 +152,12 @@ def write_pgm(frame: Frame, sink: str | BinaryIO) -> None:
         fh.write(np.ascontiguousarray(frame.pixels))
 
 
-# most digits a header number may have after its leading zeros: int() refuses
-# a string past 4300 digits, and no payload holds 10**18 bytes
-_MAX_DIGITS = 18
 # the four header tokens (magic, width, height, maxval), each the run of
 # non-space bytes after any whitespace and '#' comments; an empty token is
 # the end of the data. \s and \S of a bytes pattern are ASCII only, like
 # bytes.isspace. Every part may match empty, so the pattern always matches,
 # at its first, greedy try: no backtracking
 _HEADER = re.compile(rb"(?:\s|#[^\n]*)*(\S*)" * 4)
-# most bytes of a header token that an error message quotes: a token is a
-# run of non-space bytes, as long as the file at most
-_QUOTE_BYTES = 32
 # no frame file a rig allows is longer: a MAX_PIXELS payload, 64 KiB of header
 _MAX_FILE_BYTES = MAX_PIXELS + 2**16
 
@@ -144,14 +190,6 @@ def _read_file(path: str | os.PathLike) -> np.ndarray:
         os.close(fd)
 
 
-def _quote(token: bytes) -> str:
-    """``repr(token)``; a token past ``_QUOTE_BYTES`` bytes, its first
-    ``_QUOTE_BYTES`` and its length."""
-    if len(token) <= _QUOTE_BYTES:
-        return repr(token)
-    return f"{token[:_QUOTE_BYTES]!r}... ({len(token)} bytes)"
-
-
 def _parse_header(data: np.ndarray, path: str | None) -> tuple[bytes, int, int]:
     """The header bytes, the one whitespace byte after maxval included, with
     width and height. The parse reads no byte past that whitespace byte."""
@@ -164,18 +202,12 @@ def _parse_header(data: np.ndarray, path: str | None) -> tuple[bytes, int, int]:
                        0, path)
     numbers = []
     for group, name in (2, "width"), (3, "height"), (4, "maxval"):
-        token = tokens[group - 1]
-        if not token.isdigit():  # ASCII only; int() also takes "+3" and "3_20"
-            if not token:
-                raise PgmError("truncated header", data.size, path)
-            raise PgmError(f"non-numeric {name} {_quote(token)}",
-                           header.start(group), path)
-        if len(token) > _MAX_DIGITS:
-            token = token.lstrip(b"0")
-            if len(token) > _MAX_DIGITS:
-                raise PgmError(f"{name} too large: {len(token)} digits",
-                               header.start(group), path)
-        numbers.append(int(token or b"0"))
+        if not tokens[group - 1]:
+            raise PgmError("truncated header", data.size, path)
+        try:
+            numbers.append(whole_number(tokens[group - 1], name))
+        except ValueError as exc:
+            raise PgmError(str(exc), header.start(group), path) from None
     width, height, maxval = numbers
     pos = header.end()
     if width <= 0 or height <= 0:
@@ -311,6 +343,21 @@ def _point(value: Any, label: str) -> Point:
     return x, z
 
 
+class _LongInt(int):
+    """Stands for a JSON integer past ``int()``'s digit limit: its sign times
+    2**1024, out of range for every number key, quoted without its digits."""
+
+    def __repr__(self) -> str:
+        return "<integer too long to read>"
+
+
+def _json_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        return _LongInt(-2**1024 if text.startswith("-") else 2**1024)
+
+
 # value parser per annotated type of a config field or trajectory parameter
 _PARSERS = {float: _number, int: _integer, bool: _boolean, Point: _point}
 
@@ -380,11 +427,13 @@ def load_config(source: str | IO[str]) -> RunConfig:
 
     Raises :class:`ConfigError` naming the offending key on any missing
     key, type mismatch, unknown key, or invariant violation; text that is
-    not UTF-8 JSON, or nests too deep to parse, is ``not valid JSON``.
+    not UTF-8 JSON, or nests too deep to parse, is ``not valid JSON``, and
+    text past :func:`read_text`'s bound is ``longer than`` it.
     """
     try:
-        with _opened(source, "r", encoding="utf-8") as fh:
-            root = json.loads(fh.read())
+        root = json.loads(read_text(source), parse_int=_json_int)
+    except ConfigError as exc:
+        raise ConfigError(f"config: {exc}") from None
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise ConfigError(f"config: not valid JSON ({exc})") from None
     if not isinstance(root, dict):
@@ -437,7 +486,7 @@ def _read_table(source: str | IO[str], header: str, what: str,
         try:
             if len(values) != width:
                 raise ValueError(f"expected {width} fields, got {len(values)}")
-            if _csv_int(values[0]) != len(rows):
+            if whole_number(values[0], "frame") != len(rows):
                 raise ValueError(f"expected frame {len(rows)}, got {values[0]}")
             rows.append(parse(len(rows), *values[1:]))
         except ValueError as exc:
@@ -468,13 +517,6 @@ def write_estimates_csv(estimates: Sequence[PositionEstimate],
                 )
 
 
-def _csv_int(text: str) -> int:
-    # ASCII digits only: int() also takes "+5", " 200" and "1_0"
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    return int(text)
-
-
 def _csv_float(text: str, name: str = "") -> float:
     # float() also takes "1_0.0", " 200" and non-ASCII digits
     if not text.isascii() or "_" in text or text != text.strip():
@@ -503,10 +545,10 @@ def _estimate_row(frame: int, ts: str, detected: str, u_f: str, v_f: str, x: str
     if _csv_flag("detected", detected):
         # an impossible position fails here, where the line is known
         pos = WorldPosition(_csv_float(x), _csv_float(z))
-        return EstimateRow(frame, _csv_int(ts), True, _csv_float(u_f, "u_f"),
-                           _csv_int(v_f), pos)
+        return EstimateRow(frame, whole_number(ts, "timestamp_ms"), True,
+                           _csv_float(u_f, "u_f"), whole_number(v_f, "v_f"), pos)
     _csv_empty("detected", u_f=u_f, v_f=v_f, x_cm=x, z_cm=z)
-    return EstimateRow(frame, _csv_int(ts), False)
+    return EstimateRow(frame, whole_number(ts, "timestamp_ms"), False)
 
 
 def read_estimates_csv(source: str | IO[str]) -> list[EstimateRow]:
@@ -538,7 +580,7 @@ def _truth_row(_frame: int, ts: str, present: str, x: str, z: str,
         _csv_empty("present", x_cm=x, z_cm=z)
         user = None
     return SceneState(user=user, foot_width=_csv_float(foot_width, "foot_width_cm"),
-                      timestamp_ms=_csv_int(ts))
+                      timestamp_ms=whole_number(ts, "timestamp_ms"))
 
 
 def read_truth_csv(source: str | IO[str]) -> list[SceneState]:

@@ -148,7 +148,8 @@ def evaluate(
     :func:`sltrack.io.read_estimates_csv` serve as estimates too.
 
     Euclidean floor-plane error over frames where both sides have a
-    position; detection rate over frames where the truth has a user.
+    position; detection rate over frames where the truth has a user, NaN
+    when no frame has one.
     """
     if len(estimates) != len(truth):
         raise ValueError(
@@ -179,5 +180,5 @@ def evaluate(
         max_error=mx,
         p95_error=p95,
         within_10cm_fraction=within,
-        detection_rate=(detected / eligible) if eligible else 0.0,
+        detection_rate=(detected / eligible) if eligible else math.nan,
     )

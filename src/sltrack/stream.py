@@ -21,6 +21,7 @@ import socket
 import threading
 from dataclasses import dataclass
 
+from .io import whole_number
 from .pipeline import PositionEstimate
 
 logger = logging.getLogger(__name__)
@@ -85,13 +86,7 @@ def resolve_endpoint(address: str | tuple[str, int]) -> tuple[str, int]:
         host, sep, port_text = address.rpartition(":")
         if not sep or not host:
             raise ValueError(f"address {address!r}: want host:port")
-        try:
-            # ASCII digits only: int() also takes "8_0", "+80", " 80" and "\u0668\u0660"
-            if not (port_text.isascii() and port_text.isdigit()):
-                raise ValueError
-            port = int(port_text)
-        except ValueError:  # past int()'s digit limit too
-            raise ValueError(f"address {address!r}: bad port") from None
+        port = whole_number(port_text, "port")
     else:
         host, port = address
     if not 1 <= port <= 65535:

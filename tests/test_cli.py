@@ -612,7 +612,7 @@ def test_track_port_not_ascii_digits_exit_2_before_tracking(tmp_path, capsys,
     assert main(["track", "-c", cfg, "--calibration", str(cal), str(tmp_path),
                  "-o", str(est_csv), "--stream", "127.0.0.1:8_0"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: address '127.0.0.1:8_0': bad port\n"
+    assert captured.err == "error: non-numeric port '8_0'\n"
     assert captured.out == ""
     assert calls == []
     assert not est_csv.exists()
@@ -642,10 +642,13 @@ def test_track_calibration_without_prefix_exit_2_naming_the_file(tmp_path, capsy
     assert not est_csv.exists()
 
 
-@pytest.mark.parametrize("text", ["v_b=1_60\n", "v_b=\u0661\u0666\u0660\n",
-                                  "v_b= 160\n", "v_b=+160\n"],
+@pytest.mark.parametrize("text,token", [("v_b=1_60\n", "'1_60'"),
+                                        ("v_b=\u0661\u0666\u0660\n",
+                                         "'\u0661\u0666\u0660'"),
+                                        ("v_b= 160\n", "' 160'"),
+                                        ("v_b=+160\n", "'+160'")],
                          ids=["underscore", "arabic-indic-digits", "space", "plus"])
-def test_track_calibration_value_not_ascii_digits_exit_2(tmp_path, capsys, text):
+def test_track_calibration_value_not_ascii_digits_exit_2(tmp_path, capsys, text, token):
     cfg = stationary_config(tmp_path)
     make_empty_frame(tmp_path, cfg)
     cal = tmp_path / "cal.txt"
@@ -653,8 +656,43 @@ def test_track_calibration_value_not_ascii_digits_exit_2(tmp_path, capsys, text)
     est_csv = tmp_path / "est.csv"
     assert main(["track", "-c", cfg, "--calibration", str(cal), str(tmp_path),
                  "-o", str(est_csv)]) == 2
-    assert capsys.readouterr().err == f"error: calibration file {cal}: bad v_b value\n"
+    assert capsys.readouterr().err == (
+        f"error: calibration file {cal}: non-numeric v_b {token}\n")
     assert not est_csv.exists()
+
+
+def test_track_calibration_value_of_5000_digits_exit_2_naming_it(tmp_path, capsys):
+    # int() alone refuses it with its digit-limit error, naming no field
+    cfg = stationary_config(tmp_path)
+    make_empty_frame(tmp_path, cfg)
+    cal = tmp_path / "cal.txt"
+    cal.write_text("v_b=" + "1" * 5000 + "\n", encoding="utf-8")
+    assert main(["track", "-c", cfg, "--calibration", str(cal), str(tmp_path),
+                 "-o", str(tmp_path / "est.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: calibration file {cal}: v_b too large: 5000 digits\n")
+
+
+@pytest.mark.parametrize("what", ["config", "calibration"])
+def test_a_config_or_calibration_file_past_its_bound_exit_2_unread(tmp_path, capsys,
+                                                                   what):
+    cfg = stationary_config(tmp_path)
+    make_empty_frame(tmp_path, cfg)
+    cal = tmp_path / "cal.txt"
+    cal.write_text("v_b=160\n", encoding="utf-8")
+    huge = tmp_path / "huge.txt"
+    huge.write_bytes(b"")
+    os.truncate(huge, 2**40)  # sparse: no disk, and read only up to the bound
+    if what == "config":
+        cfg = str(huge)
+    else:
+        cal = huge
+    assert main(["track", "-c", cfg, "--calibration", str(cal), str(tmp_path),
+                 "-o", str(tmp_path / "est.csv")]) == 2
+    where = "config" if what == "config" else f"calibration file {huge}"
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {where}: longer than 1048576 characters\n"
+    assert captured.out == ""
 
 
 def test_track_calibration_file_not_in_utf8_exit_2(tmp_path, capsys):
@@ -819,6 +857,57 @@ def test_evaluate_six_eight_offset_rms_10(tmp_path, capsys):
     assert "rms error (cm):    10.000" in out
 
 
+def test_evaluate_prints_and_writes_each_metric_once(tmp_path, capsys):
+    from sltrack import SceneState, WorldPosition, write_truth_csv
+    from sltrack.detect import Detection
+
+    truth = [SceneState(user=WorldPosition(0.0, 200.0), timestamp_ms=50 * i)
+             for i in range(4)]
+    ests = [PositionEstimate(i, 50 * i, WorldPosition(6.0, 208.0),
+                             Detection(160.0, 200, 10, 100.0)) for i in range(3)]
+    ests.append(PositionEstimate(3, 150))
+    est_csv, truth_csv = tmp_path / "e.csv", tmp_path / "t.csv"
+    write_estimates_csv(ests, str(est_csv))
+    write_truth_csv(truth, str(truth_csv))
+    metrics_json = tmp_path / "metrics.json"
+    assert main(["evaluate", str(est_csv), str(truth_csv),
+                 "--json", str(metrics_json)]) == 0
+    assert capsys.readouterr().out == (
+        "frames:            4\n"
+        "detection rate:    0.750\n"
+        "rms error (cm):    10.000\n"
+        "max error (cm):    10.000\n"
+        "p95 error (cm):    10.000\n"
+        "within 10 cm:      1.000\n")
+    assert metrics_json.read_text(encoding="utf-8") == (
+        '{\n  "frames": 4,\n  "detection_rate": 0.75,\n  "rms_error_cm": 10.0,\n'
+        '  "max_error_cm": 10.0,\n  "p95_error_cm": 10.0,\n'
+        '  "within_10cm_fraction": 1.0\n}\n')
+
+
+def test_evaluate_an_empty_room_scores_nothing(tmp_path, capsys):
+    # no frame holds a user: there is no detection rate to report, not 0
+    est_csv, truth_csv = tmp_path / "e.csv", tmp_path / "t.csv"
+    est_csv.write_text("frame,timestamp_ms,detected,u_f,v_f,x_cm,z_cm\n"
+                       "0,0,0,,,,\n1,50,0,,,,\n2,100,0,,,,\n", encoding="utf-8")
+    truth_csv.write_text("frame,timestamp_ms,present,x_cm,z_cm,foot_width_cm\n"
+                         "0,0,0,,,25.000\n1,50,0,,,25.000\n2,100,0,,,25.000\n",
+                         encoding="utf-8")
+    metrics_json = tmp_path / "metrics.json"
+    assert main(["evaluate", str(est_csv), str(truth_csv),
+                 "--json", str(metrics_json)]) == 0
+    assert capsys.readouterr().out == (
+        "frames:            3\n"
+        "detection rate:    n/a\n"
+        "rms error (cm):    n/a\n"
+        "max error (cm):    n/a\n"
+        "p95 error (cm):    n/a\n"
+        "within 10 cm:      n/a\n")
+    assert json.loads(metrics_json.read_text(encoding="utf-8")) == {
+        "frames": 3, "detection_rate": None, "rms_error_cm": None,
+        "max_error_cm": None, "p95_error_cm": None, "within_10cm_fraction": None}
+
+
 def test_evaluate_impossible_position_names_its_line_exit_2(tmp_path, capsys):
     est_csv, truth_csv = tmp_path / "e.csv", tmp_path / "t.csv"
     est_csv.write_text("frame,timestamp_ms,detected,u_f,v_f,x_cm,z_cm\n"
@@ -894,6 +983,19 @@ def test_bench_tracks_a_serial_render_of_the_wrapped_states(ref_config, monkeypa
         want = render(cfg.rig, state, cfg.noise, cfg.intensity, index=i)
         assert (frame.index, frame.timestamp_ms) == (i, 50 * i)
         assert np.array_equal(frame.pixels, want.pixels)
+
+
+@pytest.mark.parametrize("n,message", [
+    ("1_0", "non-numeric frames '1_0'"),
+    ("+5", "non-numeric frames '+5'"),
+    ("9" * 5000, "frames too large: 5000 digits"),
+], ids=["underscore", "plus", "5000-digits"])
+def test_bench_frame_count_is_ascii_digits_exit_2(ref_config, capsys, n, message):
+    # argparse's type=int reads 1_0 as 10 and +5 as 5
+    assert main(["bench", "-c", ref_config, "-n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_bench_zero_frames_usage_error(ref_config):

@@ -142,7 +142,7 @@ def test_load_config_of_any_bytes_fails_only_with_a_config_error(data):
 @FUZZ
 @given(_json.map(json.dumps) | _edited_reference().map(json.dumps))
 @example("[" * 10**5)  # json.loads raises RecursionError past its depth
-@example('{"rig": ' + "1" * 5000 + "}")  # and a plain ValueError past 4300 digits
+@example('{"rig": ' + "1" * 5000 + "}")  # past int()'s 4300-digit limit
 def test_load_config_of_any_json_fails_only_with_a_config_error(text):
     _assert_config_or_config_error(stdio.StringIO(text))
 
@@ -227,8 +227,9 @@ def small_run(tmp_path_factory):
     return root, {name: (root / name).read_bytes() for name in _INPUTS}
 
 
+# a run of 5000 digits is past int()'s digit limit
 _insert = st.sampled_from([b"0", b"7", b"99", b"\0", b"\r", b"\n", b",", b"#",
-                           b"nan", b"1e999", b"-", b"\xff"])
+                           b"nan", b"1e999", b"-", b"\xff", b"9" * 5000])
 
 
 @st.composite
@@ -257,6 +258,8 @@ def _corrupt(data: bytes, edits: list) -> bytes:
 @settings(max_examples=150, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_corruption())
+@example(corruption=("cal.txt", [("insert", 0.6, b"9" * 5000)]))  # into v_b
+@example(corruption=("est.csv", [("insert", 0.457, b"9" * 5000)]))  # a timestamp_ms
 def test_cli_on_a_corrupted_input_exits_with_one_error_line(small_run, corruption):
     root, valid = small_run
     name, edits = corruption
@@ -274,6 +277,8 @@ def test_cli_on_a_corrupted_input_exits_with_one_error_line(small_run, corruptio
             assert code in (0, 1, 2), (argv[0], code)
             if code:
                 assert re.fullmatch(r"error: [^\n]+\n", err.getvalue()), err.getvalue()
+                # int()'s own digit-limit error names no field
+                assert "set_int_max_str_digits" not in err.getvalue(), err.getvalue()
             else:
                 assert err.getvalue() == ""
     finally:

@@ -24,7 +24,7 @@ from sltrack import (ConfigError, Detection, Frame, PgmError, PositionEstimate,
                      read_estimates_csv, read_pgm, read_truth_csv,
                      write_estimates_csv, write_pgm, write_truth_csv)
 from sltrack.cli import main as cli_main
-from sltrack.io import iter_pgm_dir
+from sltrack.io import iter_pgm_dir, whole_number
 from conftest import REFERENCE_CONFIG
 
 
@@ -120,6 +120,31 @@ def test_pgm_header_numbers_up_to_18_digits_still_read():
         read_pgm(stdio.BytesIO(b"P5\n" + b"9" * 18 + b" " + b"9" * 18 + b"\n255\n"))
     assert str(exc_info.value) == (
         f"truncated payload: want {(10**18 - 1) ** 2} bytes, have 0 (byte offset 45)")
+
+
+@pytest.mark.parametrize("token,value", [
+    ("0", 0), ("007", 7), ("9" * 18, 10**18 - 1), ("0" * 5000 + "42", 42),
+    (b"320", 320), (b"0" * 5000 + b"42", 42),
+], ids=["zero", "leading-zeros", "18-digits", "5000-leading-zeros", "bytes",
+        "bytes-5000-leading-zeros"])
+def test_whole_number_reads_ascii_digits(token, value):
+    assert whole_number(token, "n") == value
+
+
+@pytest.mark.parametrize("token,message", [
+    ("1" + "0" * 18, "n too large: 19 digits"),
+    ("7" * 5000, "n too large: 5000 digits"),
+    (b"7" * 5000, "n too large: 5000 digits"),
+    ("-1", "non-numeric n '-1'"),
+    ("", "non-numeric n ''"),
+    ("x" * 40, "non-numeric n '" + "x" * 32 + "'... (40 characters)"),
+    (b"x" * 40, "non-numeric n b'" + "x" * 32 + "'... (40 bytes)"),
+], ids=["19-digits", "5000-digits", "bytes-5000-digits", "sign", "empty",
+        "long-text", "long-bytes"])
+def test_whole_number_refuses_naming_its_field(token, message):
+    with pytest.raises(ValueError) as exc_info:
+        whole_number(token, "n")
+    assert str(exc_info.value) == message
 
 
 def test_pgm_skips_comments():
@@ -703,6 +728,28 @@ def test_config_message_for_every_key(kind, section, key, type_message):
                 cfg[section][key] = point
                 assert config_error(cfg) == f"{section}.{key}: must be finite"
 
+    # json.loads alone fails on an integer past int()'s 4300-digit limit with
+    # an error that names no key
+    too_long = {NUMBER: "out of range for a float", POINT: "out of range for a float",
+                INTEGER: "out of range for a 64-bit integer"}.get(
+        type_message, type_message.replace("'x'", "<integer too long to read>"))
+    for literal in ("9" * 5000, "-" + "9" * 5000):
+        cfg = base_config(kind)
+        cfg[section][key] = ["@", 200.0] if type_message == POINT else "@"
+        with pytest.raises(ConfigError) as exc_info:
+            load_config(stdio.StringIO(json.dumps(cfg).replace('"@"', literal)))
+        assert str(exc_info.value) == f"{section}.{key}: {too_long}"
+
+
+def test_config_longer_than_the_bound_fails_unparsed():
+    text = json.dumps(reference_dict())
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(stdio.StringIO(text + " " * (2**20 + 1 - len(text))))
+    assert str(exc_info.value) == "config: longer than 1048576 characters"
+    # a config padded to the bound still loads
+    assert load_config(stdio.StringIO(text + " " * (2**20 - len(text)))) == \
+        load_config(REFERENCE_CONFIG)
+
 
 SECTIONS = ["rig", "detect", "noise", "intensity", "smoother", "trajectory"]
 
@@ -905,7 +952,7 @@ TRUTH = "frame,timestamp_ms,present,x_cm,z_cm,foot_width_cm\n"
     (read_estimates_csv, ESTIMATES + "0,0,1\n",
      "estimates CSV line 2: expected 7 fields, got 3"),
     (read_estimates_csv, ESTIMATES + "0,0,0,,,,\n1,x,0,,,,\n",
-     "estimates CSV line 3: invalid literal for int() with base 10: 'x'"),
+     "estimates CSV line 3: non-numeric timestamp_ms 'x'"),
     (read_estimates_csv, ESTIMATES + "0,0,1,1.5,200,y,100.0\n",
      "estimates CSV line 2: could not convert string to float: 'y'"),
     (read_estimates_csv, ESTIMATES + "0,0,0,,,,\n1,50,1,1.5,200,nan,100.0\n",
@@ -934,15 +981,15 @@ def test_csv_errors_name_table_and_line(read, text, message):
 
 
 @pytest.mark.parametrize("field,value,message", [
-    ("frame", "1_0", "invalid literal for int() with base 10: '1_0'"),
-    ("timestamp_ms", "+5", "invalid literal for int() with base 10: '+5'"),
+    ("frame", "1_0", "non-numeric frame '1_0'"),
+    ("timestamp_ms", "+5", "non-numeric timestamp_ms '+5'"),
     ("detected", "yes", "detected: expected 0 or 1, got 'yes'"),
     ("u_f", "1_60.5", "could not convert string to float: '1_60.5'"),
-    ("v_f", " 200", "invalid literal for int() with base 10: ' 200'"),
+    ("v_f", " 200", "non-numeric v_f ' 200'"),
     ("x_cm", "1_0.0", "could not convert string to float: '1_0.0'"),
     ("z_cm", "2_00", "could not convert string to float: '2_00'"),
     ("z_cm", "200.0 ", "could not convert string to float: '200.0 '"),
-    ("frame", "\u0661", "invalid literal for int() with base 10: '\u0661'"),
+    ("frame", "\u0661", "non-numeric frame '\u0661'"),
     ("u_f", "nan", "u_f: must be finite, got 'nan'"),
     ("u_f", "inf", "u_f: must be finite, got 'inf'"),
 ])
@@ -958,8 +1005,8 @@ def test_estimates_csv_fields_are_strict(field, value, message):
 
 
 @pytest.mark.parametrize("field,value,message", [
-    ("frame", "0_1", "invalid literal for int() with base 10: '0_1'"),
-    ("timestamp_ms", " 50", "invalid literal for int() with base 10: ' 50'"),
+    ("frame", "0_1", "non-numeric frame '0_1'"),
+    ("timestamp_ms", " 50", "non-numeric timestamp_ms ' 50'"),
     ("present", "true", "present: expected 0 or 1, got 'true'"),
     ("present", "", "present: expected 0 or 1, got ''"),
     ("x_cm", "1_0.0", "could not convert string to float: '1_0.0'"),
@@ -976,6 +1023,24 @@ def test_truth_csv_fields_are_strict(field, value, message):
     with pytest.raises(ValueError) as exc_info:
         read_truth_csv(stdio.StringIO(text))
     assert str(exc_info.value) == f"truth CSV line 3: {message}"
+
+
+@pytest.mark.parametrize("table,field", [
+    ("estimates", "frame"), ("estimates", "timestamp_ms"), ("estimates", "v_f"),
+    ("truth", "frame"), ("truth", "timestamp_ms"),
+])
+def test_csv_whole_number_of_5000_digits_fails_naming_its_field(table, field):
+    # int() alone refuses it, naming neither the field nor its limit
+    read, header, values = {
+        "estimates": (read_estimates_csv, ESTIMATES,
+                      ["0", "5", "1", "160.5", "200", "10.0", "200.0"]),
+        "truth": (read_truth_csv, TRUTH, ["0", "50", "1", "10.0", "200.0", "25.0"]),
+    }[table]
+    row = dict(zip(header.strip().split(","), values))
+    row[field] = "1" * 5000
+    with pytest.raises(ValueError) as exc_info:
+        read(stdio.StringIO(header + ",".join(row.values()) + "\n"))
+    assert str(exc_info.value) == f"{table} CSV line 2: {field} too large: 5000 digits"
 
 
 @pytest.mark.parametrize("read,row,message", [

@@ -208,6 +208,14 @@ def test_evaluate_all_absent():
     assert math.isnan(m.p95_error) and math.isnan(m.within_10cm_fraction)
 
 
+def test_evaluate_without_a_user_in_any_frame_has_no_detection_rate():
+    # 0.0 would read as a user missed on every frame
+    refs = [SceneState(user=None, timestamp_ms=50 * i) for i in range(3)]
+    m = evaluate([estimate(0, 0), estimate(1, 50, 0.0, 200.0), estimate(2, 100)], refs)
+    assert math.isnan(m.detection_rate)
+    assert math.isnan(m.rms_error) and math.isnan(m.within_10cm_fraction)
+
+
 def test_evaluate_leaves_empty_truth_frames_out_of_the_detection_rate():
     # frames 4 and 5 hold no user: neither the miss on 4 nor the position
     # on 5 counts, so 3 of 4 frames with a user were detected, all exactly

@@ -203,14 +203,22 @@ def test_resolve_endpoint_forms():
             resolve_endpoint(bad)
 
 
-@pytest.mark.parametrize("port", ["8_0", "+80", " 80", "80 ", "\u0668\u0660", "",
-                                  "0x50", "8" * 5000],
-                         ids=["underscore", "plus", "leading-space", "trailing-space",
-                              "arabic-indic-digits", "empty", "hex", "5000-digits"])
-def test_resolve_endpoint_port_is_ascii_digits_only(port):
+@pytest.mark.parametrize("port,message", [
+    ("8_0", "non-numeric port '8_0'"),
+    ("+80", "non-numeric port '+80'"),
+    (" 80", "non-numeric port ' 80'"),
+    ("80 ", "non-numeric port '80 '"),
+    ("\u0668\u0660", "non-numeric port '\u0668\u0660'"),
+    ("", "non-numeric port ''"),
+    ("0x50", "non-numeric port '0x50'"),
+    ("8" * 5000, "port too large: 5000 digits"),
+], ids=["underscore", "plus", "leading-space", "trailing-space",
+        "arabic-indic-digits", "empty", "hex", "5000-digits"])
+def test_resolve_endpoint_port_is_ascii_digits_only(port, message):
     # int() reads each of the first five as 80
-    with pytest.raises(ValueError, match=r"^address '127\.0\.0\.1:.*': bad port$"):
+    with pytest.raises(ValueError) as exc_info:
         resolve_endpoint(f"127.0.0.1:{port}")
+    assert str(exc_info.value) == message
 
 
 # --- publisher --------------------------------------------------------------------
