@@ -99,7 +99,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_track(args: argparse.Namespace) -> int:
     cfg = slio.load_config(args.config)
     cal = read_calibration(args.calibration, cfg.rig)
-    frames = slio.iter_pgm_dir(args.frames_dir, cfg.trajectory.rate_hz)
+    # the detector reads rows v_b.. only, so no other row is read
+    frames = slio.iter_pgm_dir(args.frames_dir, cfg.trajectory.rate_hz, top=cal.v_b)
     endpoint = resolve_endpoint(args.stream) if args.stream else None
     # the header alone, before any frame is tracked or sent: a CSV that cannot
     # be written fails the run here, and a run that fails later leaves no

@@ -86,8 +86,11 @@ def calibrate(frame: Frame) -> Calibration:
     pixel std-dev of the whole frame. Fails when the row is lit across less
     than half its width (pixels above the frame's mean + 3 sigma), as a foot
     near the camera is, which can outshine the wall line. The winning row
-    must leave room for the edge test's vertical neighbors.
+    must leave room for the edge test's vertical neighbors. The frame must
+    be whole: one read from a row ``top > 0`` raises ``ValueError``.
     """
+    if frame.top:
+        raise ValueError(f"calibrate needs a whole frame, got rows {frame.top}.. only")
     px = frame.pixels.astype(np.float64)
     sums = px.sum(axis=1)
     v_b = int(np.argmax(sums))
@@ -116,16 +119,20 @@ def edge_test(frame: Frame, u: int, v: int, cal: Calibration, p: DetectParams) -
 
     True iff P(u,v) - (P(u,v+1) + P(u,v-1))/2 exceeds the adaptive
     threshold strictly; an exactly-zero margin is not an edge. Only
-    defined below the wall row with both vertical neighbors in frame.
+    defined below the wall row with both vertical neighbors in frame, and
+    read: row v - 1 must not lie above the frame's ``top``.
     """
     if not cal.v_b < v < frame.height - 1:
         raise ValueError(f"v={v} outside scan domain ({cal.v_b}, {frame.height - 1})")
+    if v - 1 < frame.top:
+        raise ValueError(f"v={v}: row {v - 1} lies above the rows read, {frame.top}..")
     if not 0 <= u < frame.width:
         raise ValueError(f"u={u} outside frame")
     px = frame.pixels
+    r = v - frame.top  # the row of v in pixels
     response = (
-        float(px[v, u])
-        - (float(px[v + 1, u]) + float(px[v - 1, u])) / 2.0
+        float(px[r, u])
+        - (float(px[r + 1, u]) + float(px[r - 1, u])) / 2.0
         - ath(v - cal.v_b, p)
     )
     return response > 0.0
@@ -205,7 +212,7 @@ def _edge_mask(frame: Frame, ws: _Workspace) -> np.ndarray:
     there too.
     """
     # the one strided copy; the rest works on flat views a padded row apart
-    np.copyto(ws.interior, frame.pixels[ws.first_row - 1:])
+    np.copyto(ws.interior, frame.pixels[ws.first_row - 1 - frame.top:])
     np.subtract(ws.below, ws.above, out=ws.down)  # each pixel less the one above
     # (P - P_up) - (P_down - P); a pad computes 0, which exceeds no limit:
     # every limit is >= 0
@@ -222,13 +229,18 @@ def detect_feet(frame: Frame, cal: Calibration, p: DetectParams) -> Detection | 
     the longest (ties: the lower row in the image, i.e. the larger v, then
     the leftmost start). Returns the run's intensity-weighted column
     centroid and its row, or None -- an empty room is a value, not an
-    error.
+    error. The edge test reads only rows v_b..height-1, so the frame may
+    start at any ``top`` up to v_b; one starting below v_b raises
+    ``ValueError``.
     """
     if (cal.width, cal.height) != (frame.width, frame.height):
         raise ValueError(
             f"calibration is for {cal.width}x{cal.height} frames, "
             f"got {frame.width}x{frame.height}"
         )
+    if frame.top > cal.v_b:
+        raise ValueError(f"frame {frame.index} starts at row {frame.top}, "
+                         f"below the wall row {cal.v_b} the edge test reads")
     if p.min_run > frame.width:  # no run fits in a row; min_run may be huge
         return None
     ws = _workspace(cal, p)
@@ -257,7 +269,7 @@ def detect_feet(frame: Frame, cal: Calibration, p: DetectParams) -> Detection | 
     row, start = divmod(start, ws.stride)
     v = ws.first_row + row
 
-    weights = frame.pixels[v, start:start + length]
+    weights = frame.pixels[v - frame.top, start:start + length]
     # a run pixel has P > (P_up + P_down)/2 + ath >= 0, so P >= 1 and mass >= run_len.
     # The sums are exact integers (a rig has at most 2**24 pixels and at least
     # 3 rows, so the moment stays below 255 * width**2 / 2 < 2**53), and the

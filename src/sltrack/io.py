@@ -146,7 +146,12 @@ def whole_number(token: str | bytes, name: str) -> int:
 # --- PGM (binary P5, maxval 255) -----------------------------------------
 
 def write_pgm(frame: Frame, sink: str | BinaryIO) -> None:
-    """Write a frame as binary PGM: ``P5\\n<w> <h>\\n255\\n`` + raw rows."""
+    """Write a frame as binary PGM: ``P5\\n<w> <h>\\n255\\n`` + raw rows. A frame
+    read from a row ``top > 0`` has no rows above it to write and raises
+    ``ValueError``."""
+    if frame.top:
+        raise ValueError(f"frame {frame.index} holds rows {frame.top}.. only, "
+                         "not a whole frame to write")
     with _opened(sink, "wb") as fh:
         fh.write(f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii"))
         fh.write(np.ascontiguousarray(frame.pixels))
@@ -160,34 +165,54 @@ def write_pgm(frame: Frame, sink: str | BinaryIO) -> None:
 _HEADER = re.compile(rb"(?:\s|#[^\n]*)*(\S*)" * 4)
 # no frame file a rig allows is longer: a MAX_PIXELS payload, 64 KiB of header
 _MAX_FILE_BYTES = MAX_PIXELS + 2**16
+_TOO_LONG = f"file of over {_MAX_FILE_BYTES} bytes is longer than any frame"
 
 
-def _read_file(path: str | os.PathLike) -> np.ndarray:
-    """Every byte of a file, read into one uint8 buffer sized by its stat.
-    A directory raises ``IsADirectoryError`` naming it, as ``open`` does,
-    and a file longer than any frame :class:`PgmError`, before it is read."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        info = os.fstat(fd)
-        if stat.S_ISDIR(info.st_mode):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        if info.st_size > _MAX_FILE_BYTES:
-            raise PgmError(f"file of {info.st_size} bytes is longer than any frame",
-                           _MAX_FILE_BYTES, os.fspath(path))
-        buf = np.empty(info.st_size + 1, np.uint8)
-        got = 0
-        while n := os.readv(fd, [buf[got:]]):
-            got += n
-            if got == buf.size:  # longer than its stat said: grown, or not a regular file
-                if got > _MAX_FILE_BYTES:
-                    raise PgmError(f"file of over {_MAX_FILE_BYTES} bytes is longer "
-                                   "than any frame", _MAX_FILE_BYTES, os.fspath(path))
-                buf = np.concatenate((buf, np.empty_like(buf)))
-            elif got == n == info.st_size and stat.S_ISREG(info.st_mode):
-                break  # one read took the whole file and left the byte past it empty
-        return buf[:got]
-    finally:
-        os.close(fd)
+def _read_stream(source: BinaryIO) -> np.ndarray:
+    """The bytes of a file object up to its end, in one writable uint8
+    buffer; one that holds more than ``_MAX_FILE_BYTES`` raises
+    :class:`PgmError` once a byte past them is read."""
+    data = bytearray()
+    # in steps: a read may return less than it was asked for
+    while len(data) <= _MAX_FILE_BYTES and (
+            step := source.read(_MAX_FILE_BYTES + 1 - len(data))):
+        data += step
+    if len(data) > _MAX_FILE_BYTES:
+        raise PgmError(_TOO_LONG, _MAX_FILE_BYTES)
+    return np.frombuffer(data, np.uint8)
+
+
+def _read_fd(fd: int, info: os.stat_result, path: str) -> np.ndarray:
+    """Every byte of an open file, read into one uint8 buffer sized by its
+    stat ``info``."""
+    buf = np.empty(info.st_size + 1, np.uint8)
+    got = 0
+    while n := os.readv(fd, [buf[got:]]):
+        got += n
+        if got == buf.size:  # longer than its stat said: grown, or not a regular file
+            if got > _MAX_FILE_BYTES:
+                raise PgmError(_TOO_LONG, _MAX_FILE_BYTES, path)
+            buf = np.concatenate((buf, np.empty_like(buf)))
+        elif got == n == info.st_size and stat.S_ISREG(info.st_mode):
+            break  # one read took the whole file and left the byte past it empty
+    return buf[:got]
+
+
+def _read_rows(fd: int, info: os.stat_result, header: tuple[bytes, int, int],
+               top: int) -> np.ndarray | None:
+    """Rows ``top``.. of a regular file that starts with ``header``'s bytes
+    and whose stat size is exactly theirs and their payload's, read with one
+    ``preadv`` at their offset; None for any other file, or one that did not
+    read that way."""
+    prefix, width, height = header
+    if (not 0 < top < height or info.st_size != len(prefix) + width * height
+            or not stat.S_ISREG(info.st_mode) or not hasattr(os, "preadv")):
+        return None
+    if os.pread(fd, len(prefix), 0) != prefix:
+        return None
+    rows = np.empty((height - top, width), np.uint8)
+    # short if the file shrank since its stat
+    return rows if os.preadv(fd, [rows], len(prefix) + top * width) == rows.size else None
 
 
 def _parse_header(data: np.ndarray, path: str | None) -> tuple[bytes, int, int]:
@@ -226,8 +251,8 @@ def _parse_header(data: np.ndarray, path: str | None) -> tuple[bytes, int, int]:
 _last_header: tuple[bytes, int, int] | None = None
 
 
-def read_pgm(source: str | BinaryIO, *, index: int = 0,
-             timestamp_ms: int = 0) -> Frame:
+def read_pgm(source: str | BinaryIO, *, index: int = 0, timestamp_ms: int = 0,
+             top: int = 0) -> Frame:
     """Read a binary (P5) PGM with maxval 255 back into a Frame.
 
     The header may hold '#' comments and any ASCII whitespace between its
@@ -235,14 +260,37 @@ def read_pgm(source: str | BinaryIO, *, index: int = 0,
     not part of the format: they are 0 unless the caller passes them.
     Malformed data, including any byte after the width*height payload,
     raises :class:`PgmError` at the offset of the problem, naming the file of
-    a path. The pixels are a writable view of the one buffer the data fills.
+    a path; a file longer than any frame fails before it is read whole.
+
+    The frame holds image rows ``top``..height-1 (none when ``top`` is past
+    the last row, as a slice clamps), in a writable buffer of its own. The
+    detector reads only rows v_b..height-1, so ``track`` reads from v_b
+    down. A regular file that starts with the last frame's header bytes and
+    is as long as their payload reads only those rows; any other source is
+    read whole, checked, then sliced.
     """
     global _last_header
-    if hasattr(source, "read"):
-        data, path = np.frombuffer(bytearray(source.read()), np.uint8), None
-    else:
-        data, path = _read_file(source), os.fspath(source)
     header = _last_header
+    if hasattr(source, "read"):
+        data, path = _read_stream(source), None
+    else:
+        path = os.fspath(source)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            info = os.fstat(fd)
+            if stat.S_ISDIR(info.st_mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            if info.st_size > _MAX_FILE_BYTES:
+                raise PgmError(f"file of {info.st_size} bytes is longer than any frame",
+                               _MAX_FILE_BYTES, path)
+            if top and header is not None:
+                rows = _read_rows(fd, info, header, top)
+                if rows is not None:
+                    return Frame(width=header[1], height=header[2], pixels=rows,
+                                 index=index, timestamp_ms=timestamp_ms, top=top)
+            data = _read_fd(fd, info, path)
+        finally:
+            os.close(fd)
     if header is None or data[:len(header[0])].tobytes() != header[0]:
         header = _last_header = _parse_header(data, path)
     prefix, width, height = header
@@ -254,8 +302,9 @@ def read_pgm(source: str | BinaryIO, *, index: int = 0,
                        pos + have, path)
     if have > expected:
         raise PgmError(f"{have - expected} bytes after the payload", pos + expected, path)
-    return Frame(width=width, height=height, pixels=data[pos:].reshape(height, width),
-                 index=index, timestamp_ms=timestamp_ms)
+    return Frame(width=width, height=height,
+                 pixels=data[pos:].reshape(height, width)[top:], index=index,
+                 timestamp_ms=timestamp_ms, top=min(top, height))
 
 
 def pgm_names(directory: str | os.PathLike) -> list[str]:
@@ -271,13 +320,14 @@ def pgm_names(directory: str | os.PathLike) -> list[str]:
         return []
 
 
-def iter_pgm_dir(frames_dir: str, rate_hz: float) -> Iterator[Frame]:
+def iter_pgm_dir(frames_dir: str, rate_hz: float, *, top: int = 0) -> Iterator[Frame]:
     """The ``*.pgm`` files of a directory as a frame sequence, in name order.
 
-    Frames are read one at a time as the iterator is consumed. Frame i gets
-    index i and timestamp ``frame_timestamp_ms(i, rate_hz)``. An empty directory
-    raises :class:`ConfigError` here, before any frame is read; a malformed
-    frame raises :class:`PgmError` naming its file.
+    Frames are read one at a time as the iterator is consumed, each by
+    :func:`read_pgm` from row ``top`` down. Frame i gets index i and
+    timestamp ``frame_timestamp_ms(i, rate_hz)``. An empty directory raises
+    :class:`ConfigError` here, before any frame is read; a malformed frame
+    raises :class:`PgmError` naming its file.
     """
     names = pgm_names(frames_dir)
     if not names:
@@ -285,7 +335,8 @@ def iter_pgm_dir(frames_dir: str, rate_hz: float) -> Iterator[Frame]:
     # spelled as Path.glob spells them: "./x/" and "x//" give "x/<name>"
     base = str(Path(frames_dir))
     prefix = "" if base == "." else os.path.join(base, "")
-    return (read_pgm(prefix + name, index=i, timestamp_ms=frame_timestamp_ms(i, rate_hz))
+    return (read_pgm(prefix + name, index=i, timestamp_ms=frame_timestamp_ms(i, rate_hz),
+                     top=top)
             for i, name in enumerate(names))
 
 

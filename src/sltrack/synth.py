@@ -23,27 +23,32 @@ _PathFn = Callable[[float], Point]  # time in s -> (x_cm, z_cm)
 
 @dataclass(eq=False)
 class Frame:
-    """Single 8-bit grayscale capture. ``width`` and ``height`` must be ints
-    and ``pixels`` a uint8 ndarray of shape (height, width): they are
-    checked, never converted."""
+    """Single 8-bit grayscale capture, or its rows from ``top`` down.
+    ``width``, ``height`` and ``top`` must be ints, ``0 <= top <= height``,
+    and ``pixels`` a uint8 ndarray of shape (height - top, width) whose row
+    0 is image row ``top``: they are checked, never converted."""
 
     width: int
     height: int
-    pixels: np.ndarray  # uint8, shape (height, width)
+    pixels: np.ndarray  # uint8, shape (height - top, width)
     timestamp_ms: int = 0
     index: int = 0
+    top: int = 0  # image row of pixels[0]
 
     def __post_init__(self) -> None:
-        for name, value in ("width", self.width), ("height", self.height):
+        for name, value in (("width", self.width), ("height", self.height),
+                            ("top", self.top)):
             if type(value) is not int:  # a float or bool would reach a PGM header
                 raise ValueError(f"{name}: must be an int, got {value!r}")
+        if not 0 <= self.top <= self.height:
+            raise ValueError(f"top: must lie in [0, {self.height}], got {self.top}")
         if not (isinstance(self.pixels, np.ndarray) and self.pixels.dtype == np.uint8):
             got = getattr(self.pixels, "dtype", type(self.pixels).__name__)
             raise ValueError(f"pixel buffer must be a uint8 ndarray, got {got}")
-        if self.pixels.shape != (self.height, self.width):
+        if self.pixels.shape != (self.height - self.top, self.width):
             raise ValueError(
                 f"pixel buffer shape {self.pixels.shape} does not match "
-                f"{self.height}x{self.width}"
+                f"{self.height - self.top}x{self.width}"
             )
 
 

@@ -406,6 +406,33 @@ def test_track_frame_of_another_size_exit_2_naming_the_frame(tmp_path, capsys):
     assert capsys.readouterr().err == "error: frame 5 is 4x3, rig expects 320x240\n"
 
 
+def test_track_reads_each_frame_from_the_wall_row_down(tmp_path, monkeypatch, capsys):
+    cfg = stationary_config(tmp_path, noise_sigma=12.0, noise_mean=30.0)
+    out_dir = tmp_path / "frames"
+    assert main(["simulate", "-c", cfg, "-o", str(out_dir)]) == 0
+    cal = tmp_path / "cal.txt"
+    assert main(["calibrate", "-c", cfg, make_empty_frame(tmp_path, cfg),
+                 "-o", str(cal)]) == 0
+    real = sltrack.io.read_pgm
+    tops = []
+
+    def read_pgm(source, **kwargs):
+        frame = real(source, **kwargs)
+        tops.append(frame.top)
+        return frame
+
+    monkeypatch.setattr(sltrack.io, "read_pgm", read_pgm)
+    band, whole = tmp_path / "band.csv", tmp_path / "whole.csv"
+    track = ["track", "-c", cfg, "--calibration", str(cal), str(out_dir), "-o"]
+    assert main(track + [str(band)]) == 0
+    assert tops == [160] * 20
+    # the same estimates as from whole frames
+    monkeypatch.setattr(sltrack.io, "read_pgm",
+                        lambda source, top, **kwargs: real(source, **kwargs))
+    assert main(track + [str(whole)]) == 0
+    assert band.read_bytes() == whole.read_bytes()
+
+
 def full_run(tmp_path, config, stream=None):
     out_dir = tmp_path / "frames"
     assert main(["simulate", "-c", config, "-o", str(out_dir)]) == 0

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from conftest import REFERENCE_CONFIG
 from sltrack import (Calibration, CalibrationError, DetectParams, Detection,
                      Frame, NoiseParams, SceneState, ath, calibrate,
-                     detect_feet, edge_test, load_config, render,
-                     render_trajectory)
+                     detect_feet, edge_test, load_config, read_pgm, render,
+                     render_trajectory, write_pgm)
 from sltrack.detect import _edge_mask, _workspace
 
 
@@ -92,6 +92,14 @@ def test_calibrate_line_at_border_row_fails():
     frame.pixels[239] = 200
     with pytest.raises(CalibrationError):
         calibrate(frame)
+
+
+def test_calibrate_refuses_a_frame_read_from_below_its_first_row():
+    whole = frame_with_run(160, 0, 320)
+    part = Frame(width=320, height=240, pixels=whole.pixels[1:], top=1)
+    with pytest.raises(ValueError, match=r"^calibrate needs a whole frame, got rows "
+                       r"1\.\. only$"):
+        calibrate(part)
 
 
 # --- adaptive threshold --------------------------------------------------------
@@ -181,6 +189,13 @@ def test_edge_test_domain_enforced(detect_params):
         edge_test(frame, 10, 239, CAL, detect_params)  # last row has no v+1
     with pytest.raises(ValueError):
         edge_test(frame, 320, 200, CAL, detect_params)
+
+
+def test_edge_test_refuses_a_row_not_read(detect_params):
+    part = Frame(width=320, height=240, pixels=np.zeros((41, 320), np.uint8), top=199)
+    assert edge_test(part, 10, 200, CAL, detect_params) is False
+    with pytest.raises(ValueError, match=r"^v=199: row 198 lies above the rows read"):
+        edge_test(part, 10, 199, CAL, detect_params)
 
 
 # --- run localization ----------------------------------------------------------
@@ -396,6 +411,17 @@ def test_detect_rejects_mismatched_calibration(detect_params):
         detect_feet(small, CAL, detect_params)
 
 
+def test_detect_refuses_a_frame_read_from_below_the_wall_row(detect_params):
+    whole = frame_with_run(200, 100, 20)
+    part = Frame(width=320, height=240, pixels=whole.pixels[161:], index=4, top=161)
+    with pytest.raises(ValueError, match=r"^frame 4 starts at row 161, below the "
+                       "wall row 160 the edge test reads$"):
+        detect_feet(part, CAL, detect_params)
+    at_wall = Frame(width=320, height=240, pixels=whole.pixels[160:], top=160)
+    assert detect_feet(at_wall, CAL, detect_params) == detect_feet(whole, CAL,
+                                                                   detect_params)
+
+
 def test_detect_empty_scan_domain_returns_none(detect_params):
     cal = Calibration(v_b=238, width=320, height=240)
     assert detect_feet(blank_frame(fill=0), cal, detect_params) is None
@@ -489,6 +515,25 @@ def test_edge_mask_equals_edge_test_at_every_scan_pixel(case):
     for i, v in enumerate(scan_rows):
         for u in range(frame.width):
             assert bool(mask[i, u + 1]) is edge_test(frame, u, v, cal, params)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_frame_cal_params(), st.data())
+def test_detect_feet_on_a_frame_read_from_the_wall_row_equals_the_whole_frame(
+        tmp_path_factory, case, data):
+    frame, cal, params = case
+    path = str(tmp_path_factory.mktemp("pgm") / "frame.pgm")
+    write_pgm(frame, path)
+    # the first read parses the header, the second, from any row up to v_b,
+    # reads those rows only
+    whole = read_pgm(path)
+    part = read_pgm(path, top=data.draw(st.integers(0, cal.v_b) | st.just(cal.v_b)))
+    assert np.array_equal(part.pixels, frame.pixels[part.top:])
+    assert detect_feet(part, cal, params) == detect_feet(whole, cal, params)
+    for v in range(cal.v_b + 1, frame.height - 1):
+        for u in range(frame.width):
+            assert edge_test(part, u, v, cal, params) is edge_test(whole, u, v, cal,
+                                                                   params)
 
 
 @pytest.mark.parametrize("min_run", [1, 2, 3, 5, 8, 9, 319, 320, 321, 2**62])

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import io as stdio
+import itertools
 import json
 import math
 import os
@@ -368,6 +370,128 @@ def test_a_frame_starting_like_the_last_header_reads_as_a_parse(tmp_path, second
     assert _outcome(reference_read_pgm, second) == (message, exc_info.value.offset)
 
 
+def _rows_read_from(top):
+    """A reader of the pixels of ``read_pgm(source, top=top)`` that checks
+    the frame's ``top`` and shape."""
+    def read(source):
+        frame = read_pgm(source, top=top)
+        assert frame.top == min(top, frame.height)
+        assert frame.pixels.shape == (frame.height - frame.top, frame.width)
+        return frame.pixels
+    return read
+
+
+def _frame_with_the_header_of(data: bytes) -> bytes | None:
+    """A frame of zero pixels whose header bytes are those of ``data``, when
+    its four header tokens read as numbers and their payload is small."""
+    try:
+        pos, tokens = 0, []
+        for _ in range(4):
+            token, pos = _next_token(data, pos)
+            tokens.append(token)
+        size = int(tokens[1]) * int(tokens[2])
+    except (PgmError, ValueError):
+        return None
+    return data[:pos + 1] + bytes(size) if size <= 4096 else None
+
+
+@st.composite
+def _valid_pgm_bytes(draw):
+    """A frame as write_pgm writes it, of 1 to 5 rows and columns."""
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    payload = draw(st.binary(min_size=width * height, max_size=width * height))
+    return b"P5\n%d %d\n255\n" % (width, height) + payload
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(data=_valid_pgm_bytes() | _pgm_bytes() | st.binary(max_size=40)
+       | _pgm_bytes_with_insertion(),
+       top=st.integers(1, 4) | st.integers(0, 7),
+       before=st.sampled_from(["nothing", "another frame", "the same header"] * 2
+                              + ["the same header"] * 2),
+       other=st.tuples(st.integers(1, 5), st.integers(1, 5)))
+def test_reading_from_row_top_gives_those_rows_of_a_whole_read(tmp_path_factory,
+                                                                data, top, before,
+                                                                other):
+    folder = tmp_path_factory.mktemp("pgm")
+    path = folder / "frame.pgm"
+    path.write_bytes(data)
+    want = _outcome(lambda d: reference_read_pgm(d)[top:], data)
+    want_path = (f"{path}: {want[0]}", want[1]) if isinstance(want[0], str) else want
+    # the frame read before: none, one whose header differs (but for a
+    # chance draw), or one with the same header bytes, after which a file
+    # as long as that header's payload reads only its rows
+    previous = {"nothing": None,
+                "another frame": b"P5\n%d %d\n255\n" % other + bytes(other[0] * other[1]),
+                "the same header": _frame_with_the_header_of(data)}[before]
+    (folder / "previous.pgm").write_bytes(previous or b"")
+    for source, expected in [(lambda: stdio.BytesIO(data), want),
+                             (lambda: str(path), want_path)]:
+        sltrack.io._last_header = None
+        if previous is not None:
+            with contextlib.suppress(PgmError):
+                read_pgm(str(folder / "previous.pgm"))
+        assert _outcome(_rows_read_from(top), source()) == expected
+
+
+def _count_preadv(monkeypatch):
+    """Patch ``os.preadv`` as ``sltrack.io`` calls it to record the offset
+    and the return of each call."""
+    real = os.preadv
+    calls = []
+
+    def preadv(fd, buffers, offset):
+        calls.append((offset, real(fd, buffers, offset)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(sltrack.io.os, "preadv", preadv)
+    return calls
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(sizes=st.lists(st.sampled_from([(3, 4), (3, 4), (5, 2), (1, 1)]),
+                      min_size=2, max_size=5),
+       top=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+def test_frames_of_a_clip_read_from_row_top_share_no_buffer(tmp_path_factory, sizes,
+                                                            top, seed):
+    folder = tmp_path_factory.mktemp("clip")
+    rng = np.random.default_rng(seed)
+    wholes = []
+    for i, (width, height) in enumerate(sizes):
+        wholes.append(rng.integers(0, 256, (height, width), dtype=np.uint8))
+        write_pgm(Frame(width=width, height=height, pixels=wholes[-1]),
+                  str(folder / f"{i:06d}.pgm"))
+    frames = list(iter_pgm_dir(str(folder), 20.0, top=top))
+    for frame, pixels in zip(frames, wholes, strict=True):
+        assert frame.top == min(top, frame.height)
+        assert np.array_equal(frame.pixels, pixels[top:])
+    for a, b in itertools.combinations(frames, 2):
+        assert not np.shares_memory(a.pixels, b.pixels)
+
+
+def test_a_frame_after_one_with_its_header_reads_only_its_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(sltrack.io, "_last_header", None)
+    second = _FRAME_300x200[:15] + _FRAME_300x200[:14:-1]  # the payload reversed
+    (tmp_path / "000000.pgm").write_bytes(_FRAME_300x200)
+    (tmp_path / "000001.pgm").write_bytes(second)
+    readv, preadv = _count_readv(monkeypatch), _count_preadv(monkeypatch)
+    frames = list(iter_pgm_dir(str(tmp_path), 20.0, top=150))
+    # the first frame is read whole, the second from row 150 down only
+    assert readv == [len(_FRAME_300x200)]
+    assert preadv == [(15 + 150 * 300, 50 * 300)]
+    assert [frame.top for frame in frames] == [150, 150]
+    assert frames[0].pixels.tobytes() == _FRAME_300x200[15 + 150 * 300:]
+    assert frames[1].pixels.tobytes() == second[15 + 150 * 300:]
+
+
+def test_a_partial_frame_is_not_written(tmp_path):
+    frame = Frame(width=2, height=3, pixels=np.zeros((1, 2), np.uint8), index=7, top=2)
+    with pytest.raises(ValueError, match=r"^frame 7 holds rows 2\.\. only, not a whole "
+                       "frame to write$"):
+        write_pgm(frame, str(tmp_path / "part.pgm"))
+    assert not (tmp_path / "part.pgm").exists()
+
+
 @pytest.mark.parametrize("data,message", [
     (b"\0" * 40, r"unsupported magic b'" + r"\x00" * 32 + "'... (40 bytes), "
      "want binary P5 (byte offset 0)"),
@@ -440,6 +564,29 @@ def test_a_file_whose_stat_size_is_wrong_still_reads_whole(tmp_path, monkeypatch
     assert frame.pixels.tobytes() == _FRAME_300x200[15:]
 
 
+def test_a_file_cut_after_its_stat_is_read_whole_and_named(tmp_path, monkeypatch):
+    # the header matches the last frame's and the stat size its payload, but
+    # the band read comes up short: the whole read finds the cut
+    monkeypatch.setattr(sltrack.io, "_last_header", None)
+    cut = tmp_path / "000001.pgm"
+    (tmp_path / "000000.pgm").write_bytes(_FRAME_300x200)
+    cut.write_bytes(_FRAME_300x200[:-1])
+    real = os.fstat
+
+    def fstat(fd):
+        info = list(real(fd))
+        info[stat.ST_SIZE] = len(_FRAME_300x200)
+        return os.stat_result(info)
+
+    monkeypatch.setattr(sltrack.io.os, "fstat", fstat)
+    frames = iter_pgm_dir(str(tmp_path), 20.0, top=150)
+    next(frames)
+    with pytest.raises(PgmError) as exc_info:
+        next(frames)
+    assert str(exc_info.value) == (
+        f"{cut}: truncated payload: want 60000 bytes, have 59999 (byte offset 60014)")
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_pgm_from_a_pipe_is_read_to_its_end(tmp_path):
     # a pipe's stat size is 0, so the reader must grow its buffer
@@ -488,6 +635,29 @@ def test_pgm_pipe_longer_than_any_frame_stops_at_the_bound(tmp_path):
             read_pgm(str(path))
     finally:
         writer.join()
+
+
+def test_pgm_stream_longer_than_any_frame_stops_at_the_bound():
+    bound = sltrack.geometry.MAX_PIXELS + 2**16
+
+    class Endless:
+        """Zero bytes without end, at most 1 MiB a read; records each size
+        it is asked for."""
+
+        def __init__(self):
+            self.asked = []
+
+        def read(self, size=-1):
+            self.asked.append(size)
+            return bytes(2**20 if size < 0 else min(size, 2**20))
+
+    stream = Endless()
+    with pytest.raises(PgmError) as exc_info:
+        read_pgm(stream)
+    assert all(0 <= size <= bound + 1 for size in stream.asked)
+    assert str(exc_info.value) == (
+        f"file of over {bound} bytes is longer than any frame (byte offset {bound})")
+    assert exc_info.value.path is None
 
 
 def test_a_bad_frame_in_a_directory_names_its_file(tmp_path):

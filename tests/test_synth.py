@@ -44,6 +44,24 @@ def test_frame_refuses_dimensions_that_are_not_ints(width, height, shape):
         Frame(width=width, height=height, pixels=np.zeros(shape, np.uint8))
 
 
+def test_frame_holds_its_rows_from_top_down():
+    rows = np.zeros((1, 3), np.uint8)
+    assert Frame(width=3, height=4, pixels=rows, top=3).pixels is rows
+    # a top at the height holds no row
+    assert Frame(width=3, height=4, pixels=np.zeros((0, 3), np.uint8), top=4).top == 4
+    with pytest.raises(ValueError, match=r"shape \(4, 3\) does not match 3x3"):
+        Frame(width=3, height=4, pixels=np.zeros((4, 3), np.uint8), top=1)
+
+
+@pytest.mark.parametrize("top,message", [
+    (-1, r"top: must lie in \[0, 4\], got -1"), (5, r"top: must lie in \[0, 4\], got 5"),
+    (1.0, "top: must be an int, got 1.0"), (True, "top: must be an int, got True"),
+], ids=["negative", "past-the-height", "float", "bool"])
+def test_frame_refuses_a_top_outside_its_rows(top, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Frame(width=3, height=4, pixels=np.zeros((3, 3), np.uint8), top=top)
+
+
 def test_frame_keeps_a_non_contiguous_uint8_view_as_given():
     flipped = np.arange(12, dtype=np.uint8).reshape(3, 4)[:, ::-1]
     assert Frame(width=4, height=3, pixels=flipped).pixels is flipped
