@@ -8,7 +8,7 @@ tracking pipeline, file formats, and a UDP telemetry stream.
 """
 
 from .detect import (Calibration, CalibrationError, DetectParams, Detection,
-                     ath, calibrate, detect_feet, edge_test)
+                     calibrate, detect_feet)
 from .geometry import (RigConfig, TriangulationError, WorldPosition,
                        depth_resolution, project, triangulate_depth,
                        triangulate_lateral)
@@ -29,8 +29,8 @@ __all__ = [
     "Detection", "Frame", "IntensityModel", "Metrics",
     "NoiseParams", "PgmError", "PositionEstimate", "PositionStreamer",
     "RigConfig", "RunConfig", "SceneState", "SmootherConfig", "StreamPacket",
-    "TrajectorySpec", "TriangulationError", "WorldPosition", "ath",
-    "calibrate", "decode", "depth_resolution", "detect_feet", "edge_test",
+    "TrajectorySpec", "TriangulationError", "WorldPosition",
+    "calibrate", "decode", "depth_resolution", "detect_feet",
     "encode", "evaluate", "intensity_at", "load_config", "project",
     "read_estimates_csv", "read_pgm", "read_truth_csv", "render",
     "render_trajectory", "resolve_endpoint", "track_frame",

@@ -107,37 +107,6 @@ def calibrate(frame: Frame) -> Calibration:
     return Calibration(v_b=v_b, width=frame.width, height=frame.height)
 
 
-def ath(delta_v: float, p: DetectParams) -> float:
-    """Adaptive threshold for a row delta_v pixels below the wall line."""
-    if delta_v < 0:
-        raise ValueError("delta_v: must be >= 0")
-    return min(p.ath_base + p.ath_slope * delta_v, p.ath_max)
-
-
-def edge_test(frame: Frame, u: int, v: int, cal: Calibration, p: DetectParams) -> bool:
-    """Horizontal-edge test at one pixel.
-
-    True iff P(u,v) - (P(u,v+1) + P(u,v-1))/2 exceeds the adaptive
-    threshold strictly; an exactly-zero margin is not an edge. Only
-    defined below the wall row with both vertical neighbors in frame, and
-    read: row v - 1 must not lie above the frame's ``top``.
-    """
-    if not cal.v_b < v < frame.height - 1:
-        raise ValueError(f"v={v} outside scan domain ({cal.v_b}, {frame.height - 1})")
-    if v - 1 < frame.top:
-        raise ValueError(f"v={v}: row {v - 1} lies above the rows read, {frame.top}..")
-    if not 0 <= u < frame.width:
-        raise ValueError(f"u={u} outside frame")
-    px = frame.pixels
-    r = v - frame.top  # the row of v in pixels
-    response = (
-        float(px[r, u])
-        - (float(px[r + 1, u]) + float(px[r - 1, u])) / 2.0
-        - ath(v - cal.v_b, p)
-    )
-    return response > 0.0
-
-
 class _Workspace:
     """Every scratch array ``detect_feet`` needs for frames of one
     (calibration, params), allocated once, and the flat views over them.
@@ -270,7 +239,7 @@ def detect_feet(frame: Frame, cal: Calibration, p: DetectParams) -> Detection | 
     v = ws.first_row + row
 
     weights = frame.pixels[v - frame.top, start:start + length]
-    # a run pixel has P > (P_up + P_down)/2 + ath >= 0, so P >= 1 and mass >= run_len.
+    # a run pixel has P > (P_up + P_down)/2 + thr >= 0, so P >= 1 and mass >= run_len.
     # The sums are exact integers (a rig has at most 2**24 pixels and at least
     # 3 rows, so the moment stays below 255 * width**2 / 2 < 2**53), and the
     # one division rounds the centroid once.

@@ -145,6 +145,11 @@ def whole_number(token: str | bytes, name: str) -> int:
 
 # --- PGM (binary P5, maxval 255) -----------------------------------------
 
+def _pgm_header(width: int, height: int) -> bytes:
+    """The header :func:`write_pgm` writes for a frame of these dimensions."""
+    return b"P5\n%d %d\n255\n" % (width, height)
+
+
 def write_pgm(frame: Frame, sink: str | BinaryIO) -> None:
     """Write a frame as binary PGM: ``P5\\n<w> <h>\\n255\\n`` + raw rows. A frame
     read from a row ``top > 0`` has no rows above it to write and raises
@@ -153,7 +158,7 @@ def write_pgm(frame: Frame, sink: str | BinaryIO) -> None:
         raise ValueError(f"frame {frame.index} holds rows {frame.top}.. only, "
                          "not a whole frame to write")
     with _opened(sink, "wb") as fh:
-        fh.write(f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii"))
+        fh.write(_pgm_header(frame.width, frame.height))
         fh.write(np.ascontiguousarray(frame.pixels))
 
 
@@ -198,25 +203,8 @@ def _read_fd(fd: int, info: os.stat_result, path: str) -> np.ndarray:
     return buf[:got]
 
 
-def _read_rows(fd: int, info: os.stat_result, header: tuple[bytes, int, int],
-               top: int) -> np.ndarray | None:
-    """Rows ``top``.. of a regular file that starts with ``header``'s bytes
-    and whose stat size is exactly theirs and their payload's, read with one
-    ``preadv`` at their offset; None for any other file, or one that did not
-    read that way."""
-    prefix, width, height = header
-    if (not 0 < top < height or info.st_size != len(prefix) + width * height
-            or not stat.S_ISREG(info.st_mode) or not hasattr(os, "preadv")):
-        return None
-    if os.pread(fd, len(prefix), 0) != prefix:
-        return None
-    rows = np.empty((height - top, width), np.uint8)
-    # short if the file shrank since its stat
-    return rows if os.preadv(fd, [rows], len(prefix) + top * width) == rows.size else None
-
-
-def _parse_header(data: np.ndarray, path: str | None) -> tuple[bytes, int, int]:
-    """The header bytes, the one whitespace byte after maxval included, with
+def _parse_header(data: np.ndarray, path: str | None) -> tuple[int, int, int]:
+    """The header's length, the whitespace byte after maxval included, with
     width and height. The parse reads no byte past that whitespace byte."""
     header = _HEADER.match(data)
     tokens = header.groups()
@@ -241,19 +229,11 @@ def _parse_header(data: np.ndarray, path: str | None) -> tuple[bytes, int, int]:
         raise PgmError(f"maxval {maxval} unsupported, want 255", pos, path)
     if pos == data.size:
         raise PgmError("truncated header", pos, path)
-    pos += 1  # single whitespace byte after maxval
-    return data[:pos].tobytes(), width, height
+    return pos + 1, width, height  # single whitespace byte after maxval
 
 
-# the last header _parse_header gave: a frame that starts with the same bytes
-# has the same width, height and payload offset. One tuple, replaced whole,
-# so a thread that races another's read can miss, never read a mixed entry
-_last_header: tuple[bytes, int, int] | None = None
-
-
-def read_pgm(source: str | BinaryIO, *, index: int = 0, timestamp_ms: int = 0,
-             top: int = 0) -> Frame:
-    """Read a binary (P5) PGM with maxval 255 back into a Frame.
+def read_pgm(source: str | BinaryIO, *, index: int = 0, timestamp_ms: int = 0) -> Frame:
+    """Read a binary (P5) PGM with maxval 255 back into a whole Frame.
 
     The header may hold '#' comments and any ASCII whitespace between its
     fields, and exactly one whitespace byte ends it. Timestamp and index are
@@ -261,16 +241,8 @@ def read_pgm(source: str | BinaryIO, *, index: int = 0, timestamp_ms: int = 0,
     Malformed data, including any byte after the width*height payload,
     raises :class:`PgmError` at the offset of the problem, naming the file of
     a path; a file longer than any frame fails before it is read whole.
-
-    The frame holds image rows ``top``..height-1 (none when ``top`` is past
-    the last row, as a slice clamps), in a writable buffer of its own. The
-    detector reads only rows v_b..height-1, so ``track`` reads from v_b
-    down. A regular file that starts with the last frame's header bytes and
-    is as long as their payload reads only those rows; any other source is
-    read whole, checked, then sliced.
+    No state is kept between calls.
     """
-    global _last_header
-    header = _last_header
     if hasattr(source, "read"):
         data, path = _read_stream(source), None
     else:
@@ -283,18 +255,10 @@ def read_pgm(source: str | BinaryIO, *, index: int = 0, timestamp_ms: int = 0,
             if info.st_size > _MAX_FILE_BYTES:
                 raise PgmError(f"file of {info.st_size} bytes is longer than any frame",
                                _MAX_FILE_BYTES, path)
-            if top and header is not None:
-                rows = _read_rows(fd, info, header, top)
-                if rows is not None:
-                    return Frame(width=header[1], height=header[2], pixels=rows,
-                                 index=index, timestamp_ms=timestamp_ms, top=top)
             data = _read_fd(fd, info, path)
         finally:
             os.close(fd)
-    if header is None or data[:len(header[0])].tobytes() != header[0]:
-        header = _last_header = _parse_header(data, path)
-    prefix, width, height = header
-    pos = len(prefix)
+    pos, width, height = _parse_header(data, path)
     expected = width * height
     have = data.size - pos
     if have < expected:
@@ -302,9 +266,31 @@ def read_pgm(source: str | BinaryIO, *, index: int = 0, timestamp_ms: int = 0,
                        pos + have, path)
     if have > expected:
         raise PgmError(f"{have - expected} bytes after the payload", pos + expected, path)
-    return Frame(width=width, height=height,
-                 pixels=data[pos:].reshape(height, width)[top:], index=index,
-                 timestamp_ms=timestamp_ms, top=min(top, height))
+    return Frame(width=width, height=height, pixels=data[pos:].reshape(height, width),
+                 index=index, timestamp_ms=timestamp_ms)
+
+
+def _read_rows(path: str, header: bytes, width: int, height: int,
+               top: int) -> np.ndarray | None:
+    """Rows ``top``.. of a regular file that starts with ``header``, the one
+    :func:`write_pgm` writes for ``width`` x ``height``, and whose stat size
+    is exactly that header's and payload's, read with one ``preadv``; None
+    for any other file, or one that did not read that way. It stats the path
+    before it opens it, so a pipe is opened once, by :func:`read_pgm`."""
+    if not 0 < top < height or not hasattr(os, "preadv"):
+        return None
+    info = os.stat(path)
+    if info.st_size != len(header) + width * height or not stat.S_ISREG(info.st_mode):
+        return None
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        if os.pread(fd, len(header), 0) != header:
+            return None
+        rows = np.empty((height - top, width), np.uint8)
+        # short if the file shrank since its stat
+        return rows if os.preadv(fd, [rows], len(header) + top * width) == rows.size else None
+    finally:
+        os.close(fd)
 
 
 def pgm_names(directory: str | os.PathLike) -> list[str]:
@@ -323,11 +309,17 @@ def pgm_names(directory: str | os.PathLike) -> list[str]:
 def iter_pgm_dir(frames_dir: str, rate_hz: float, *, top: int = 0) -> Iterator[Frame]:
     """The ``*.pgm`` files of a directory as a frame sequence, in name order.
 
-    Frames are read one at a time as the iterator is consumed, each by
-    :func:`read_pgm` from row ``top`` down. Frame i gets index i and
+    Frames are read one at a time as the iterator is consumed, each holding
+    image rows ``top``..height-1 (none when ``top`` is past the last row, as
+    a slice clamps) in a buffer of its own. Frame i gets index i and
     timestamp ``frame_timestamp_ms(i, rate_hz)``. An empty directory raises
     :class:`ConfigError` here, before any frame is read; a malformed frame
-    raises :class:`PgmError` naming its file.
+    raises :class:`PgmError` naming its file. A regular file that starts
+    with :func:`write_pgm`'s header for the previous frame's dimensions and
+    is exactly as long as it and their payload reads only rows ``top``..;
+    any other, a clip's first among them, is read whole by :func:`read_pgm`
+    and sliced. ``track`` reads from v_b down: the detector reads no row
+    above it.
     """
     names = pgm_names(frames_dir)
     if not names:
@@ -335,9 +327,20 @@ def iter_pgm_dir(frames_dir: str, rate_hz: float, *, top: int = 0) -> Iterator[F
     # spelled as Path.glob spells them: "./x/" and "x//" give "x/<name>"
     base = str(Path(frames_dir))
     prefix = "" if base == "." else os.path.join(base, "")
-    return (read_pgm(prefix + name, index=i, timestamp_ms=frame_timestamp_ms(i, rate_hz),
-                     top=top)
-            for i, name in enumerate(names))
+    return _read_clip([prefix + name for name in names], rate_hz, top)
+
+
+def _read_clip(paths: list[str], rate_hz: float, top: int) -> Iterator[Frame]:
+    last = None  # write_pgm's header for the frame before, its width and height
+    for i, path in enumerate(paths):
+        timestamp_ms = frame_timestamp_ms(i, rate_hz)
+        rows = _read_rows(path, *last, top) if last else None
+        if rows is None:
+            frame = read_pgm(path, index=i, timestamp_ms=timestamp_ms)
+            last = _pgm_header(frame.width, frame.height), frame.width, frame.height
+            rows = frame.pixels[top:]
+        yield Frame(width=last[1], height=last[2], pixels=rows, index=i,
+                    timestamp_ms=timestamp_ms, top=min(top, last[2]))
 
 
 # --- run configuration -----------------------------------------------------
@@ -518,30 +521,54 @@ class EstimateRow:
     pos: WorldPosition | None = None
 
 
+# most characters a CSV line may hold, its line end not counted; a row
+# write_*_csv writes has under 1000
+_MAX_LINE_CHARS = 2**16
+
+
 def _read_table(source: str | IO[str], header: str, what: str,
                 parse: Callable[..., Any]) -> list[Any]:
     """``parse(frame, *fields)`` of each row after the header line of a CSV.
     A row's first field, ``frame``, must be its 0-based position, as
     ``write_*_csv`` write it and :func:`sltrack.pipeline.evaluate` pairs
-    rows; it is passed as an int, the rest as text. A bad header or row
-    raises ``ValueError`` naming the table and 1-based line. Rows end at
-    ``\\n`` or ``\\r\\n``; any other line break stays inside its row."""
-    with _opened(source, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().replace("\r\n", "\n").removesuffix("\n").split("\n")
-    if lines[0] != header:
-        raise ValueError(f"{what} CSV line 1: expected header {header!r}")
+    rows; it is passed as an int, the rest as text. A bad header or row, or
+    a line of over ``_MAX_LINE_CHARS`` characters, raises ``ValueError``
+    naming the table and 1-based line; the file is read in steps, and no
+    further than one step past such a line's bound. Rows end at ``\\n`` or
+    ``\\r\\n``; any other line break stays inside its row."""
     width = header.count(",") + 1
     rows = []
-    for number, line in enumerate(lines[1:], start=2):
-        values = line.split(",")
-        try:
-            if len(values) != width:
-                raise ValueError(f"expected {width} fields, got {len(values)}")
-            if whole_number(values[0], "frame") != len(rows):
-                raise ValueError(f"expected frame {len(rows)}, got {values[0]}")
-            rows.append(parse(len(rows), *values[1:]))
-        except ValueError as exc:
-            raise ValueError(f"{what} CSV line {number}: {exc}") from None
+    with _opened(source, "r", encoding="utf-8", newline="") as fh:
+        number, rest = 0, ""
+        while True:
+            step = fh.read(2**16)
+            # rest + step: a "\r\n" split between two steps is joined first
+            *lines, rest = (rest + step).replace("\r\n", "\n").split("\n")
+            if not step and (rest or not number):  # a last line without an end
+                lines.append(rest)
+            for line in lines:
+                number += 1
+                values = line.split(",")
+                try:
+                    if len(line) > _MAX_LINE_CHARS:
+                        raise ValueError(f"longer than {_MAX_LINE_CHARS} characters")
+                    if number == 1:
+                        if line != header:
+                            raise ValueError(f"expected header {header!r}")
+                    elif len(values) != width:
+                        raise ValueError(f"expected {width} fields, got {len(values)}")
+                    elif whole_number(values[0], "frame") != len(rows):
+                        raise ValueError(f"expected frame {len(rows)}, got {values[0]}")
+                    else:
+                        rows.append(parse(len(rows), *values[1:]))
+                except ValueError as exc:
+                    raise ValueError(f"{what} CSV line {number}: {exc}") from None
+            if not step:
+                break
+            # one character more: a "\r" whose "\n" is not read yet
+            if len(rest) > _MAX_LINE_CHARS + 1:
+                raise ValueError(f"{what} CSV line {number + 1}: longer than "
+                                 f"{_MAX_LINE_CHARS} characters")
     return rows
 
 

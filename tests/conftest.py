@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from sltrack import DetectParams, IntensityModel, NoiseParams, RigConfig
+from sltrack import (Calibration, DetectParams, Frame, IntensityModel, NoiseParams,
+                     RigConfig)
 
 REFERENCE_CONFIG = str(Path(__file__).resolve().parent.parent
                        / "configs" / "reference.json")
@@ -32,3 +33,36 @@ def intensity() -> IntensityModel:
 def detect_params() -> DetectParams:
     return DetectParams(ath_base=10.0, ath_slope=0.5, ath_min=1.0,
                         ath_max=255.0, min_run=3)
+
+
+# --- scalar oracles of the vectorized detector ----------------------------------
+
+def ath(delta_v: float, p: DetectParams) -> float:
+    """Adaptive threshold for a row delta_v pixels below the wall line."""
+    if delta_v < 0:
+        raise ValueError("delta_v: must be >= 0")
+    return min(p.ath_base + p.ath_slope * delta_v, p.ath_max)
+
+
+def edge_test(frame: Frame, u: int, v: int, cal: Calibration, p: DetectParams) -> bool:
+    """Horizontal-edge test at one pixel.
+
+    True iff P(u,v) - (P(u,v+1) + P(u,v-1))/2 exceeds the adaptive
+    threshold strictly; an exactly-zero margin is not an edge. Only
+    defined below the wall row with both vertical neighbors in frame, and
+    read: row v - 1 must not lie above the frame's ``top``.
+    """
+    if not cal.v_b < v < frame.height - 1:
+        raise ValueError(f"v={v} outside scan domain ({cal.v_b}, {frame.height - 1})")
+    if v - 1 < frame.top:
+        raise ValueError(f"v={v}: row {v - 1} lies above the rows read, {frame.top}..")
+    if not 0 <= u < frame.width:
+        raise ValueError(f"u={u} outside frame")
+    px = frame.pixels
+    r = v - frame.top  # the row of v in pixels
+    response = (
+        float(px[r, u])
+        - (float(px[r + 1, u]) + float(px[r - 1, u])) / 2.0
+        - ath(v - cal.v_b, p)
+    )
+    return response > 0.0

@@ -27,11 +27,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_CONFIG
+from conftest import REFERENCE_CONFIG, edge_test
 from sltrack import (Calibration, DetectParams, Detection, Frame, NoiseParams,
                      PositionEstimate, RigConfig, SceneState, TrajectorySpec,
-                     WorldPosition, calibrate, depth_resolution, edge_test,
-                     encode, evaluate, read_estimates_csv, read_pgm, render,
+                     WorldPosition, calibrate, depth_resolution, encode,
+                     evaluate, read_estimates_csv, read_pgm, render,
                      render_trajectory, track_frame, track_stream,
                      triangulate_depth, triangulate_detection,
                      triangulate_lateral, write_estimates_csv, write_pgm)

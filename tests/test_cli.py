@@ -413,22 +413,22 @@ def test_track_reads_each_frame_from_the_wall_row_down(tmp_path, monkeypatch, ca
     cal = tmp_path / "cal.txt"
     assert main(["calibrate", "-c", cfg, make_empty_frame(tmp_path, cfg),
                  "-o", str(cal)]) == 0
-    real = sltrack.io.read_pgm
+    real = sltrack.io.iter_pgm_dir
     tops = []
 
-    def read_pgm(source, **kwargs):
-        frame = real(source, **kwargs)
-        tops.append(frame.top)
-        return frame
+    def iter_pgm_dir(frames_dir, rate_hz, **kwargs):
+        for frame in real(frames_dir, rate_hz, **kwargs):
+            tops.append(frame.top)
+            yield frame
 
-    monkeypatch.setattr(sltrack.io, "read_pgm", read_pgm)
+    monkeypatch.setattr(sltrack.io, "iter_pgm_dir", iter_pgm_dir)
     band, whole = tmp_path / "band.csv", tmp_path / "whole.csv"
     track = ["track", "-c", cfg, "--calibration", str(cal), str(out_dir), "-o"]
     assert main(track + [str(band)]) == 0
     assert tops == [160] * 20
     # the same estimates as from whole frames
-    monkeypatch.setattr(sltrack.io, "read_pgm",
-                        lambda source, top, **kwargs: real(source, **kwargs))
+    monkeypatch.setattr(sltrack.io, "iter_pgm_dir",
+                        lambda frames_dir, rate_hz, top: real(frames_dir, rate_hz))
     assert main(track + [str(whole)]) == 0
     assert band.read_bytes() == whole.read_bytes()
 
@@ -945,6 +945,19 @@ def test_evaluate_impossible_position_names_its_line_exit_2(tmp_path, capsys):
     assert main(["evaluate", str(est_csv), str(truth_csv)]) == 2
     assert capsys.readouterr().err == (
         "error: estimates CSV line 3: z: must be > 0\n")
+
+
+def test_evaluate_a_sparse_1_gib_csv_exit_2_naming_the_line(tmp_path, capsys):
+    # 1 GiB of NULs and no line end: the reader stops at the line bound
+    # instead of reading the file whole
+    est_csv, truth_csv = tmp_path / "e.csv", tmp_path / "t.csv"
+    est_csv.write_bytes(b"")
+    os.truncate(est_csv, 2**30)
+    truth_csv.write_text("frame,timestamp_ms,present,x_cm,z_cm,foot_width_cm\n",
+                         encoding="utf-8")
+    assert main(["evaluate", str(est_csv), str(truth_csv)]) == 2
+    assert capsys.readouterr().err == (
+        "error: estimates CSV line 1: longer than 65536 characters\n")
 
 
 @pytest.mark.parametrize("edit,message", [

@@ -14,12 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REFERENCE_CONFIG
+from conftest import REFERENCE_CONFIG, ath, edge_test
 from sltrack import (Calibration, CalibrationError, DetectParams, Detection,
-                     Frame, NoiseParams, SceneState, ath, calibrate,
-                     detect_feet, edge_test, load_config, read_pgm, render,
-                     render_trajectory, write_pgm)
+                     Frame, NoiseParams, SceneState, calibrate, detect_feet,
+                     load_config, read_pgm, render, render_trajectory, write_pgm)
 from sltrack.detect import _edge_mask, _workspace
+from sltrack.io import iter_pgm_dir
 
 
 def blank_frame(width=320, height=240, fill=0):
@@ -522,12 +522,14 @@ def test_edge_mask_equals_edge_test_at_every_scan_pixel(case):
 def test_detect_feet_on_a_frame_read_from_the_wall_row_equals_the_whole_frame(
         tmp_path_factory, case, data):
     frame, cal, params = case
-    path = str(tmp_path_factory.mktemp("pgm") / "frame.pgm")
-    write_pgm(frame, path)
-    # the first read parses the header, the second, from any row up to v_b,
-    # reads those rows only
-    whole = read_pgm(path)
-    part = read_pgm(path, top=data.draw(st.integers(0, cal.v_b) | st.just(cal.v_b)))
+    folder = tmp_path_factory.mktemp("clip")
+    for name in "000000.pgm", "000001.pgm":
+        write_pgm(frame, str(folder / name))
+    # a clip's first frame is read whole, its second, from any row up to
+    # v_b, reads those rows only
+    whole = read_pgm(str(folder / "000000.pgm"))
+    _, part = iter_pgm_dir(str(folder), 20.0,
+                           top=data.draw(st.integers(0, cal.v_b) | st.just(cal.v_b)))
     assert np.array_equal(part.pixels, frame.pixels[part.top:])
     assert detect_feet(part, cal, params) == detect_feet(whole, cal, params)
     for v in range(cal.v_b + 1, frame.height - 1):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import errno
 import io as stdio
 import itertools
@@ -331,10 +330,9 @@ def test_reading_a_pgm_path_or_its_bytes_equals_the_reference_reader(tmp_path_fa
     another = b"P5\n%d %d\n255\n" % other + bytes(other[0] * other[1])
     for source, expected in [(lambda: stdio.BytesIO(data), want),
                              (lambda: str(path), want_path)]:
-        # cold, right after another valid frame (whose header differs but for
-        # a chance draw), and twice in a row: a header taken from the last
-        # parse reads as a parse
-        sltrack.io._last_header = None
+        # alone, right after another valid frame (whose header differs but
+        # for a chance draw), and twice in a row: no read depends on the one
+        # before it
         assert _outcome(_read_pixels, source()) == expected
         read_pgm(stdio.BytesIO(another))
         assert _outcome(_read_pixels, source()) == expected
@@ -361,20 +359,22 @@ def test_a_frame_starting_like_the_last_header_reads_as_a_parse(tmp_path, second
                                                                 message):
     (tmp_path / "000000.pgm").write_bytes(b"P5\n3 2\n255\n" + bytes(range(6)))
     (tmp_path / "000001.pgm").write_bytes(second)
-    frames = iter_pgm_dir(str(tmp_path), 20.0)
-    assert next(frames).pixels.tolist() == [[0, 1, 2], [3, 4, 5]]
-    with pytest.raises(PgmError) as exc_info:
-        next(frames)
-    assert str(exc_info.value) == f"{tmp_path / '000001.pgm'}: {message}"
-    # the reference's message carries no path
-    assert _outcome(reference_read_pgm, second) == (message, exc_info.value.offset)
+    for top in 0, 1:  # whole frames, and rows 1.. after a frame of this header
+        frames = iter_pgm_dir(str(tmp_path), 20.0, top=top)
+        assert next(frames).pixels.tolist() == [[0, 1, 2], [3, 4, 5]][top:]
+        with pytest.raises(PgmError) as exc_info:
+            next(frames)
+        assert str(exc_info.value) == f"{tmp_path / '000001.pgm'}: {message}"
+        # the reference's message carries no path
+        assert _outcome(reference_read_pgm, second) == (message, exc_info.value.offset)
 
 
-def _rows_read_from(top):
-    """A reader of the pixels of ``read_pgm(source, top=top)`` that checks
-    the frame's ``top`` and shape."""
-    def read(source):
-        frame = read_pgm(source, top=top)
+def _last_rows_read_from(top):
+    """A reader of the pixels of a clip directory's last frame, read by
+    ``iter_pgm_dir`` from row ``top``, that checks the frame's ``top`` and
+    shape."""
+    def read(folder):
+        *_, frame = iter_pgm_dir(str(folder), 20.0, top=top)
         assert frame.top == min(top, frame.height)
         assert frame.pixels.shape == (frame.height - frame.top, frame.width)
         return frame.pixels
@@ -413,25 +413,27 @@ def _valid_pgm_bytes(draw):
 def test_reading_from_row_top_gives_those_rows_of_a_whole_read(tmp_path_factory,
                                                                 data, top, before,
                                                                 other):
-    folder = tmp_path_factory.mktemp("pgm")
-    path = folder / "frame.pgm"
+    folder = tmp_path_factory.mktemp("clip")
+    path = folder / "000001.pgm"
     path.write_bytes(data)
     want = _outcome(lambda d: reference_read_pgm(d)[top:], data)
     want_path = (f"{path}: {want[0]}", want[1]) if isinstance(want[0], str) else want
-    # the frame read before: none, one whose header differs (but for a
-    # chance draw), or one with the same header bytes, after which a file
-    # as long as that header's payload reads only its rows
+    # frame 0 of the clip: none, one whose header differs (but for a chance
+    # draw), or one with the same header bytes, after which a file that
+    # starts with write_pgm's header and is as long as its payload reads only
+    # its rows. A frame 0 that does not read would end the clip: none then
     previous = {"nothing": None,
                 "another frame": b"P5\n%d %d\n255\n" % other + bytes(other[0] * other[1]),
                 "the same header": _frame_with_the_header_of(data)}[before]
-    (folder / "previous.pgm").write_bytes(previous or b"")
-    for source, expected in [(lambda: stdio.BytesIO(data), want),
-                             (lambda: str(path), want_path)]:
-        sltrack.io._last_header = None
-        if previous is not None:
-            with contextlib.suppress(PgmError):
-                read_pgm(str(folder / "previous.pgm"))
-        assert _outcome(_rows_read_from(top), source()) == expected
+    if previous is not None:
+        first = folder / "000000.pgm"
+        first.write_bytes(previous)
+        try:
+            read_pgm(str(first))
+        except PgmError:
+            first.unlink()
+    assert _outcome(lambda s: read_pgm(s).pixels[top:], stdio.BytesIO(data)) == want
+    assert _outcome(_last_rows_read_from(top), folder) == want_path
 
 
 def _count_preadv(monkeypatch):
@@ -470,7 +472,6 @@ def test_frames_of_a_clip_read_from_row_top_share_no_buffer(tmp_path_factory, si
 
 
 def test_a_frame_after_one_with_its_header_reads_only_its_rows(tmp_path, monkeypatch):
-    monkeypatch.setattr(sltrack.io, "_last_header", None)
     second = _FRAME_300x200[:15] + _FRAME_300x200[:14:-1]  # the payload reversed
     (tmp_path / "000000.pgm").write_bytes(_FRAME_300x200)
     (tmp_path / "000001.pgm").write_bytes(second)
@@ -482,6 +483,77 @@ def test_a_frame_after_one_with_its_header_reads_only_its_rows(tmp_path, monkeyp
     assert [frame.top for frame in frames] == [150, 150]
     assert frames[0].pixels.tobytes() == _FRAME_300x200[15 + 150 * 300:]
     assert frames[1].pixels.tobytes() == second[15 + 150 * 300:]
+
+
+def _write_clip(folder, frames, header=None):
+    """Each (width, height, fill) of ``frames`` as a frame file of the clip
+    directory ``folder``, under ``header`` bytes when given; the pixels."""
+    folder.mkdir()
+    pixels = []
+    for i, (width, height, fill) in enumerate(frames):
+        pixels.append(np.full((height, width), fill, np.uint8))
+        path = folder / f"{i:06d}.pgm"
+        if header is None:
+            write_pgm(Frame(width=width, height=height, pixels=pixels[-1]), str(path))
+        else:
+            path.write_bytes(header(width, height) + pixels[-1].tobytes())
+    return pixels
+
+
+def test_interleaved_clips_of_two_shapes_each_read_their_rows_only(tmp_path,
+                                                                   monkeypatch):
+    # each clip keeps its own last header: reading one never makes the
+    # other's next frame read whole
+    wide = _write_clip(tmp_path / "wide", [(300, 200, i) for i in range(4)])
+    tall = _write_clip(tmp_path / "tall", [(200, 300, 9 - i) for i in range(4)])
+    readv, preadv = _count_readv(monkeypatch), _count_preadv(monkeypatch)
+    clips = iter_pgm_dir(str(tmp_path / "wide"), 20.0, top=150), \
+        iter_pgm_dir(str(tmp_path / "tall"), 20.0, top=150)
+    for i in range(4):
+        for clip, pixels in zip(clips, (wide, tall)):
+            frame = next(clip)
+            assert (frame.index, frame.top) == (i, 150)
+            assert np.array_equal(frame.pixels, pixels[i][150:])
+    # one whole read of each clip's first frame, one preadv for every other
+    assert readv == [15 + 60000, 15 + 60000]
+    assert preadv == [(15 + 150 * 300, 50 * 300), (15 + 150 * 200, 150 * 200)] * 3
+
+
+def test_a_clip_whose_headers_carry_a_comment_reads_every_frame_whole(tmp_path,
+                                                                      monkeypatch):
+    frames = [(30, 20, i) for i in range(3)]
+    _write_clip(tmp_path / "plain", frames)
+    _write_clip(tmp_path / "commented", frames,
+                header=lambda w, h: b"P5\n# a camera's note\n%d %d\n255\n" % (w, h))
+    readv, preadv = _count_readv(monkeypatch), _count_preadv(monkeypatch)
+    commented = list(iter_pgm_dir(str(tmp_path / "commented"), 20.0, top=5))
+    assert len(readv) == 3 and not preadv
+    plain = list(iter_pgm_dir(str(tmp_path / "plain"), 20.0, top=5))
+    assert len(readv) == 4 and len(preadv) == 2
+
+    def fields(frame):
+        return (frame.width, frame.height, frame.top, frame.index, frame.timestamp_ms,
+                frame.pixels.tobytes())
+
+    assert [fields(f) for f in commented] == [fields(f) for f in plain]
+
+
+def test_a_frame_that_changes_size_mid_clip_is_named(tmp_path, monkeypatch):
+    # a frame of new dimensions reads whole and sets them for the next; a
+    # file of the old header but another length fails naming its file
+    _write_clip(tmp_path / "clip", [(3, 4, 1), (3, 4, 2), (5, 2, 3), (5, 2, 4), (5, 2, 5)])
+    bad = tmp_path / "clip" / "000004.pgm"
+    bad.write_bytes(bad.read_bytes() + b"\0")
+    readv, preadv = _count_readv(monkeypatch), _count_preadv(monkeypatch)
+    frames = iter_pgm_dir(str(tmp_path / "clip"), 20.0, top=1)
+    shapes = [next(frames).pixels.shape for _ in range(4)]
+    assert shapes == [(3, 3), (3, 3), (1, 5), (1, 5)]
+    with pytest.raises(PgmError) as exc_info:
+        next(frames)
+    assert str(exc_info.value) == f"{bad}: 1 bytes after the payload (byte offset 21)"
+    # whole reads of frames 0, 2 and 4, each to its end; rows of 1 and 3
+    assert [n for n in readv if n] == [23, 21, 22]
+    assert [offset for offset, _ in preadv] == [11 + 3, 11 + 5]
 
 
 def test_a_partial_frame_is_not_written(tmp_path):
@@ -567,22 +639,27 @@ def test_a_file_whose_stat_size_is_wrong_still_reads_whole(tmp_path, monkeypatch
 def test_a_file_cut_after_its_stat_is_read_whole_and_named(tmp_path, monkeypatch):
     # the header matches the last frame's and the stat size its payload, but
     # the band read comes up short: the whole read finds the cut
-    monkeypatch.setattr(sltrack.io, "_last_header", None)
     cut = tmp_path / "000001.pgm"
     (tmp_path / "000000.pgm").write_bytes(_FRAME_300x200)
     cut.write_bytes(_FRAME_300x200[:-1])
-    real = os.fstat
 
-    def fstat(fd):
-        info = list(real(fd))
-        info[stat.ST_SIZE] = len(_FRAME_300x200)
-        return os.stat_result(info)
+    def full_size(real):
+        def stat_of(target, **kwargs):
+            info = list(real(target, **kwargs))
+            if target == str(cut) or isinstance(target, int):
+                info[stat.ST_SIZE] = len(_FRAME_300x200)
+            return os.stat_result(info)
+        return stat_of
 
-    monkeypatch.setattr(sltrack.io.os, "fstat", fstat)
+    # _read_rows stats the path; read_pgm stats the file it opened
+    monkeypatch.setattr(sltrack.io.os, "stat", full_size(os.stat))
+    monkeypatch.setattr(sltrack.io.os, "fstat", full_size(os.fstat))
+    preadv = _count_preadv(monkeypatch)
     frames = iter_pgm_dir(str(tmp_path), 20.0, top=150)
     next(frames)
     with pytest.raises(PgmError) as exc_info:
         next(frames)
+    assert preadv == [(15 + 150 * 300, 50 * 300 - 1)]
     assert str(exc_info.value) == (
         f"{cut}: truncated payload: want 60000 bytes, have 59999 (byte offset 60014)")
 
@@ -600,6 +677,37 @@ def test_pgm_from_a_pipe_is_read_to_its_end(tmp_path):
     finally:
         writer.join()
     assert frame.pixels.tobytes() == data[len(b"P5\n300 200\n255\n"):]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_pipe_in_a_clip_is_opened_once_and_read_whole(tmp_path, monkeypatch):
+    # the band test stats a path before it opens it: a pipe opened there and
+    # closed unread could drop what its writer wrote, and the whole read
+    # would then wait for another writer
+    (tmp_path / "000000.pgm").write_bytes(_FRAME_300x200)
+    pipe = tmp_path / "000001.pgm"
+    os.mkfifo(pipe)
+    real, opened = os.open, []
+
+    def record(path, *args):
+        opened.append(path)
+        return real(path, *args)
+
+    monkeypatch.setattr(sltrack.io.os, "open", record)
+    writer = threading.Thread(target=pipe.write_bytes, args=(_FRAME_300x200,))
+    writer.start()
+    frames = []
+    reader = threading.Thread(daemon=True, target=lambda: frames.extend(
+        iter_pgm_dir(str(tmp_path), 20.0, top=150)))
+    reader.start()
+    reader.join(timeout=10)
+    if reader.is_alive():  # a reader left waiting: give it a writer that ends
+        os.close(real(pipe, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join()
+    writer.join()
+    assert opened == [str(tmp_path / "000000.pgm"), str(pipe)]
+    assert [frame.pixels.tobytes() for frame in frames] == [
+        _FRAME_300x200[15 + 150 * 300:]] * 2
 
 
 def test_pgm_file_longer_than_any_frame_fails_before_it_is_read(tmp_path):
@@ -696,15 +804,26 @@ def test_a_clip_lists_the_entries_path_glob_lists(tmp_path, monkeypatch, capsys)
     (clip / "e.pgm").mkdir()
     (clip / "h.pgm").symlink_to(clip / "missing")
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(sltrack.io, "read_pgm", lambda path, **_: path)
+    read = []
+
+    def read_pgm(path, **kwargs):  # records the path and reads nothing
+        read.append(path)
+        return frame_from([0], 1, 1)
+
+    def paths(spelling):
+        read.clear()
+        for _ in iter_pgm_dir(spelling, 20.0):
+            pass
+        return read
+
+    monkeypatch.setattr(sltrack.io, "read_pgm", read_pgm)
     for spelling in ("x", "./x/", "x//", str(clip), str(clip) + "/"):
-        paths = list(iter_pgm_dir(spelling, 20.0))
-        assert paths == sorted(str(path) for path in Path(spelling).glob("*.pgm")
-                               if not path.is_dir())
+        assert paths(spelling) == sorted(str(path) for path in Path(spelling).glob("*.pgm")
+                                         if not path.is_dir())
     # a directory is not a frame; a dangling symlink is, and fails as one
-    assert list(iter_pgm_dir("./x/", 20.0)) == ["x/.b.pgm", "x/a.pgm", "x/h.pgm"]
+    assert paths("./x/") == ["x/.b.pgm", "x/a.pgm", "x/h.pgm"]
     monkeypatch.chdir(clip)
-    assert list(iter_pgm_dir("", 20.0)) == [".b.pgm", "a.pgm", "h.pgm"]
+    assert paths("") == [".b.pgm", "a.pgm", "h.pgm"]
     # simulate refuses the same entries as another clip's frames
     assert cli_main(["simulate", "-c", REFERENCE_CONFIG, "-o", "."]) == 2
     assert capsys.readouterr().err == (
@@ -1264,6 +1383,33 @@ def test_csv_with_crlf_row_ends_still_reads():
 def test_the_loose_estimates_row_fails_on_its_line():
     with pytest.raises(ValueError, match="^estimates CSV line 2: "):
         read_estimates_csv(stdio.StringIO(ESTIMATES + "1_0,+5,1,1_60.5, 200,1_0.0,2_00\n"))
+
+
+_ROWS = "".join(f"{i},{50 * i},0,,,25.0\n" for i in range(5000))  # over one read step
+
+
+@pytest.mark.parametrize("before,line", [("", 1), (TRUTH, 2), (TRUTH + _ROWS, 5002)],
+                         ids=["header", "first-row", "after-5000-rows"])
+@pytest.mark.parametrize("ending", ["\n", "\r\n", ""], ids=["lf", "crlf", "eof"])
+def test_a_csv_line_past_its_bound_fails_naming_it(before, line, ending):
+    bound = sltrack.io._MAX_LINE_CHARS
+    # a line end is not part of the line: one of the bound's length is a row
+    with pytest.raises(ValueError) as exc_info:
+        read_truth_csv(stdio.StringIO(before + "x" * bound + ending))
+    assert str(exc_info.value) == (
+        f"truth CSV line {line}: " + ("expected header " + repr(TRUTH.strip())
+                                      if line == 1 else "expected 6 fields, got 1"))
+    with pytest.raises(ValueError) as exc_info:
+        read_truth_csv(stdio.StringIO(before + "x" * (bound + 1) + ending))
+    assert str(exc_info.value) == f"truth CSV line {line}: longer than {bound} characters"
+
+
+def test_a_csv_line_past_its_bound_is_read_only_that_far():
+    source = stdio.StringIO("x" * 2**20)
+    with pytest.raises(ValueError, match="^estimates CSV line 1: longer than 65536 "):
+        read_estimates_csv(source)
+    # the reader's steps are 2**16 characters: at most one past the bound
+    assert source.tell() <= sltrack.io._MAX_LINE_CHARS + 2**16
 
 
 # --- output files: rewritten in place, then cut to length ----------------------
