@@ -8,11 +8,14 @@ are the fields of the dataclass it builds; a trajectory's are the scalar
 fields of ``synth.TrajectorySpec`` and the parameters of its kind's path
 builder in ``synth.TRAJECTORIES``.
 ``configs/reference.json`` is a worked example.
+
+Every path, pipe and file object read whole (a clip's first frame, any
+frame the band read refuses, ``calibrate``'s frame, config and calibration
+text) is read by one bounded loop, :func:`_read_whole`.
 """
 
 from __future__ import annotations
 
-import errno
 import functools
 import json
 import math
@@ -84,6 +87,17 @@ def _opened(target: str | IO, mode: str, **kwargs: Any) -> Iterator[IO]:
                         os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
+def _read_whole(fh: IO, limit: int, data: bytearray | str) -> bytearray | str | None:
+    """``data`` extended by what ``fh`` reads up to its end, or None once
+    more than ``limit`` bytes or characters have come back. No read asks
+    for more than ``limit + 1``, nor for more than 64 Ki at a time: one
+    read of the whole bound allocates a buffer that size."""
+    # in steps: a read may also return less than it was asked for
+    while len(data) <= limit and (step := fh.read(min(2**16, limit + 1 - len(data)))):
+        data += step
+    return data if len(data) <= limit else None
+
+
 # most characters a config or calibration file may hold; both are under 1 KB
 _MAX_TEXT_CHARS = 2**20
 
@@ -92,12 +106,9 @@ def read_text(source: str | IO[str]) -> str:
     """The text of a UTF-8 file, or of a text file object. One of more than
     ``_MAX_TEXT_CHARS`` characters raises :class:`ConfigError` once one
     character past them is read, so a huge file is never read whole."""
-    text = ""
     with _opened(source, "r", encoding="utf-8") as fh:
-        # in steps: one read of the whole bound allocates a buffer that size
-        while len(text) <= _MAX_TEXT_CHARS and (step := fh.read(2**16)):
-            text += step
-    if len(text) > _MAX_TEXT_CHARS:
+        text = _read_whole(fh, _MAX_TEXT_CHARS, "")
+    if text is None:
         raise ConfigError(f"longer than {_MAX_TEXT_CHARS} characters")
     return text
 
@@ -173,36 +184,6 @@ _MAX_FILE_BYTES = MAX_PIXELS + 2**16
 _TOO_LONG = f"file of over {_MAX_FILE_BYTES} bytes is longer than any frame"
 
 
-def _read_stream(source: BinaryIO) -> np.ndarray:
-    """The bytes of a file object up to its end, in one writable uint8
-    buffer; one that holds more than ``_MAX_FILE_BYTES`` raises
-    :class:`PgmError` once a byte past them is read."""
-    data = bytearray()
-    # in steps: a read may return less than it was asked for
-    while len(data) <= _MAX_FILE_BYTES and (
-            step := source.read(_MAX_FILE_BYTES + 1 - len(data))):
-        data += step
-    if len(data) > _MAX_FILE_BYTES:
-        raise PgmError(_TOO_LONG, _MAX_FILE_BYTES)
-    return np.frombuffer(data, np.uint8)
-
-
-def _read_fd(fd: int, info: os.stat_result, path: str) -> np.ndarray:
-    """Every byte of an open file, read into one uint8 buffer sized by its
-    stat ``info``."""
-    buf = np.empty(info.st_size + 1, np.uint8)
-    got = 0
-    while n := os.readv(fd, [buf[got:]]):
-        got += n
-        if got == buf.size:  # longer than its stat said: grown, or not a regular file
-            if got > _MAX_FILE_BYTES:
-                raise PgmError(_TOO_LONG, _MAX_FILE_BYTES, path)
-            buf = np.concatenate((buf, np.empty_like(buf)))
-        elif got == n == info.st_size and stat.S_ISREG(info.st_mode):
-            break  # one read took the whole file and left the byte past it empty
-    return buf[:got]
-
-
 def _parse_header(data: np.ndarray, path: str | None) -> tuple[int, int, int]:
     """The header's length, the whitespace byte after maxval included, with
     width and height. The parse reads no byte past that whitespace byte."""
@@ -232,32 +213,26 @@ def _parse_header(data: np.ndarray, path: str | None) -> tuple[int, int, int]:
     return pos + 1, width, height  # single whitespace byte after maxval
 
 
-def read_pgm(source: str | BinaryIO, *, index: int = 0, timestamp_ms: int = 0) -> Frame:
+def read_pgm(source: str | BinaryIO) -> Frame:
     """Read a binary (P5) PGM with maxval 255 back into a whole Frame.
 
     The header may hold '#' comments and any ASCII whitespace between its
     fields, and exactly one whitespace byte ends it. Timestamp and index are
-    not part of the format: they are 0 unless the caller passes them.
-    Malformed data, including any byte after the width*height payload,
-    raises :class:`PgmError` at the offset of the problem, naming the file of
-    a path; a file longer than any frame fails before it is read whole.
-    No state is kept between calls.
+    not part of the format: both are 0. Malformed data, including any byte
+    after the width*height payload, raises :class:`PgmError` at the offset of
+    the problem, naming the file of a path; a regular file longer than any
+    frame fails before it is read, any other source once a byte past the
+    bound is read. No state is kept between calls.
     """
-    if hasattr(source, "read"):
-        data, path = _read_stream(source), None
-    else:
-        path = os.fspath(source)
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            info = os.fstat(fd)
-            if stat.S_ISDIR(info.st_mode):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            if info.st_size > _MAX_FILE_BYTES:
-                raise PgmError(f"file of {info.st_size} bytes is longer than any frame",
-                               _MAX_FILE_BYTES, path)
-            data = _read_fd(fd, info, path)
-        finally:
-            os.close(fd)
+    path = None if hasattr(source, "read") else os.fspath(source)
+    with _opened(source, "rb", buffering=0) as fh:
+        if path is not None and (size := os.fstat(fh.fileno()).st_size) > _MAX_FILE_BYTES:
+            raise PgmError(f"file of {size} bytes is longer than any frame",
+                           _MAX_FILE_BYTES, path)
+        data = _read_whole(fh, _MAX_FILE_BYTES, bytearray())
+    if data is None:
+        raise PgmError(_TOO_LONG, _MAX_FILE_BYTES, path)
+    data = np.frombuffer(data, np.uint8)
     pos, width, height = _parse_header(data, path)
     expected = width * height
     have = data.size - pos
@@ -266,8 +241,7 @@ def read_pgm(source: str | BinaryIO, *, index: int = 0, timestamp_ms: int = 0) -
                        pos + have, path)
     if have > expected:
         raise PgmError(f"{have - expected} bytes after the payload", pos + expected, path)
-    return Frame(width=width, height=height, pixels=data[pos:].reshape(height, width),
-                 index=index, timestamp_ms=timestamp_ms)
+    return Frame(width=width, height=height, pixels=data[pos:].reshape(height, width))
 
 
 def _read_rows(path: str, header: bytes, width: int, height: int,
@@ -333,14 +307,13 @@ def iter_pgm_dir(frames_dir: str, rate_hz: float, *, top: int = 0) -> Iterator[F
 def _read_clip(paths: list[str], rate_hz: float, top: int) -> Iterator[Frame]:
     last = None  # write_pgm's header for the frame before, its width and height
     for i, path in enumerate(paths):
-        timestamp_ms = frame_timestamp_ms(i, rate_hz)
         rows = _read_rows(path, *last, top) if last else None
         if rows is None:
-            frame = read_pgm(path, index=i, timestamp_ms=timestamp_ms)
+            frame = read_pgm(path)
             last = _pgm_header(frame.width, frame.height), frame.width, frame.height
             rows = frame.pixels[top:]
         yield Frame(width=last[1], height=last[2], pixels=rows, index=i,
-                    timestamp_ms=timestamp_ms, top=min(top, last[2]))
+                    timestamp_ms=frame_timestamp_ms(i, rate_hz), top=min(top, last[2]))
 
 
 # --- run configuration -----------------------------------------------------

@@ -436,6 +436,19 @@ def test_reading_from_row_top_gives_those_rows_of_a_whole_read(tmp_path_factory,
     assert _outcome(_last_rows_read_from(top), folder) == want_path
 
 
+def _count_whole_reads(monkeypatch):
+    """Wrap ``sltrack.io.read_pgm``, which ``_read_clip`` looks up at call
+    time, to record the path of each file read whole."""
+    real, paths = sltrack.io.read_pgm, []
+
+    def read_pgm(source):
+        paths.append(source)
+        return real(source)
+
+    monkeypatch.setattr(sltrack.io, "read_pgm", read_pgm)
+    return paths
+
+
 def _count_preadv(monkeypatch):
     """Patch ``os.preadv`` as ``sltrack.io`` calls it to record the offset
     and the return of each call."""
@@ -475,10 +488,10 @@ def test_a_frame_after_one_with_its_header_reads_only_its_rows(tmp_path, monkeyp
     second = _FRAME_300x200[:15] + _FRAME_300x200[:14:-1]  # the payload reversed
     (tmp_path / "000000.pgm").write_bytes(_FRAME_300x200)
     (tmp_path / "000001.pgm").write_bytes(second)
-    readv, preadv = _count_readv(monkeypatch), _count_preadv(monkeypatch)
+    whole, preadv = _count_whole_reads(monkeypatch), _count_preadv(monkeypatch)
     frames = list(iter_pgm_dir(str(tmp_path), 20.0, top=150))
     # the first frame is read whole, the second from row 150 down only
-    assert readv == [len(_FRAME_300x200)]
+    assert whole == [str(tmp_path / "000000.pgm")]
     assert preadv == [(15 + 150 * 300, 50 * 300)]
     assert [frame.top for frame in frames] == [150, 150]
     assert frames[0].pixels.tobytes() == _FRAME_300x200[15 + 150 * 300:]
@@ -506,7 +519,7 @@ def test_interleaved_clips_of_two_shapes_each_read_their_rows_only(tmp_path,
     # other's next frame read whole
     wide = _write_clip(tmp_path / "wide", [(300, 200, i) for i in range(4)])
     tall = _write_clip(tmp_path / "tall", [(200, 300, 9 - i) for i in range(4)])
-    readv, preadv = _count_readv(monkeypatch), _count_preadv(monkeypatch)
+    whole, preadv = _count_whole_reads(monkeypatch), _count_preadv(monkeypatch)
     clips = iter_pgm_dir(str(tmp_path / "wide"), 20.0, top=150), \
         iter_pgm_dir(str(tmp_path / "tall"), 20.0, top=150)
     for i in range(4):
@@ -515,7 +528,7 @@ def test_interleaved_clips_of_two_shapes_each_read_their_rows_only(tmp_path,
             assert (frame.index, frame.top) == (i, 150)
             assert np.array_equal(frame.pixels, pixels[i][150:])
     # one whole read of each clip's first frame, one preadv for every other
-    assert readv == [15 + 60000, 15 + 60000]
+    assert whole == [str(tmp_path / clip / "000000.pgm") for clip in ("wide", "tall")]
     assert preadv == [(15 + 150 * 300, 50 * 300), (15 + 150 * 200, 150 * 200)] * 3
 
 
@@ -525,11 +538,11 @@ def test_a_clip_whose_headers_carry_a_comment_reads_every_frame_whole(tmp_path,
     _write_clip(tmp_path / "plain", frames)
     _write_clip(tmp_path / "commented", frames,
                 header=lambda w, h: b"P5\n# a camera's note\n%d %d\n255\n" % (w, h))
-    readv, preadv = _count_readv(monkeypatch), _count_preadv(monkeypatch)
+    whole, preadv = _count_whole_reads(monkeypatch), _count_preadv(monkeypatch)
     commented = list(iter_pgm_dir(str(tmp_path / "commented"), 20.0, top=5))
-    assert len(readv) == 3 and not preadv
+    assert len(whole) == 3 and not preadv
     plain = list(iter_pgm_dir(str(tmp_path / "plain"), 20.0, top=5))
-    assert len(readv) == 4 and len(preadv) == 2
+    assert len(whole) == 4 and len(preadv) == 2
 
     def fields(frame):
         return (frame.width, frame.height, frame.top, frame.index, frame.timestamp_ms,
@@ -544,15 +557,15 @@ def test_a_frame_that_changes_size_mid_clip_is_named(tmp_path, monkeypatch):
     _write_clip(tmp_path / "clip", [(3, 4, 1), (3, 4, 2), (5, 2, 3), (5, 2, 4), (5, 2, 5)])
     bad = tmp_path / "clip" / "000004.pgm"
     bad.write_bytes(bad.read_bytes() + b"\0")
-    readv, preadv = _count_readv(monkeypatch), _count_preadv(monkeypatch)
+    whole, preadv = _count_whole_reads(monkeypatch), _count_preadv(monkeypatch)
     frames = iter_pgm_dir(str(tmp_path / "clip"), 20.0, top=1)
     shapes = [next(frames).pixels.shape for _ in range(4)]
     assert shapes == [(3, 3), (3, 3), (1, 5), (1, 5)]
     with pytest.raises(PgmError) as exc_info:
         next(frames)
     assert str(exc_info.value) == f"{bad}: 1 bytes after the payload (byte offset 21)"
-    # whole reads of frames 0, 2 and 4, each to its end; rows of 1 and 3
-    assert [n for n in readv if n] == [23, 21, 22]
+    # whole reads of frames 0, 2 and 4; rows of 1 and 3
+    assert whole == [str(tmp_path / "clip" / f"00000{i}.pgm") for i in (0, 2, 4)]
     assert [offset for offset, _ in preadv] == [11 + 3, 11 + 5]
 
 
@@ -578,39 +591,24 @@ def test_pgm_errors_quote_at_most_32_bytes_of_a_token(data, message):
     assert str(exc_info.value) == message
 
 
-def _count_readv(monkeypatch, first_read_bytes=None):
-    """Patch ``os.readv`` as ``sltrack.io`` calls it to record what each call
-    returns; the first call, if ``first_read_bytes`` is given, reads at most
-    that many bytes."""
-    real = os.readv
-    returns = []
-
-    def readv(fd, buffers):
-        if first_read_bytes is not None and not returns:
-            buffers = [buffers[0][:first_read_bytes]]
-        returns.append(real(fd, buffers))
-        return returns[-1]
-
-    monkeypatch.setattr(sltrack.io.os, "readv", readv)
-    return returns
-
-
 _FRAME_300x200 = b"P5\n300 200\n255\n" + (bytes(range(256)) * 235)[:60000]
-
-
-def test_an_unchanged_regular_file_takes_one_read(tmp_path, monkeypatch):
-    path = tmp_path / "frame.pgm"
-    path.write_bytes(_FRAME_300x200)
-    returns = _count_readv(monkeypatch)
-    frame = read_pgm(str(path))
-    assert returns == [len(_FRAME_300x200)]
-    assert frame.pixels.tobytes() == _FRAME_300x200[15:]
 
 
 def test_a_short_first_read_reads_on_to_the_end_of_the_file(tmp_path, monkeypatch):
     path = tmp_path / "frame.pgm"
     path.write_bytes(_FRAME_300x200)
-    returns = _count_readv(monkeypatch, first_read_bytes=1000)
+    returns = []
+
+    class ShortFirstRead(stdio.FileIO):
+        """A file whose first read returns at most 1000 bytes."""
+
+        def read(self, size=-1):
+            data = super().read(size if returns else min(size, 1000))
+            returns.append(len(data))
+            return data
+
+    monkeypatch.setattr(sltrack.io, "open", lambda file, mode, **kwargs:
+                        ShortFirstRead(file, mode), raising=False)
     frame = read_pgm(str(path))
     assert returns[0] == 1000 and returns[-1] == 0
     assert sum(returns) == len(_FRAME_300x200)
@@ -630,9 +628,7 @@ def test_a_file_whose_stat_size_is_wrong_still_reads_whole(tmp_path, monkeypatch
         return os.stat_result(info)
 
     monkeypatch.setattr(sltrack.io.os, "fstat", fstat)
-    returns = _count_readv(monkeypatch)
     frame = read_pgm(str(path))
-    assert returns[-1] == 0
     assert frame.pixels.tobytes() == _FRAME_300x200[15:]
 
 
@@ -666,7 +662,7 @@ def test_a_file_cut_after_its_stat_is_read_whole_and_named(tmp_path, monkeypatch
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_pgm_from_a_pipe_is_read_to_its_end(tmp_path):
-    # a pipe's stat size is 0, so the reader must grow its buffer
+    # a pipe's stat size is 0, so the reader must read on to its end
     data = b"P5\n300 200\n255\n" + (bytes(range(256)) * 235)[:60000]
     path = tmp_path / "frame.pgm"
     os.mkfifo(path)
@@ -689,11 +685,15 @@ def test_a_pipe_in_a_clip_is_opened_once_and_read_whole(tmp_path, monkeypatch):
     os.mkfifo(pipe)
     real, opened = os.open, []
 
-    def record(path, *args):
-        opened.append(path)
-        return real(path, *args)
+    def record(opener):
+        def opens(path, *args, **kwargs):
+            opened.append(path)
+            return opener(path, *args, **kwargs)
+        return opens
 
-    monkeypatch.setattr(sltrack.io.os, "open", record)
+    # _read_rows opens with os.open, read_pgm with the builtin open
+    monkeypatch.setattr(sltrack.io.os, "open", record(os.open))
+    monkeypatch.setattr(sltrack.io, "open", record(open), raising=False)
     writer = threading.Thread(target=pipe.write_bytes, args=(_FRAME_300x200,))
     writer.start()
     frames = []
@@ -725,8 +725,8 @@ def test_pgm_file_longer_than_any_frame_fails_before_it_is_read(tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_pgm_pipe_longer_than_any_frame_stops_at_the_bound(tmp_path):
-    # a pipe's stat size is 0: the buffer doubles, and a doubling past the
-    # bound fails instead of growing without end
+    # a pipe's stat size is 0: the read past the bound fails instead of
+    # reading on without end
     path = tmp_path / "frame.pgm"
     os.mkfifo(path)
 
@@ -766,6 +766,82 @@ def test_pgm_stream_longer_than_any_frame_stops_at_the_bound():
     assert str(exc_info.value) == (
         f"file of over {bound} bytes is longer than any frame (byte offset {bound})")
     assert exc_info.value.path is None
+
+
+class _ShortReads:
+    """A file object over ``data`` whose reads return at most the next of
+    ``sizes``, cycled, bytes or characters; records each size asked for."""
+
+    def __init__(self, data, sizes):
+        self.data, self.pos, self.sizes, self.asked = data, 0, itertools.cycle(sizes), []
+
+    def read(self, size=-1):
+        self.asked.append(size)
+        step = min(next(self.sizes), len(self.data) if size < 0 else size)
+        chunk = self.data[self.pos:self.pos + step]
+        self.pos += len(chunk)
+        return chunk
+
+
+def _config_or_error(source):
+    try:
+        return load_config(source)
+    except ConfigError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(1, 6), height=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       comment=st.booleans(), cut=st.integers(-8, 2), text_cut=st.integers(0, 2000),
+       tail=st.text(max_size=3), k=st.integers(1, 64), draw=st.data())
+def test_short_reads_read_what_one_whole_read_reads(width, height, seed, comment, cut,
+                                                    text_cut, tail, k, draw):
+    sizes = draw.draw(st.lists(st.integers(1, k), min_size=1, max_size=8))
+    header = b"P5\n# note\n%d %d\n255\n" if comment else b"P5\n%d %d\n255\n"
+    pixels = np.random.default_rng(seed).integers(0, 256, width * height, np.uint8)
+    data = header % (width, height) + pixels.tobytes() + b"\xff\x00"
+    data = data[:len(data) - 2 + cut]  # cut short, whole, or with bytes after
+    short = _ShortReads(data, sizes)
+    assert _outcome(_read_pixels, short) == _outcome(_read_pixels, stdio.BytesIO(data))
+    # a config whole, or cut and followed by any characters
+    full = json.dumps(reference_dict(), indent=1)
+    text = full if text_cut >= len(full) else full[:text_cut] + tail
+    short = _ShortReads(text, sizes)
+    assert _config_or_error(short) == _config_or_error(stdio.StringIO(text))
+
+
+# reads of 1 to 2**17 bytes or characters, at least every fifth of 2**17:
+# few enough reads to reach a 16 MiB bound
+_SHORT_READ_SIZES = st.lists(st.integers(1, 2**17), min_size=1, max_size=4).map(
+    lambda sizes: sizes + [2**17])
+
+
+@settings(max_examples=20, deadline=None)
+@given(sizes=_SHORT_READ_SIZES, past=st.integers(0, 3))
+def test_short_reads_stop_one_byte_past_the_frame_bound(sizes, past):
+    bound = sltrack.geometry.MAX_PIXELS + 2**16
+    header = b"P5\n#" + b"x" * (2**16 - 19) + b"\n4096 4096\n255\n"
+    assert len(header) + 4096 * 4096 == bound
+    short = _ShortReads(header + bytes(4096 * 4096 + past), sizes)
+    outcome = _outcome(_read_pixels, short)
+    # no read asks for, and the reader takes, no more than one byte past it
+    assert max(short.asked) <= bound + 1 and short.pos == min(bound + past, bound + 1)
+    if past:
+        assert outcome == (f"file of over {bound} bytes is longer than any frame "
+                           f"(byte offset {bound})", bound)
+    else:
+        assert outcome[0] == (4096, 4096)
+
+
+@settings(max_examples=20, deadline=None)
+@given(sizes=_SHORT_READ_SIZES, past=st.integers(0, 3))
+def test_short_reads_stop_one_character_past_the_config_bound(sizes, past):
+    text = json.dumps(reference_dict())
+    short = _ShortReads(text + " " * (2**20 - len(text) + past), sizes)
+    outcome = _config_or_error(short)
+    assert max(short.asked) <= 2**20 + 1 and short.pos == min(2**20 + past, 2**20 + 1)
+    assert outcome == ("config: longer than 1048576 characters" if past
+                       else load_config(REFERENCE_CONFIG))
 
 
 def test_a_bad_frame_in_a_directory_names_its_file(tmp_path):
