@@ -484,11 +484,11 @@ def load_config(source: str | IO[str]) -> RunConfig:
 
 @dataclass(frozen=True)
 class EstimateRow:
-    """One estimates-CSV row; mirrors the file, not the full estimate."""
+    """One estimates-CSV row; mirrors the file, not the full estimate.
+    ``pos`` is None, and ``u_f``, ``v_f`` too, where ``detected`` is 0."""
 
     frame: int
     timestamp_ms: int
-    detected: bool
     u_f: float | None = None
     v_f: int | None = None
     pos: WorldPosition | None = None
@@ -506,42 +506,35 @@ def _read_table(source: str | IO[str], header: str, what: str,
     ``write_*_csv`` write it and :func:`sltrack.pipeline.evaluate` pairs
     rows; it is passed as an int, the rest as text. A bad header or row, or
     a line of over ``_MAX_LINE_CHARS`` characters, raises ``ValueError``
-    naming the table and 1-based line; the file is read in steps, and no
-    further than one step past such a line's bound. Rows end at ``\\n`` or
-    ``\\r\\n``; any other line break stays inside its row."""
+    naming the table and 1-based line. A line ends at ``\\n``, one ``\\r``
+    before it dropped; any other line break stays inside its row. Each is
+    one ``readline`` of at most two characters past the bound, so a longer
+    line is read no further. A path is opened to split at ``\\n`` only, a
+    file object splits where its own ``readline`` does."""
     width = header.count(",") + 1
     rows = []
-    with _opened(source, "r", encoding="utf-8", newline="") as fh:
-        number, rest = 0, ""
-        while True:
-            step = fh.read(2**16)
-            # rest + step: a "\r\n" split between two steps is joined first
-            *lines, rest = (rest + step).replace("\r\n", "\n").split("\n")
-            if not step and (rest or not number):  # a last line without an end
-                lines.append(rest)
-            for line in lines:
-                number += 1
-                values = line.split(",")
-                try:
-                    if len(line) > _MAX_LINE_CHARS:
-                        raise ValueError(f"longer than {_MAX_LINE_CHARS} characters")
-                    if number == 1:
-                        if line != header:
-                            raise ValueError(f"expected header {header!r}")
-                    elif len(values) != width:
-                        raise ValueError(f"expected {width} fields, got {len(values)}")
-                    elif whole_number(values[0], "frame") != len(rows):
-                        raise ValueError(f"expected frame {len(rows)}, got {values[0]}")
-                    else:
-                        rows.append(parse(len(rows), *values[1:]))
-                except ValueError as exc:
-                    raise ValueError(f"{what} CSV line {number}: {exc}") from None
-            if not step:
-                break
-            # one character more: a "\r" whose "\n" is not read yet
-            if len(rest) > _MAX_LINE_CHARS + 1:
-                raise ValueError(f"{what} CSV line {number + 1}: longer than "
-                                 f"{_MAX_LINE_CHARS} characters")
+    with _opened(source, "r", encoding="utf-8", newline="\n") as fh:
+        number = 0
+        # the bound and a "\r\n"; an empty file is one line, a bad header
+        while (line := fh.readline(_MAX_LINE_CHARS + 2)) or not number:
+            number += 1
+            if line.endswith("\n"):
+                line = line[:-1].removesuffix("\r")
+            values = line.split(",")
+            try:
+                if len(line) > _MAX_LINE_CHARS:
+                    raise ValueError(f"longer than {_MAX_LINE_CHARS} characters")
+                if number == 1:
+                    if line != header:
+                        raise ValueError(f"expected header {header!r}")
+                elif len(values) != width:
+                    raise ValueError(f"expected {width} fields, got {len(values)}")
+                elif whole_number(values[0], "frame") != len(rows):
+                    raise ValueError(f"expected frame {len(rows)}, got {values[0]}")
+                else:
+                    rows.append(parse(len(rows), *values[1:]))
+            except ValueError as exc:
+                raise ValueError(f"{what} CSV line {number}: {exc}") from None
     return rows
 
 
@@ -578,28 +571,29 @@ def _csv_float(text: str, name: str = "") -> float:
     return value
 
 
-def _csv_flag(name: str, text: str) -> bool:
-    if text not in ("0", "1"):
-        raise ValueError(f"{name}: expected 0 or 1, got {text!r}")
-    return text == "1"
-
-
-def _csv_empty(flag: str, **values: str) -> None:
-    # a row without a position holds none: write_*_csv leaves these empty
-    for name, text in values.items():
-        if text:
-            raise ValueError(f"{name}: expected empty with {flag} 0, got {text!r}")
+def _csv_position(flag: str, text: str, x: str, z: str,
+                  **more: str) -> WorldPosition | None:
+    """x, z of a row whose ``flag`` field ``text`` is 1; None where it is 0,
+    and then ``more`` and x, z must be empty, as write_*_csv leave them."""
+    if text == "1":
+        # an impossible position fails here, where the line is known
+        return WorldPosition(_csv_float(x), _csv_float(z))
+    if text != "0":
+        raise ValueError(f"{flag}: expected 0 or 1, got {text!r}")
+    for name, value in {**more, "x_cm": x, "z_cm": z}.items():
+        if value:
+            raise ValueError(f"{name}: expected empty with {flag} 0, got {value!r}")
+    return None
 
 
 def _estimate_row(frame: int, ts: str, detected: str, u_f: str, v_f: str, x: str,
                   z: str) -> EstimateRow:
-    if _csv_flag("detected", detected):
-        # an impossible position fails here, where the line is known
-        pos = WorldPosition(_csv_float(x), _csv_float(z))
-        return EstimateRow(frame, whole_number(ts, "timestamp_ms"), True,
-                           _csv_float(u_f, "u_f"), whole_number(v_f, "v_f"), pos)
-    _csv_empty("detected", u_f=u_f, v_f=v_f, x_cm=x, z_cm=z)
-    return EstimateRow(frame, whole_number(ts, "timestamp_ms"), False)
+    pos = _csv_position("detected", detected, x, z, u_f=u_f, v_f=v_f)
+    timestamp_ms = whole_number(ts, "timestamp_ms")
+    if pos is None:
+        return EstimateRow(frame, timestamp_ms)
+    return EstimateRow(frame, timestamp_ms, _csv_float(u_f, "u_f"),
+                       whole_number(v_f, "v_f"), pos)
 
 
 def read_estimates_csv(source: str | IO[str]) -> list[EstimateRow]:
@@ -625,12 +619,8 @@ def write_truth_csv(truth: Sequence[SceneState], sink: str | IO[str]) -> None:
 
 def _truth_row(_frame: int, ts: str, present: str, x: str, z: str,
                foot_width: str) -> SceneState:
-    if _csv_flag("present", present):
-        user = WorldPosition(_csv_float(x), _csv_float(z))
-    else:
-        _csv_empty("present", x_cm=x, z_cm=z)
-        user = None
-    return SceneState(user=user, foot_width=_csv_float(foot_width, "foot_width_cm"),
+    return SceneState(user=_csv_position("present", present, x, z),
+                      foot_width=_csv_float(foot_width, "foot_width_cm"),
                       timestamp_ms=whole_number(ts, "timestamp_ms"))
 
 

@@ -364,7 +364,7 @@ def test_acceptance_8_golden_formats_and_round_trips():
     csv_rt = sum(
         1 for est, row in zip(estimates, rows)
         if (row.frame, row.timestamp_ms) == (est.frame_index, est.timestamp_ms)
-        and (est.pos is None) == (not row.detected)
+        and (est.pos is None) == (row.pos is None)
         and (est.pos is None
              or (abs(row.pos.x - est.pos.x) < 5e-4
                  and abs(row.pos.z - est.pos.z) < 5e-4

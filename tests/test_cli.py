@@ -453,7 +453,7 @@ def test_track_noiseless_stationary_all_detected(tmp_path):
     est_csv, _ = full_run(tmp_path, cfg)
     rows = read_estimates_csv(str(est_csv))
     assert len(rows) == 20
-    assert all(r.detected for r in rows)
+    assert all(r.pos is not None for r in rows)
     assert all(abs(r.pos.z - 200.0) <= 2.5 for r in rows)
 
 
@@ -463,7 +463,7 @@ def test_track_empty_scene_all_undetected(tmp_path):
     est_csv, _ = full_run(tmp_path, cfg)
     rows = read_estimates_csv(str(est_csv))
     assert len(rows) == 20
-    assert not any(r.detected for r in rows)
+    assert not any(r.pos is not None for r in rows)
 
 
 def test_track_mismatched_calibration_exit_2(tmp_path):

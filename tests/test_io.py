@@ -1273,9 +1273,9 @@ def test_estimates_csv_round_trip_1000_random():
     for est, row in zip(estimates, rows):
         assert (row.frame, row.timestamp_ms) == (est.frame_index, est.timestamp_ms)
         if est.pos is None:
-            assert not row.detected
+            assert row.pos is None
         else:
-            assert row.detected
+            assert row.pos is not None
             assert row.pos.x == pytest.approx(est.pos.x, abs=5e-4)
             assert row.pos.z == pytest.approx(est.pos.z, abs=5e-4)
             assert row.u_f == pytest.approx(est.detection.u_f, abs=5e-4)
@@ -1461,7 +1461,7 @@ def test_the_loose_estimates_row_fails_on_its_line():
         read_estimates_csv(stdio.StringIO(ESTIMATES + "1_0,+5,1,1_60.5, 200,1_0.0,2_00\n"))
 
 
-_ROWS = "".join(f"{i},{50 * i},0,,,25.0\n" for i in range(5000))  # over one read step
+_ROWS = "".join(f"{i},{50 * i},0,,,25.0\n" for i in range(5000))  # over 2**16 characters
 
 
 @pytest.mark.parametrize("before,line", [("", 1), (TRUTH, 2), (TRUTH + _ROWS, 5002)],
@@ -1480,12 +1480,115 @@ def test_a_csv_line_past_its_bound_fails_naming_it(before, line, ending):
     assert str(exc_info.value) == f"truth CSV line {line}: longer than {bound} characters"
 
 
-def test_a_csv_line_past_its_bound_is_read_only_that_far():
+def test_a_csv_line_past_its_bound_is_read_only_that_far(tmp_path, monkeypatch):
     source = stdio.StringIO("x" * 2**20)
     with pytest.raises(ValueError, match="^estimates CSV line 1: longer than 65536 "):
         read_estimates_csv(source)
-    # the reader's steps are 2**16 characters: at most one past the bound
-    assert source.tell() <= sltrack.io._MAX_LINE_CHARS + 2**16
+    assert source.tell() <= sltrack.io._MAX_LINE_CHARS + 2
+    # a path: count the characters its opened file hands back
+    path = tmp_path / "long.csv"
+    path.write_text("x" * 2**20, encoding="utf-8")
+    handed = []
+
+    class Counted(stdio.TextIOWrapper):
+        def readline(self, size=-1):
+            handed.append(len(line := super().readline(size)))
+            return line
+
+        def read(self, size=-1):
+            handed.append(len(text := super().read(size)))
+            return text
+
+    monkeypatch.setattr(sltrack.io, "open", lambda file, mode, **kwargs:
+                        Counted(stdio.open(file, "rb"), **kwargs), raising=False)
+    with pytest.raises(ValueError, match="^estimates CSV line 1: longer than 65536 "):
+        read_estimates_csv(str(path))
+    assert 0 < sum(handed) <= sltrack.io._MAX_LINE_CHARS + 2
+
+
+def _reference_lines(text):
+    """A CSV text's lines by the reference rule: "\\r\\n" is read as "\\n",
+    lines end at "\\n", and a last line without one is kept when it is not
+    empty or is the only line."""
+    *lines, rest = text.replace("\r\n", "\n").split("\n")
+    return lines + [rest] if rest or not lines else lines
+
+
+def _reference_read_table(text, header, what, parse):
+    """The reference CSV reader: the rows of :func:`_reference_lines`, or
+    the reader's message naming the first bad line."""
+    bound = sltrack.io._MAX_LINE_CHARS
+    rows = []
+    for number, line in enumerate(_reference_lines(text), 1):
+        values = line.split(",")
+        try:
+            if len(line) > bound:
+                raise ValueError(f"longer than {bound} characters")
+            if number == 1:
+                if line != header:
+                    raise ValueError(f"expected header {header!r}")
+            elif len(values) != header.count(",") + 1:
+                raise ValueError(f"expected {header.count(',') + 1} fields, "
+                                 f"got {len(values)}")
+            elif whole_number(values[0], "frame") != len(rows):
+                raise ValueError(f"expected frame {len(rows)}, got {values[0]}")
+            else:
+                rows.append(parse(len(rows), *values[1:]))
+        except ValueError as exc:
+            raise ValueError(f"{what} CSV line {number}: {exc}") from None
+    return rows
+
+
+def _rows_or_message(read, source):
+    try:
+        return read(source)
+    except ValueError as exc:
+        return str(exc)
+
+
+# every character that may end a line somewhere: only "\n" ends a CSV row
+_BREAKS = "\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@st.composite
+def _csv_texts(draw, header, good_rows):
+    """A header or something like it, then lines that are rows numbered from
+    0 or any few characters, each maybe padded to 2**16 - 1 .. 2**16 + 2
+    characters, between any line breaks."""
+    bound = sltrack.io._MAX_LINE_CHARS
+    # mostly what write_*_csv write, so that many texts read to their end
+    breaks = (st.sampled_from(["\n"] * 4 + ["\r\n"] * 2 + ["\r", "\r\r\n", ""])
+              | st.text(_BREAKS, max_size=3))
+    parts = [draw(st.sampled_from([header + "\n"] * 4 + [
+        header + "\r\n", header, header + "\r", header[:-1] + "\n", ""]))]
+    for i in range(draw(st.integers(0, 4))):
+        line = draw(st.sampled_from([row.format(i=i) for row in good_rows] * 2)
+                    | st.text("0123456789," + _BREAKS, max_size=12))
+        if draw(st.booleans()):
+            pad = draw(st.sampled_from("000,\r\x85"))
+            line += pad * (draw(st.integers(bound - 1, bound + 2)) - len(line))
+        parts += [line, draw(breaks)]
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("read,header,what,parse,good_rows", [
+    (read_estimates_csv, ESTIMATES.strip(), "estimates", sltrack.io._estimate_row,
+     ["{i},50,1,160.5,200,10.0,200.0", "{i},50,0,,,,"]),
+    (read_truth_csv, TRUTH.strip(), "truth", sltrack.io._truth_row,
+     ["{i},50,1,10.0,200.0,25.0", "{i},50,0,,,25.0"]),
+], ids=["estimates", "truth"])
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_csv_lines_split_as_the_reference_rule_splits_them(tmp_path_factory, read,
+                                                           header, what, parse,
+                                                           good_rows, data):
+    text = data.draw(_csv_texts(header, good_rows))
+    want = _rows_or_message(lambda t: _reference_read_table(t, header, what, parse), text)
+    # one file per table, rewritten by each example
+    path = tmp_path_factory.getbasetemp() / f"reference-rule-{what}.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _rows_or_message(read, stdio.StringIO(text)) == want
+    assert _rows_or_message(read, str(path)) == want
 
 
 # --- output files: rewritten in place, then cut to length ----------------------
