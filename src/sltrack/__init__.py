@@ -7,6 +7,24 @@ This package bundles the synthetic rig simulator, the detector, the
 tracking pipeline, file formats, and a UDP telemetry stream.
 """
 
+import os as _os
+import sys as _sys
+
+# OpenBLAS starts a pool of worker threads when numpy loads it, ~60 ms of a
+# fresh process on a 2-core host, and reads its thread count only then. No
+# BLAS call in sltrack can use a thread (its one np.dot is on int64, which
+# numpy computes without BLAS), so where no variable sets the count, numpy
+# is loaded with one thread. os.environ, and so every child process, is
+# left as it was.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                 "OPENBLAS_DEFAULT_NUM_THREADS")
+if "numpy" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREADS):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .detect import (Calibration, CalibrationError, DetectParams, Detection,
                      calibrate, detect_feet)
 from .geometry import (RigConfig, TriangulationError, WorldPosition,

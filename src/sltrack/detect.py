@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import require_ints
 from .synth import Frame
 
 
@@ -35,6 +36,7 @@ class Calibration:
     height: int
 
     def __post_init__(self) -> None:
+        require_ints(self, "v_b", "width", "height")
         if not 0 < self.v_b < self.height - 1:
             raise ValueError("v_b: must leave room for row neighbors above and below")
 
@@ -63,6 +65,7 @@ class DetectParams:
             raise ValueError("ath_min: must lie in [0, ath_base]")
         if self.ath_slope < 0:
             raise ValueError("ath_slope: must be >= 0")
+        require_ints(self, "min_run")
         if self.min_run < 1:
             raise ValueError("min_run: must be >= 1")
 

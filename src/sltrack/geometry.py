@@ -27,6 +27,16 @@ from dataclasses import dataclass
 MAX_PIXELS = 2**24
 
 
+def require_ints(obj: object, *names: str) -> None:
+    """Raise ``ValueError`` naming the first of the fields ``names`` of
+    ``obj`` that is not an int: a float or bool is refused, not converted,
+    so it reaches neither a slice, a PGM header nor the geometry."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not int:
+            raise ValueError(f"{name}: must be an int, got {value!r}")
+
+
 class TriangulationError(ValueError):
     """Depth denominator is non-positive: the disparity implies a reflection
     at or behind the camera, which only a corrupt detection can produce."""
@@ -53,6 +63,7 @@ class RigConfig:
     v0: float | None = None
 
     def __post_init__(self) -> None:
+        require_ints(self, "width", "height")
         if self.u0 is None:
             object.__setattr__(self, "u0", self.width / 2.0)
         if self.v0 is None:

@@ -497,6 +497,8 @@ class EstimateRow:
 # most characters a CSV line may hold, its line end not counted; a row
 # write_*_csv writes has under 1000
 _MAX_LINE_CHARS = 2**16
+# what a byte that is not UTF-8 decodes to with errors="surrogateescape"
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _read_table(source: str | IO[str], header: str, what: str,
@@ -510,10 +512,13 @@ def _read_table(source: str | IO[str], header: str, what: str,
     before it dropped; any other line break stays inside its row. Each is
     one ``readline`` of at most two characters past the bound, so a longer
     line is read no further. A path is opened to split at ``\\n`` only, a
-    file object splits where its own ``readline`` does."""
+    file object splits where its own ``readline`` does. A path's bytes that
+    are not UTF-8 read as one lone surrogate each, and a line that holds a
+    surrogate is refused as ``not UTF-8``."""
     width = header.count(",") + 1
     rows = []
-    with _opened(source, "r", encoding="utf-8", newline="\n") as fh:
+    with _opened(source, "r", encoding="utf-8", errors="surrogateescape",
+                 newline="\n") as fh:
         number = 0
         # the bound and a "\r\n"; an empty file is one line, a bad header
         while (line := fh.readline(_MAX_LINE_CHARS + 2)) or not number:
@@ -524,6 +529,8 @@ def _read_table(source: str | IO[str], header: str, what: str,
             try:
                 if len(line) > _MAX_LINE_CHARS:
                     raise ValueError(f"longer than {_MAX_LINE_CHARS} characters")
+                if not line.isascii() and _SURROGATE.search(line):
+                    raise ValueError("not UTF-8")
                 if number == 1:
                     if line != header:
                         raise ValueError(f"expected header {header!r}")

@@ -14,7 +14,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import RigConfig, WorldPosition, project
+from .geometry import RigConfig, WorldPosition, project, require_ints
 
 Point = tuple[float, float]
 
@@ -36,10 +36,7 @@ class Frame:
     top: int = 0  # image row of pixels[0]
 
     def __post_init__(self) -> None:
-        for name, value in (("width", self.width), ("height", self.height),
-                            ("top", self.top)):
-            if type(value) is not int:  # a float or bool would reach a PGM header
-                raise ValueError(f"{name}: must be an int, got {value!r}")
+        require_ints(self, "width", "height", "top")
         if not 0 <= self.top <= self.height:
             raise ValueError(f"top: must lie in [0, {self.height}], got {self.top}")
         if not (isinstance(self.pixels, np.ndarray) and self.pixels.dtype == np.uint8):

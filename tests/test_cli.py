@@ -960,6 +960,17 @@ def test_evaluate_a_sparse_1_gib_csv_exit_2_naming_the_line(tmp_path, capsys):
         "error: estimates CSV line 1: longer than 65536 characters\n")
 
 
+def test_evaluate_a_csv_that_is_not_utf8_exit_2_naming_the_line(tmp_path, capsys):
+    est_csv, truth_csv = tmp_path / "e.csv", tmp_path / "t.csv"
+    rows = "".join(f"{i},{50 * i},0,,,,\n" for i in range(2000))
+    est_csv.write_bytes(("frame,timestamp_ms,detected,u_f,v_f,x_cm,z_cm\n"
+                         + rows).encode("utf-8") + b"2000,100000,0,\xff,,,\n")
+    truth_csv.write_text("frame,timestamp_ms,present,x_cm,z_cm,foot_width_cm\n",
+                         encoding="utf-8")
+    assert main(["evaluate", str(est_csv), str(truth_csv)]) == 2
+    assert capsys.readouterr().err == "error: estimates CSV line 2002: not UTF-8\n"
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda rows: rows[:5] + [rows[6], rows[5]] + rows[7:],
      "estimates CSV line 7: expected frame 5, got 6"),

@@ -135,6 +135,26 @@ def test_detect_params_validation():
         DetectParams(min_run=0)
 
 
+@pytest.mark.parametrize("fields,message", [
+    # as row 1, a foot imaged at row 200 (z = 200 cm) on the reference rig
+    # would triangulate to z ~ 67 cm
+    ({"v_b": True}, "v_b: must be an int, got True"),
+    ({"v_b": 160.0}, "v_b: must be an int, got 160.0"),
+    ({"width": 320.0}, "width: must be an int, got 320.0"),
+    ({"height": 240.0}, "height: must be an int, got 240.0"),
+], ids=["bool-v_b", "float-v_b", "float-width", "float-height"])
+def test_calibration_refuses_fields_that_are_not_ints(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Calibration(**{"v_b": 160, "width": 320, "height": 240, **fields})
+
+
+@pytest.mark.parametrize("min_run", [3.0, True], ids=["float", "bool"])
+def test_detect_params_refuse_a_min_run_that_is_not_an_int(min_run):
+    # 3.0 failed as a slice index in detect_feet, True ran as 1
+    with pytest.raises(ValueError, match=f"^min_run: must be an int, got {min_run}$"):
+        DetectParams(min_run=min_run)
+
+
 @pytest.mark.parametrize("name,message", [
     ("ath_min", r"ath_min: must lie in \[0, ath_base\]"),
     ("ath_slope", "ath_slope: must be >= 0"),

@@ -126,6 +126,16 @@ def test_rig_validation():
         RigConfig(d=40, f=400, z_b=100, width=320, height=240, v0=120.0)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("width", 320.0), ("height", 240.0), ("width", True),
+], ids=["float-width", "float-height", "bool-width"])
+def test_rig_refuses_dimensions_that_are_not_ints(name, value):
+    # a float width was accepted, and render then failed on it
+    with pytest.raises(ValueError, match=f"^{name}: must be an int, got {value}$"):
+        RigConfig(**{"d": 40, "f": 400, "z_b": 400, "width": 320, "height": 240,
+                     name: value})
+
+
 def test_principal_point_defaults_to_frame_center():
     rig = RigConfig(d=40, f=400, z_b=400, width=320, height=240)
     assert (rig.u0, rig.v0) == (160.0, 120.0)

@@ -1506,6 +1506,31 @@ def test_a_csv_line_past_its_bound_is_read_only_that_far(tmp_path, monkeypatch):
     assert 0 < sum(handed) <= sltrack.io._MAX_LINE_CHARS + 2
 
 
+_ESTIMATE_ROWS = "".join(f"{i},{50 * i},0,,,,\n" for i in range(5000))
+
+
+@pytest.mark.parametrize("read,what,header,rows", [
+    (read_estimates_csv, "estimates", ESTIMATES, _ESTIMATE_ROWS),
+    (read_truth_csv, "truth", TRUTH, _ROWS),
+], ids=["estimates", "truth"])
+@pytest.mark.parametrize("line", [1, 2, 5001], ids=["header", "first-row", "past-64-kib"])
+def test_a_csv_that_is_not_utf8_fails_naming_its_line(tmp_path, read, what, header,
+                                                      rows, line):
+    # the decoder's own message named neither table nor line, and its byte
+    # position was counted from the start of the chunk it was handed
+    lines = (header + rows).encode("utf-8").splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].replace(b",", b",\xff", 1)
+    data = b"".join(lines)
+    assert (data.index(b"\xff") > 2**16) == (line > 2)
+    path = tmp_path / "table.csv"
+    path.write_bytes(data)
+    message = f"^{what} CSV line {line}: not UTF-8$"
+    with pytest.raises(ValueError, match=message):
+        read(str(path))
+    with pytest.raises(ValueError, match=message):
+        read(stdio.StringIO(data.decode("utf-8", "surrogateescape")))
+
+
 def _reference_lines(text):
     """A CSV text's lines by the reference rule: "\\r\\n" is read as "\\n",
     lines end at "\\n", and a last line without one is kept when it is not
