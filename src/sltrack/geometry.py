@@ -25,6 +25,9 @@ from dataclasses import dataclass
 
 # a larger sensor is a config mistake: one float64 frame would take 128 MiB
 MAX_PIXELS = 2**24
+# most digits of a whole number read from text, after any leading zeros (no
+# frame, port or v_b comes near); a frame's timestamp stays below 10**18 ms
+MAX_DIGITS = 18
 
 
 def require_ints(obj: object, *names: str) -> None:

@@ -9,9 +9,9 @@ fields of ``synth.TrajectorySpec`` and the parameters of its kind's path
 builder in ``synth.TRAJECTORIES``.
 ``configs/reference.json`` is a worked example.
 
-Every path, pipe and file object read whole (a clip's first frame, any
-frame the band read refuses, ``calibrate``'s frame, config and calibration
-text) is read by one bounded loop, :func:`_read_whole`.
+Readers and writers take paths. Every file read whole (a clip's first
+frame, any frame the band read refuses, ``calibrate``'s frame, config and
+calibration text) is read by one bounded loop, :func:`_read_whole`.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import (IO, Any, BinaryIO, Callable, Iterator, Mapping, Sequence,
-                    get_args, get_type_hints)
+from typing import (IO, Any, Callable, Iterator, Mapping, Sequence, get_args,
+                    get_type_hints)
 
 import numpy as np
 
 from .detect import DetectParams
-from .geometry import MAX_PIXELS, RigConfig, WorldPosition
+from .geometry import MAX_DIGITS, MAX_PIXELS, RigConfig, WorldPosition
 from .pipeline import PositionEstimate, SmootherConfig
 from .synth import (TRAJECTORIES, Frame, IntensityModel, NoiseParams, Point,
                     SceneState, TrajectorySpec, frame_timestamp_ms)
@@ -42,11 +42,10 @@ TRUTH_HEADER = "frame,timestamp_ms,present,x_cm,z_cm,foot_width_cm"
 
 class PgmError(ValueError):
     """Malformed PGM data; ``offset`` is the byte position of the problem and
-    ``path``, when known, the file that holds it."""
+    ``path`` the file that holds it."""
 
-    def __init__(self, message: str, offset: int, path: str | None = None) -> None:
-        where = f"{path}: " if path is not None else ""
-        super().__init__(f"{where}{message} (byte offset {offset})")
+    def __init__(self, message: str, offset: int, path: str) -> None:
+        super().__init__(f"{path}: {message} (byte offset {offset})")
         self.offset = offset
         self.path = path
 
@@ -56,35 +55,25 @@ class ConfigError(ValueError):
 
 
 @contextmanager
-def _opened(target: str | IO, mode: str, **kwargs: Any) -> Iterator[IO]:
-    """A file object as it is, or a path opened for the block and closed after.
-
-    A path opened for writing (a ``"w"`` mode) is created if missing but
-    not truncated: it is written from byte 0, and when the block ends,
-    also by an exception, a regular file is cut where the writing
-    stopped. It then holds exactly the bytes a truncating open would
-    leave; only a process killed inside the block leaves the old tail.
-    Truncating an existing file at open makes ext4 start writeback when
-    it is closed (``auto_da_alloc``); rewriting a 76.8 KB frame that way
-    took several times as long as writing it in place.
-    """
-    if hasattr(target, "read") or hasattr(target, "write"):
-        yield target
-    elif "w" not in mode:
-        with open(target, mode, **kwargs) as fh:
+def _rewritten(path: str | os.PathLike, mode: str, **kwargs: Any) -> Iterator[IO]:
+    """``path`` opened for writing in ``mode`` for the block: created if
+    missing but not truncated, written from byte 0 and, when the block ends
+    (also by an exception), a regular file cut where the writing stopped.
+    It then holds exactly the bytes a truncating open would leave; only a
+    process killed inside the block leaves the old tail. A truncating open
+    makes ext4 start writeback at close (``auto_da_alloc``): rewriting a
+    76.8 KB frame that way took several times as long as in place."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, mode, **kwargs) as fh:
+        try:
             yield fh
-    else:
-        fd = os.open(target, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, mode, **kwargs) as fh:
+        finally:
             try:
-                yield fh
-            finally:
-                try:
-                    fh.flush()
-                finally:  # cut at what the kernel took, also if flush failed
-                    # /dev/null, a pipe or a tty cannot be truncated
-                    if stat.S_ISREG(os.fstat(fd).st_mode):
-                        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+                fh.flush()
+            finally:  # cut at what the kernel took, also if flush failed
+                # /dev/null, a pipe or a tty cannot be truncated
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _read_whole(fh: IO, limit: int, data: bytearray | str) -> bytearray | str | None:
@@ -102,29 +91,26 @@ def _read_whole(fh: IO, limit: int, data: bytearray | str) -> bytearray | str | 
 _MAX_TEXT_CHARS = 2**20
 
 
-def read_text(source: str | IO[str]) -> str:
-    """The text of a UTF-8 file, or of a text file object. One of more than
-    ``_MAX_TEXT_CHARS`` characters raises :class:`ConfigError` once one
-    character past them is read, so a huge file is never read whole."""
-    with _opened(source, "r", encoding="utf-8") as fh:
+def read_text(path: str | os.PathLike) -> str:
+    """The text of a UTF-8 file. One of more than ``_MAX_TEXT_CHARS``
+    characters raises :class:`ConfigError` once one character past them is
+    read, so a huge file is never read whole."""
+    with open(os.fspath(path), encoding="utf-8") as fh:  # not a descriptor
         text = _read_whole(fh, _MAX_TEXT_CHARS, "")
     if text is None:
         raise ConfigError(f"longer than {_MAX_TEXT_CHARS} characters")
     return text
 
 
-def write_text(text: str, path: str) -> None:
+def write_text(text: str, path: str | os.PathLike) -> None:
     """Write ``text`` as UTF-8 to ``path``; an existing file is rewritten in
     place and cut to length."""
-    with _opened(path, "w", encoding="utf-8") as fh:
+    with _rewritten(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
 # --- whole numbers in text -------------------------------------------------
 
-# most digits a whole number may have after its leading zeros: int() refuses
-# a string past 4300 digits, and no frame, clip or port comes near 10**18
-_MAX_DIGITS = 18
 # most characters of a bad token that an error message quotes: a PGM header
 # token is a run of non-space bytes, as long as the file at most
 _QUOTE_BYTES = 32
@@ -146,11 +132,11 @@ def whole_number(token: str | bytes, name: str) -> int:
     ``int()`` alone also takes a sign, spaces, ``_`` and non-ASCII digits."""
     if not (token.isascii() and token.isdigit()):
         raise ValueError(f"non-numeric {name} {_quote(token)}")
-    if len(token) > _MAX_DIGITS:
+    if len(token) > MAX_DIGITS:
         digits = len(token.lstrip(b"0" if isinstance(token, bytes) else "0"))
-        if digits > _MAX_DIGITS:
+        if digits > MAX_DIGITS:
             raise ValueError(f"{name} too large: {digits} digits")
-        token = token[-_MAX_DIGITS:]  # drop zeros that int() would count
+        token = token[-MAX_DIGITS:]  # drop zeros that int() would count
     return int(token)
 
 
@@ -161,14 +147,14 @@ def _pgm_header(width: int, height: int) -> bytes:
     return b"P5\n%d %d\n255\n" % (width, height)
 
 
-def write_pgm(frame: Frame, sink: str | BinaryIO) -> None:
+def write_pgm(frame: Frame, path: str | os.PathLike) -> None:
     """Write a frame as binary PGM: ``P5\\n<w> <h>\\n255\\n`` + raw rows. A frame
     read from a row ``top > 0`` has no rows above it to write and raises
     ``ValueError``."""
     if frame.top:
         raise ValueError(f"frame {frame.index} holds rows {frame.top}.. only, "
                          "not a whole frame to write")
-    with _opened(sink, "wb") as fh:
+    with _rewritten(path, "wb") as fh:
         fh.write(_pgm_header(frame.width, frame.height))
         fh.write(np.ascontiguousarray(frame.pixels))
 
@@ -184,7 +170,7 @@ _MAX_FILE_BYTES = MAX_PIXELS + 2**16
 _TOO_LONG = f"file of over {_MAX_FILE_BYTES} bytes is longer than any frame"
 
 
-def _parse_header(data: np.ndarray, path: str | None) -> tuple[int, int, int]:
+def _parse_header(data: np.ndarray, path: str) -> tuple[int, int, int]:
     """The header's length, the whitespace byte after maxval included, with
     width and height. The parse reads no byte past that whitespace byte."""
     header = _HEADER.match(data)
@@ -213,20 +199,20 @@ def _parse_header(data: np.ndarray, path: str | None) -> tuple[int, int, int]:
     return pos + 1, width, height  # single whitespace byte after maxval
 
 
-def read_pgm(source: str | BinaryIO) -> Frame:
-    """Read a binary (P5) PGM with maxval 255 back into a whole Frame.
+def read_pgm(path: str | os.PathLike) -> Frame:
+    """Read a binary (P5) PGM file with maxval 255 back into a whole Frame.
 
     The header may hold '#' comments and any ASCII whitespace between its
     fields, and exactly one whitespace byte ends it. Timestamp and index are
     not part of the format: both are 0. Malformed data, including any byte
-    after the width*height payload, raises :class:`PgmError` at the offset of
-    the problem, naming the file of a path; a regular file longer than any
-    frame fails before it is read, any other source once a byte past the
-    bound is read. No state is kept between calls.
+    after the width*height payload, raises :class:`PgmError` naming the
+    file, at the offset of the problem; a regular file longer than any
+    frame fails before it is read, a pipe once a byte past the bound is
+    read. No state is kept between calls.
     """
-    path = None if hasattr(source, "read") else os.fspath(source)
-    with _opened(source, "rb", buffering=0) as fh:
-        if path is not None and (size := os.fstat(fh.fileno()).st_size) > _MAX_FILE_BYTES:
+    path = os.fspath(path)
+    with open(path, "rb", buffering=0) as fh:
+        if (size := os.fstat(fh.fileno()).st_size) > _MAX_FILE_BYTES:
             raise PgmError(f"file of {size} bytes is longer than any frame",
                            _MAX_FILE_BYTES, path)
         data = _read_whole(fh, _MAX_FILE_BYTES, bytearray())
@@ -449,16 +435,28 @@ def _build_trajectory(section: Mapping[str, Any]) -> TrajectorySpec:
                       params={key: values.pop(key) for key in params}, **values)
 
 
-def load_config(source: str | IO[str]) -> RunConfig:
-    """Parse and fully validate a JSON run configuration.
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's pairs as a dict; a repeated key, of which ``json.loads``
+    alone keeps the last value, raises :class:`ConfigError`."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
-    Raises :class:`ConfigError` naming the offending key on any missing
-    key, type mismatch, unknown key, or invariant violation; text that is
-    not UTF-8 JSON, or nests too deep to parse, is ``not valid JSON``, and
-    text past :func:`read_text`'s bound is ``longer than`` it.
+
+def load_config(path: str | os.PathLike) -> RunConfig:
+    """Parse and fully validate a JSON run configuration file.
+
+    Raises :class:`ConfigError` naming the offending key on any missing,
+    repeated or unknown key, type mismatch, or invariant violation; text
+    that is not UTF-8 JSON, or nests too deep to parse, is ``not valid
+    JSON``, and text past :func:`read_text`'s bound is ``longer than`` it.
     """
     try:
-        root = json.loads(read_text(source), parse_int=_json_int)
+        root = json.loads(read_text(path), parse_int=_json_int,
+                          object_pairs_hook=_unique_keys)
     except ConfigError as exc:
         raise ConfigError(f"config: {exc}") from None
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
@@ -494,45 +492,38 @@ class EstimateRow:
     pos: WorldPosition | None = None
 
 
-# most characters a CSV line may hold, its line end not counted; a row
+# most bytes a CSV line may hold, its line end not counted; a row
 # write_*_csv writes has under 1000
-_MAX_LINE_CHARS = 2**16
-# what a byte that is not UTF-8 decodes to with errors="surrogateescape"
-_SURROGATE = re.compile("[\ud800-\udfff]")
+_MAX_LINE_BYTES = 2**16
 
 
-def _read_table(source: str | IO[str], header: str, what: str,
+def _read_table(path: str | os.PathLike, header: str, what: str,
                 parse: Callable[..., Any]) -> list[Any]:
-    """``parse(frame, *fields)`` of each row after the header line of a CSV.
-    A row's first field, ``frame``, must be its 0-based position, as
+    """``parse(frame, *fields)`` of each row after the header line of a CSV
+    file. A row's first field, ``frame``, must be its 0-based position, as
     ``write_*_csv`` write it and :func:`sltrack.pipeline.evaluate` pairs
-    rows; it is passed as an int, the rest as text. A bad header or row, or
-    a line of over ``_MAX_LINE_CHARS`` characters, raises ``ValueError``
-    naming the table and 1-based line. A line ends at ``\\n``, one ``\\r``
-    before it dropped; any other line break stays inside its row. Each is
-    one ``readline`` of at most two characters past the bound, so a longer
-    line is read no further. A path is opened to split at ``\\n`` only, a
-    file object splits where its own ``readline`` does. A path's bytes that
-    are not UTF-8 read as one lone surrogate each, and a line that holds a
-    surrogate is refused as ``not UTF-8``."""
+    rows; it is passed as an int, the rest as text. A bad header or row, a
+    line of over ``_MAX_LINE_BYTES`` bytes or one that is not UTF-8 raises
+    ``ValueError`` naming the table and 1-based line. A line ends at
+    ``\\n`` only, one ``\\r`` before it dropped. Each is one binary
+    ``readline`` of at most two bytes past the bound, decoded on its own."""
     width = header.count(",") + 1
     rows = []
-    with _opened(source, "r", encoding="utf-8", errors="surrogateescape",
-                 newline="\n") as fh:
+    with open(os.fspath(path), "rb") as fh:  # not a descriptor
         number = 0
         # the bound and a "\r\n"; an empty file is one line, a bad header
-        while (line := fh.readline(_MAX_LINE_CHARS + 2)) or not number:
+        while (line := fh.readline(_MAX_LINE_BYTES + 2)) or not number:
             number += 1
-            if line.endswith("\n"):
-                line = line[:-1].removesuffix("\r")
-            values = line.split(",")
+            if line.endswith(b"\n"):
+                line = line[:-1].removesuffix(b"\r")
             try:
-                if len(line) > _MAX_LINE_CHARS:
-                    raise ValueError(f"longer than {_MAX_LINE_CHARS} characters")
-                if not line.isascii() and _SURROGATE.search(line):
-                    raise ValueError("not UTF-8")
+                if len(line) > _MAX_LINE_BYTES:
+                    raise ValueError(f"longer than {_MAX_LINE_BYTES} bytes")
+                # UnicodeDecodeError gives the bad byte's position in the line
+                text = line.decode("utf-8")
+                values = text.split(",")
                 if number == 1:
-                    if line != header:
+                    if text != header:
                         raise ValueError(f"expected header {header!r}")
                 elif len(values) != width:
                     raise ValueError(f"expected {width} fields, got {len(values)}")
@@ -546,13 +537,13 @@ def _read_table(source: str | IO[str], header: str, what: str,
 
 
 def write_estimates_csv(estimates: Sequence[PositionEstimate],
-                        sink: str | IO[str]) -> None:
+                        path: str | os.PathLike) -> None:
     """Write per-frame estimates; absent values become empty fields and
     cm/pixel centroids carry three decimals; ``frame`` is the row's 0-based
     position, as :func:`read_estimates_csv` reads it. A detected row needs
     the detection's centroid, so an estimate with a position but no
     detection raises ``ValueError`` naming its frame."""
-    with _opened(sink, "w", encoding="utf-8", newline="") as fh:
+    with _rewritten(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(ESTIMATES_HEADER + "\n")
         for i, est in enumerate(estimates):
             if est.pos is None:
@@ -603,16 +594,16 @@ def _estimate_row(frame: int, ts: str, detected: str, u_f: str, v_f: str, x: str
                        whole_number(v_f, "v_f"), pos)
 
 
-def read_estimates_csv(source: str | IO[str]) -> list[EstimateRow]:
+def read_estimates_csv(path: str | os.PathLike) -> list[EstimateRow]:
     """Estimate rows in file order; a row's ``frame`` must be its 0-based
     position, as :func:`write_estimates_csv` writes it."""
-    return _read_table(source, ESTIMATES_HEADER, "estimates", _estimate_row)
+    return _read_table(path, ESTIMATES_HEADER, "estimates", _estimate_row)
 
 
-def write_truth_csv(truth: Sequence[SceneState], sink: str | IO[str]) -> None:
+def write_truth_csv(truth: Sequence[SceneState], path: str | os.PathLike) -> None:
     """Write one truth row per scene, ``frame`` its 0-based position; an
     empty scene's position fields are empty, cm values carry 3 decimals."""
-    with _opened(sink, "w", encoding="utf-8", newline="") as fh:
+    with _rewritten(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRUTH_HEADER + "\n")
         for i, state in enumerate(truth):
             if state.user is not None:
@@ -631,7 +622,7 @@ def _truth_row(_frame: int, ts: str, present: str, x: str, z: str,
                       timestamp_ms=whole_number(ts, "timestamp_ms"))
 
 
-def read_truth_csv(source: str | IO[str]) -> list[SceneState]:
+def read_truth_csv(path: str | os.PathLike) -> list[SceneState]:
     """Truth rows in file order; a row's ``frame`` must be its 0-based
     position, as :func:`write_truth_csv` writes it."""
-    return _read_table(source, TRUTH_HEADER, "truth", _truth_row)
+    return _read_table(path, TRUTH_HEADER, "truth", _truth_row)

@@ -14,7 +14,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import RigConfig, WorldPosition, project, require_ints
+from .geometry import MAX_DIGITS, RigConfig, WorldPosition, project, require_ints
 
 Point = tuple[float, float]
 
@@ -71,6 +71,7 @@ class NoiseParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_ints(self, "seed")
         if self.background_sigma < 0:
             raise ValueError("background_sigma: must be >= 0")
         if not 0 <= self.background_mean <= 255:
@@ -163,8 +164,11 @@ def render(
 
 
 def frame_timestamp_ms(i: int, rate_hz: float) -> int:
-    """Timestamp of frame i of a clip sampled at rate_hz, in whole ms."""
-    return round(i * 1000.0 / rate_hz)
+    """Timestamp of frame i of a clip sampled at rate_hz, in whole ms; one of
+    10**18 ms or more, which no CSV reads back, raises ``ValueError``."""
+    if not (ms := i * 1000.0 / rate_hz) < 10**MAX_DIGITS:  # inf too
+        raise ValueError(f"frame {i}: timestamp {ms:g} ms is not below 10**{MAX_DIGITS}")
+    return round(ms)
 
 
 def _stationary(position: Point) -> _PathFn:

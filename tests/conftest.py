@@ -11,6 +11,12 @@ REFERENCE_CONFIG = str(Path(__file__).resolve().parent.parent
                        / "configs" / "reference.json")
 
 
+def file_of(data: bytes | str, path: Path) -> str:
+    """``data``, text as UTF-8, written to ``path``; the path as a str."""
+    path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    return str(path)
+
+
 @pytest.fixture
 def rig() -> RigConfig:
     """Reference rig used across the suite: 40 cm baseline, 400 px focal

@@ -21,7 +21,6 @@ does image.
 
 from __future__ import annotations
 
-import io as stdio
 import math
 
 import numpy as np
@@ -321,12 +320,12 @@ def test_acceptance_7_degenerates_yield_no_estimate(rig, intensity, detect_param
 
 # -- 8. wire/file golden bytes and round-trips ----------------------------------------
 
-def test_acceptance_8_golden_formats_and_round_trips():
+def test_acceptance_8_golden_formats_and_round_trips(tmp_path):
     golden_pgm = b"P5\n2 2\n255\n\x00\xff\x80\x07"
-    buf = stdio.BytesIO()
+    pgm = tmp_path / "frame.pgm"
     write_pgm(Frame(width=2, height=2,
-                    pixels=np.array([[0, 255], [128, 7]], dtype=np.uint8)), buf)
-    pgm_ok = buf.getvalue() == golden_pgm
+                    pixels=np.array([[0, 255], [128, 7]], dtype=np.uint8)), str(pgm))
+    pgm_ok = pgm.read_bytes() == golden_pgm
 
     slt_detected = encode(
         PositionEstimate(7, 1234, WorldPosition(50.0, 200.0)), 7)
@@ -340,10 +339,8 @@ def test_acceptance_8_golden_formats_and_round_trips():
         w, h = int(rng.integers(1, 20)), int(rng.integers(1, 20))
         frame = Frame(width=w, height=h,
                       pixels=rng.integers(0, 256, (h, w)).astype(np.uint8))
-        b = stdio.BytesIO()
-        write_pgm(frame, b)
-        b.seek(0)
-        pgm_rt += np.array_equal(read_pgm(b).pixels, frame.pixels)
+        write_pgm(frame, str(pgm))
+        pgm_rt += np.array_equal(read_pgm(str(pgm)).pixels, frame.pixels)
 
     estimates = []
     for i in range(1000):
@@ -357,10 +354,9 @@ def test_acceptance_8_golden_formats_and_round_trips():
                 Detection(u_f=round(float(rng.uniform(0, 319)), 3),
                           v_f=int(rng.integers(161, 239)), run_len=5,
                           mass=100.0)))
-    text = stdio.StringIO()
-    write_estimates_csv(estimates, text)
-    text.seek(0)
-    rows = read_estimates_csv(text)
+    csv = str(tmp_path / "estimates.csv")
+    write_estimates_csv(estimates, csv)
+    rows = read_estimates_csv(csv)
     csv_rt = sum(
         1 for est, row in zip(estimates, rows)
         if (row.frame, row.timestamp_ms) == (est.frame_index, est.timestamp_ms)

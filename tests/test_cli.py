@@ -144,10 +144,10 @@ def test_simulate_frames_equal_a_serial_render(tmp_path):
     cfg = load_config(cfg_path)
     states = cfg.trajectory.materialize(cfg.rig)
     assert len(list(out.glob("*.pgm"))) == len(states)
+    serial = tmp_path / "serial.pgm"
     for i, state in enumerate(states):
-        buf = io.BytesIO()
-        write_pgm(render(cfg.rig, state, cfg.noise, cfg.intensity, index=i), buf)
-        assert (out / f"{i:06d}.pgm").read_bytes() == buf.getvalue(), i
+        write_pgm(render(cfg.rig, state, cfg.noise, cfg.intensity, index=i), str(serial))
+        assert (out / f"{i:06d}.pgm").read_bytes() == serial.read_bytes(), i
 
 
 def test_simulate_over_a_larger_clip_gives_the_reference_bytes(ref_config,
@@ -265,6 +265,46 @@ def test_simulate_non_finite_config_number_exit_2(tmp_path, capsys):
     assert main(["simulate", "-c", str(bad), "-o", str(out)]) == 2
     assert capsys.readouterr().err == "error: detect.ath_slope: must be finite\n"
     assert not out.exists()
+
+
+# clocks that load but time frame 1 at 1e19 ms, past what a CSV reads back,
+# and at infinity; the second clip is one frame long, round(1.4999...)
+SLOW_CLOCKS = {
+    "stroll-1e-16-hz": ({"kind": "stroll", "rate_hz": 1e-16, "duration_s": 2e16,
+                         "foot_width": 25.0, "a": [-30.0, 150.0], "b": [30.0, 340.0],
+                         "speed": 40.0}, "1e+19"),
+    "stationary-1e-308-hz": ({"kind": "stationary", "rate_hz": 1e-308,
+                              "duration_s": 1.5e308, "foot_width": 25.0,
+                              "position": [0.0, 200.0]}, "inf"),
+}
+
+
+@pytest.mark.parametrize("clock,command", [
+    ("stroll-1e-16-hz", "simulate"), ("stroll-1e-16-hz", "track"),
+    ("stroll-1e-16-hz", "bench"), ("stationary-1e-308-hz", "track"),
+    ("stationary-1e-308-hz", "bench")])
+def test_a_frame_timestamp_past_10_18_ms_exit_2(tmp_path, capsys, clock, command):
+    # before, simulate and track wrote timestamp_ms 10000000000000000000,
+    # which evaluate refused, and an infinite one raised OverflowError
+    trajectory, ms = SLOW_CLOCKS[clock]
+    with open(REFERENCE_CONFIG, encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["trajectory"] = trajectory
+    config = tmp_path / "slow.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    clip = tmp_path / "clip"
+    clip.mkdir()
+    for name in ("000000.pgm", "000001.pgm"):
+        shutil.copy(make_empty_frame(tmp_path, REFERENCE_CONFIG), clip / name)
+    (tmp_path / "cal.txt").write_text("v_b=160\n", encoding="utf-8")
+    argv = {"simulate": ["simulate", "-c", str(config), "-o", str(tmp_path / "run")],
+            "track": ["track", "-c", str(config), "--calibration",
+                      str(tmp_path / "cal.txt"), str(clip),
+                      "-o", str(tmp_path / "est.csv")],
+            "bench": ["bench", "-c", str(config), "-n", "3"]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: frame 1: timestamp {ms} ms is not below 10**18\n")
 
 
 def _argv_with_config(command: str, config: str, tmp_path) -> list[str]:
@@ -957,7 +997,7 @@ def test_evaluate_a_sparse_1_gib_csv_exit_2_naming_the_line(tmp_path, capsys):
                          encoding="utf-8")
     assert main(["evaluate", str(est_csv), str(truth_csv)]) == 2
     assert capsys.readouterr().err == (
-        "error: estimates CSV line 1: longer than 65536 characters\n")
+        "error: estimates CSV line 1: longer than 65536 bytes\n")
 
 
 def test_evaluate_a_csv_that_is_not_utf8_exit_2_naming_the_line(tmp_path, capsys):
@@ -968,7 +1008,9 @@ def test_evaluate_a_csv_that_is_not_utf8_exit_2_naming_the_line(tmp_path, capsys
     truth_csv.write_text("frame,timestamp_ms,present,x_cm,z_cm,foot_width_cm\n",
                          encoding="utf-8")
     assert main(["evaluate", str(est_csv), str(truth_csv)]) == 2
-    assert capsys.readouterr().err == "error: estimates CSV line 2002: not UTF-8\n"
+    assert capsys.readouterr().err == (
+        "error: estimates CSV line 2002: 'utf-8' codec can't decode byte 0xff in "
+        "position 14: invalid start byte\n")
 
 
 @pytest.mark.parametrize("edit,message", [

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 import re
 import sys
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REFERENCE_CONFIG, ath, edge_test
+from conftest import REFERENCE_CONFIG, ath, edge_test, file_of
 from sltrack import (Calibration, CalibrationError, DetectParams, Detection,
                      Frame, NoiseParams, SceneState, calibrate, detect_feet,
                      load_config, read_pgm, render, render_trajectory, write_pgm)
@@ -586,11 +585,11 @@ def test_min_run_past_the_width_returns_none_before_the_edge_mask(monkeypatch):
         assert detect_feet(frame, CAL, DetectParams(min_run=min_run)) is None
 
 
-def test_min_run_2_62_from_a_config_finds_nothing_like_the_reference():
+def test_min_run_2_62_from_a_config_finds_nothing_like_the_reference(tmp_path):
     with open(REFERENCE_CONFIG, encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["detect"]["min_run"] = 2**62
-    cfg = load_config(io.StringIO(json.dumps(doc)))
+    cfg = load_config(file_of(json.dumps(doc), tmp_path / "config.json"))
     assert cfg.detect.min_run == 2**62
     frame = render_trajectory(cfg.rig, cfg.trajectory.materialize(cfg.rig)[:1],
                               cfg.noise, cfg.intensity)[0]

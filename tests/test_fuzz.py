@@ -1,8 +1,8 @@
 """Fuzzing of the file readers, the SLT1 decoder and the command line:
 malformed input fails with a located error.
 
-``read_pgm`` may only raise :class:`PgmError` with a byte offset inside the
-data, the CSV readers only ``ValueError`` naming the table and line,
+``read_pgm`` may only raise :class:`PgmError` naming its file, with a byte
+offset inside the data, the CSV readers only ``ValueError`` naming the table and line,
 ``load_config`` only :class:`ConfigError` naming the config or a section, and
 ``decode`` only ``ValueError`` quoting the packet. ``sltrack calibrate``,
 ``track`` and ``evaluate`` on corrupted input files exit 0, 1 or 2, with one
@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import REFERENCE_CONFIG
+from conftest import REFERENCE_CONFIG, file_of
 from sltrack import (ConfigError, PgmError, PositionEstimate, RunConfig,
                      SceneState, WorldPosition, decode, encode, load_config,
                      read_estimates_csv, read_pgm, read_truth_csv, render, write_pgm)
@@ -54,11 +54,13 @@ _pgm = st.one_of(st.binary(max_size=64), _edited_pgm())
 
 @FUZZ
 @given(_pgm)
-def test_read_pgm_fails_only_with_an_offset(data):
+def test_read_pgm_fails_only_with_an_offset(tmp_path_factory, data):
+    path = file_of(data, tmp_path_factory.getbasetemp() / "fuzz.pgm")
     try:
-        frame = read_pgm(stdio.BytesIO(data))
+        frame = read_pgm(path)
     except PgmError as exc:
         assert 0 <= exc.offset <= len(data)
+        assert str(exc).startswith(f"{path}: ")
         assert str(exc).endswith(f"(byte offset {exc.offset})")
     else:
         assert frame.pixels.size == frame.width * frame.height > 0
@@ -77,23 +79,25 @@ def _table(header: str):
                      st.lists(_row, max_size=6))
 
 
-def _assert_located(read, what: str, text: str) -> None:
+def _assert_located(read, what: str, path: str) -> None:
     try:
-        read(stdio.StringIO(text))
+        read(path)
     except ValueError as exc:
         assert re.match(rf"{what} CSV line [1-9][0-9]*: ", str(exc)), str(exc)
 
 
 @FUZZ
 @given(_table(ESTIMATES_HEADER))
-def test_read_estimates_csv_fails_only_naming_a_line(text):
-    _assert_located(read_estimates_csv, "estimates", text)
+def test_read_estimates_csv_fails_only_naming_a_line(tmp_path_factory, text):
+    _assert_located(read_estimates_csv, "estimates",
+                    file_of(text, tmp_path_factory.getbasetemp() / "fuzz.csv"))
 
 
 @FUZZ
 @given(_table(TRUTH_HEADER))
-def test_read_truth_csv_fails_only_naming_a_line(text):
-    _assert_located(read_truth_csv, "truth", text)
+def test_read_truth_csv_fails_only_naming_a_line(tmp_path_factory, text):
+    _assert_located(read_truth_csv, "truth",
+                    file_of(text, tmp_path_factory.getbasetemp() / "fuzz.csv"))
 
 
 # JSON values of every kind, nested; json.dumps writes NaN and Infinity too
@@ -121,9 +125,9 @@ def _edited_reference(draw) -> dict:
     return cfg
 
 
-def _assert_config_or_config_error(source) -> None:
+def _assert_config_or_config_error(path: str) -> None:
     try:
-        cfg = load_config(source)
+        cfg = load_config(path)
     except ConfigError as exc:
         # one prefix: the section and a dot, or "config: " for the document
         assert re.match(r"config[.:]|(rig|detect|noise|intensity|smoother|trajectory)\.",
@@ -134,17 +138,18 @@ def _assert_config_or_config_error(source) -> None:
 
 @FUZZ
 @given(st.binary(max_size=64))
-def test_load_config_of_any_bytes_fails_only_with_a_config_error(data):
-    _assert_config_or_config_error(stdio.TextIOWrapper(stdio.BytesIO(data),
-                                                       encoding="utf-8"))
+def test_load_config_of_any_bytes_fails_only_with_a_config_error(tmp_path_factory, data):
+    _assert_config_or_config_error(
+        file_of(data, tmp_path_factory.getbasetemp() / "fuzz.json"))
 
 
 @FUZZ
 @given(_json.map(json.dumps) | _edited_reference().map(json.dumps))
 @example("[" * 10**5)  # json.loads raises RecursionError past its depth
 @example('{"rig": ' + "1" * 5000 + "}")  # past int()'s 4300-digit limit
-def test_load_config_of_any_json_fails_only_with_a_config_error(text):
-    _assert_config_or_config_error(stdio.StringIO(text))
+def test_load_config_of_any_json_fails_only_with_a_config_error(tmp_path_factory, text):
+    _assert_config_or_config_error(
+        file_of(text, tmp_path_factory.getbasetemp() / "fuzz.json"))
 
 
 # SLT1 packets: random bytes; valid-looking lines built from fields that

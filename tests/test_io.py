@@ -11,6 +11,7 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -25,8 +26,8 @@ from sltrack import (ConfigError, Detection, Frame, PgmError, PositionEstimate,
                      read_estimates_csv, read_pgm, read_truth_csv,
                      write_estimates_csv, write_pgm, write_truth_csv)
 from sltrack.cli import main as cli_main
-from sltrack.io import iter_pgm_dir, whole_number
-from conftest import REFERENCE_CONFIG
+from sltrack.io import iter_pgm_dir, read_text, whole_number, write_text
+from conftest import REFERENCE_CONFIG, file_of
 
 
 def frame_from(values, width, height) -> Frame:
@@ -36,42 +37,41 @@ def frame_from(values, width, height) -> Frame:
 
 # --- PGM -----------------------------------------------------------------------
 
-def test_pgm_golden_2x2_bytes():
-    frame = frame_from([0, 255, 128, 7], 2, 2)
-    buf = stdio.BytesIO()
-    write_pgm(frame, buf)
-    assert buf.getvalue() == b"P5\n2 2\n255\n\x00\xff\x80\x07"
+def test_pgm_golden_2x2_bytes(tmp_path):
+    path = tmp_path / "frame.pgm"
+    write_pgm(frame_from([0, 255, 128, 7], 2, 2), str(path))
+    assert path.read_bytes() == b"P5\n2 2\n255\n\x00\xff\x80\x07"
 
 
-def test_pgm_rejects_ascii_variant():
+def test_pgm_rejects_ascii_variant(tmp_path):
     with pytest.raises(PgmError):
-        read_pgm(stdio.BytesIO(b"P2\n2 2\n255\n0 1 2 3\n"))
+        read_pgm(file_of(b"P2\n2 2\n255\n0 1 2 3\n", tmp_path / "frame.pgm"))
 
 
-def test_pgm_rejects_wrong_maxval():
+def test_pgm_rejects_wrong_maxval(tmp_path):
     with pytest.raises(PgmError, match="maxval"):
-        read_pgm(stdio.BytesIO(b"P5\n2 2\n65535\n" + b"\x00" * 8))
+        read_pgm(file_of(b"P5\n2 2\n65535\n" + b"\x00" * 8, tmp_path / "frame.pgm"))
 
 
-def test_pgm_truncated_payload_reports_offset():
+def test_pgm_truncated_payload_reports_offset(tmp_path):
     with pytest.raises(PgmError, match="offset") as exc_info:
-        read_pgm(stdio.BytesIO(b"P5\n4 4\n255\n\x00\x01"))
+        read_pgm(file_of(b"P5\n4 4\n255\n\x00\x01", tmp_path / "frame.pgm"))
     assert exc_info.value.offset == len(b"P5\n4 4\n255\n") + 2
 
 
-def test_pgm_truncated_header():
+def test_pgm_truncated_header(tmp_path):
     with pytest.raises(PgmError):
-        read_pgm(stdio.BytesIO(b"P5\n2"))
+        read_pgm(file_of(b"P5\n2", tmp_path / "frame.pgm"))
     # no whitespace byte after maxval: the header ends at the last byte
     with pytest.raises(PgmError, match="truncated header") as exc_info:
-        read_pgm(stdio.BytesIO(b"P5\n1 1\n255"))
+        read_pgm(file_of(b"P5\n1 1\n255", tmp_path / "frame.pgm"))
     assert exc_info.value.offset == 10
 
 
-def test_pgm_rejects_bytes_after_the_payload():
+def test_pgm_rejects_bytes_after_the_payload(tmp_path):
     header = b"P5\n2 1\n255\n"
     with pytest.raises(PgmError, match="13 bytes after the payload") as exc_info:
-        read_pgm(stdio.BytesIO(header + b"\x05\x06EXTRA-GARBAGE"))
+        read_pgm(file_of(header + b"\x05\x06EXTRA-GARBAGE", tmp_path / "frame.pgm"))
     assert exc_info.value.offset == len(header) + 2
 
 
@@ -83,12 +83,13 @@ def test_pgm_rejects_bytes_after_the_payload():
     (b"P5\n2 2\n+255\n" + bytes(4), "maxval", b"+255", 7),
 ], ids=["width-underscore", "width-plus", "height-minus", "maxval-underscore",
         "maxval-plus"])
-def test_pgm_header_numbers_are_ascii_digits(data, name, token, offset):
+def test_pgm_header_numbers_are_ascii_digits(tmp_path, data, name, token, offset):
     # int() alone reads "3_20" as 320 and "+255" as 255
+    path = file_of(data, tmp_path / "frame.pgm")
     with pytest.raises(PgmError) as exc_info:
-        read_pgm(stdio.BytesIO(data))
+        read_pgm(path)
     assert str(exc_info.value) == (
-        f"non-numeric {name} {token!r} (byte offset {offset})")
+        f"{path}: non-numeric {name} {token!r} (byte offset {offset})")
     assert exc_info.value.offset == offset
 
 
@@ -104,23 +105,24 @@ LONG_WIDTH = b"P5\n" + b"1" * 5000 + b" 1\n255\n"
 def test_pgm_header_numbers_past_18_digits_fail_at_their_token(tmp_path, data,
                                                                 message):
     # int() refuses a string of more than 4300 digits with a plain ValueError
-    path = tmp_path / "frame.pgm"
-    path.write_bytes(data)
-    for source, where in (str(path), f"{path}: "), (stdio.BytesIO(data), ""):
-        with pytest.raises(PgmError) as exc_info:
-            read_pgm(source)
-        assert str(exc_info.value) == where + message
+    path = file_of(data, tmp_path / "frame.pgm")
+    with pytest.raises(PgmError) as exc_info:
+        read_pgm(path)
+    assert str(exc_info.value) == f"{path}: {message}"
 
 
-def test_pgm_header_numbers_up_to_18_digits_still_read():
+def test_pgm_header_numbers_up_to_18_digits_still_read(tmp_path):
     # leading zeros do not count, and a product of two 18-digit numbers
     # still prints in the payload message
     data = b"P5\n" + b"0" * 5000 + b"2 1\n255\n\x05\x06"
-    assert read_pgm(stdio.BytesIO(data)).pixels.tolist() == [[5, 6]]
+    assert read_pgm(file_of(data, tmp_path / "frame.pgm")).pixels.tolist() == [[5, 6]]
+    path = file_of(b"P5\n" + b"9" * 18 + b" " + b"9" * 18 + b"\n255\n",
+                   tmp_path / "frame.pgm")
     with pytest.raises(PgmError) as exc_info:
-        read_pgm(stdio.BytesIO(b"P5\n" + b"9" * 18 + b" " + b"9" * 18 + b"\n255\n"))
+        read_pgm(path)
     assert str(exc_info.value) == (
-        f"truncated payload: want {(10**18 - 1) ** 2} bytes, have 0 (byte offset 45)")
+        f"{path}: truncated payload: want {(10**18 - 1) ** 2} bytes, have 0 "
+        "(byte offset 45)")
 
 
 @pytest.mark.parametrize("token,value", [
@@ -148,35 +150,32 @@ def test_whole_number_refuses_naming_its_field(token, message):
     assert str(exc_info.value) == message
 
 
-def test_pgm_skips_comments():
+def test_pgm_skips_comments(tmp_path):
     data = b"P5\n# a comment\n2 1\n255\n\x05\x06"
-    frame = read_pgm(stdio.BytesIO(data))
+    frame = read_pgm(file_of(data, tmp_path / "frame.pgm"))
     assert frame.pixels.tolist() == [[5, 6]]
 
 
-def test_pgm_round_trip_1000_random_frames():
+def test_pgm_round_trip_1000_random_frames(tmp_path):
     rng = np.random.default_rng(17)
+    path = str(tmp_path / "frame.pgm")  # rewritten in place by each frame
     for _ in range(1000):
         w = int(rng.integers(1, 24))
         h = int(rng.integers(1, 24))
         frame = Frame(width=w, height=h,
                       pixels=rng.integers(0, 256, (h, w)).astype(np.uint8))
-        buf = stdio.BytesIO()
-        write_pgm(frame, buf)
-        buf.seek(0)
-        back = read_pgm(buf)
+        write_pgm(frame, path)
+        back = read_pgm(path)
         assert (back.width, back.height) == (w, h)
         assert np.array_equal(back.pixels, frame.pixels)
 
 
-@pytest.mark.parametrize("to_path", [False, True], ids=["stream", "path"])
-def test_pgm_round_trip_of_a_non_contiguous_view(tmp_path, to_path):
+def test_pgm_round_trip_of_a_non_contiguous_view(tmp_path):
     pixels = np.arange(24, dtype=np.uint8).reshape(4, 6)[::-1, ::2]  # 4x3, strided
-    sink = str(tmp_path / "view.pgm") if to_path else stdio.BytesIO()
-    write_pgm(Frame(width=3, height=4, pixels=pixels), sink)
-    data = Path(sink).read_bytes() if to_path else sink.getvalue()
-    assert data == b"P5\n3 4\n255\n" + pixels.tobytes()
-    assert np.array_equal(read_pgm(stdio.BytesIO(data)).pixels, pixels)
+    path = tmp_path / "view.pgm"
+    write_pgm(Frame(width=3, height=4, pixels=pixels), str(path))
+    assert path.read_bytes() == b"P5\n3 4\n255\n" + pixels.tobytes()
+    assert np.array_equal(read_pgm(str(path)).pixels, pixels)
 
 
 def test_pgm_file_path_round_trip(tmp_path, rig, quiet, intensity):
@@ -226,7 +225,7 @@ def _pgm_bytes(draw):
     return header + payload[:len(payload) - cut] + extra
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
+def _next_token(data: bytes, pos: int, path: str = "") -> tuple[bytes, int]:
     """Next whitespace-delimited header token, skipping '#' comments."""
     n = len(data)
     while pos < n:
@@ -239,7 +238,7 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
         else:
             break
     if pos >= n:
-        raise PgmError("truncated header", pos)
+        raise PgmError("truncated header", pos, path)
     start = pos
     while pos < n and not data[pos:pos + 1].isspace():
         pos += 1
@@ -255,36 +254,40 @@ def _quoted(token: bytes) -> str:
     return repr(token) if len(token) <= 32 else f"{token[:32]!r}... ({len(token)} bytes)"
 
 
-def reference_read_pgm(data: bytes) -> np.ndarray:
-    """The PGM reader as first written: a byte-by-byte walk over the header
-    tokens, each check in turn, then a copy of the payload."""
-    magic, pos = _next_token(data, 0)
+def reference_read_pgm(data: bytes, path: str) -> np.ndarray:
+    """The PGM reader as first written, of the bytes of the file ``path``: a
+    byte-by-byte walk over the header tokens, each check in turn, then a
+    copy of the payload."""
+    magic, pos = _next_token(data, 0, path)
     if magic != b"P5":
-        raise PgmError(f"unsupported magic {_quoted(magic)}, want binary P5", 0)
+        raise PgmError(f"unsupported magic {_quoted(magic)}, want binary P5", 0, path)
     fields = []
     for name in ("width", "height", "maxval"):
-        token, pos = _next_token(data, pos)
+        token, pos = _next_token(data, pos, path)
         if not token.isdigit():  # ASCII only; int() also takes "+3" and "3_20"
-            raise PgmError(f"non-numeric {name} {_quoted(token)}", pos - len(token))
+            raise PgmError(f"non-numeric {name} {_quoted(token)}", pos - len(token),
+                           path)
         digits = token.lstrip(b"0")
         if len(digits) > _MAX_DIGITS:
-            raise PgmError(f"{name} too large: {len(digits)} digits", pos - len(token))
+            raise PgmError(f"{name} too large: {len(digits)} digits", pos - len(token),
+                           path)
         fields.append(int(digits or b"0"))
     width, height, maxval = fields
     if width <= 0 or height <= 0:
-        raise PgmError(f"bad dimensions {width}x{height}", pos)
+        raise PgmError(f"bad dimensions {width}x{height}", pos, path)
     if maxval != 255:
-        raise PgmError(f"maxval {maxval} unsupported, want 255", pos)
+        raise PgmError(f"maxval {maxval} unsupported, want 255", pos, path)
     if pos == len(data):
-        raise PgmError("truncated header", pos)
+        raise PgmError("truncated header", pos, path)
     pos += 1  # single whitespace byte after maxval
     expected = width * height
     have = len(data) - pos
     if have < expected:
         raise PgmError(f"truncated payload: want {expected} bytes, have {have}",
-                       pos + have)
+                       pos + have, path)
     if have > expected:
-        raise PgmError(f"{have - expected} bytes after the payload", pos + expected)
+        raise PgmError(f"{have - expected} bytes after the payload", pos + expected,
+                       path)
     pixels = np.frombuffer(data, np.uint8, expected, pos).reshape(height, width)
     return pixels.copy()
 
@@ -322,21 +325,17 @@ def _pgm_bytes_with_insertion(draw):
        other=st.tuples(st.integers(1, 5), st.integers(1, 5)))
 def test_reading_a_pgm_path_or_its_bytes_equals_the_reference_reader(tmp_path_factory,
                                                                      data, other):
-    path = tmp_path_factory.mktemp("pgm") / "frame.pgm"
-    path.write_bytes(data)
-    want = _outcome(reference_read_pgm, data)
-    # a path names its file before the reference's message, at the same offset
-    want_path = (f"{path}: {want[0]}", want[1]) if isinstance(want[0], str) else want
-    another = b"P5\n%d %d\n255\n" % other + bytes(other[0] * other[1])
-    for source, expected in [(lambda: stdio.BytesIO(data), want),
-                             (lambda: str(path), want_path)]:
-        # alone, right after another valid frame (whose header differs but
-        # for a chance draw), and twice in a row: no read depends on the one
-        # before it
-        assert _outcome(_read_pixels, source()) == expected
-        read_pgm(stdio.BytesIO(another))
-        assert _outcome(_read_pixels, source()) == expected
-        assert _outcome(_read_pixels, source()) == expected
+    folder = tmp_path_factory.mktemp("pgm")
+    path = file_of(data, folder / "frame.pgm")
+    want = _outcome(lambda d: reference_read_pgm(d, path), data)
+    another = file_of(b"P5\n%d %d\n255\n" % other + bytes(other[0] * other[1]),
+                      folder / "another.pgm")
+    # alone, right after another valid frame (whose header differs but for a
+    # chance draw), and twice in a row: no read depends on the one before it
+    assert _outcome(_read_pixels, path) == want
+    read_pgm(another)
+    assert _outcome(_read_pixels, path) == want
+    assert _outcome(_read_pixels, path) == want
 
 
 @pytest.mark.parametrize("data", [
@@ -344,8 +343,10 @@ def test_reading_a_pgm_path_or_its_bytes_equals_the_reference_reader(tmp_path_fa
     b"#\nP5 2 1 255\n\x05\x06", b"P5 2 1 255", b"P5\t2\r1\x0b255\x0c\x05\x06",
     b"P5 0 1 255\n", b"P5 2 1 0255\n\x05\x06", b"P5 # 2\n2 1 255\n\x05\x06",
 ])
-def test_pgm_header_edge_cases_read_as_the_reference_reader_reads_them(data):
-    assert _outcome(_read_pixels, stdio.BytesIO(data)) == _outcome(reference_read_pgm, data)
+def test_pgm_header_edge_cases_read_as_the_reference_reader_reads_them(tmp_path, data):
+    path = file_of(data, tmp_path / "frame.pgm")
+    assert _outcome(_read_pixels, path) == _outcome(
+        lambda d: reference_read_pgm(d, path), data)
 
 
 @pytest.mark.parametrize("second,message", [
@@ -364,9 +365,10 @@ def test_a_frame_starting_like_the_last_header_reads_as_a_parse(tmp_path, second
         assert next(frames).pixels.tolist() == [[0, 1, 2], [3, 4, 5]][top:]
         with pytest.raises(PgmError) as exc_info:
             next(frames)
-        assert str(exc_info.value) == f"{tmp_path / '000001.pgm'}: {message}"
-        # the reference's message carries no path
-        assert _outcome(reference_read_pgm, second) == (message, exc_info.value.offset)
+        path = str(tmp_path / "000001.pgm")
+        assert str(exc_info.value) == f"{path}: {message}"
+        assert _outcome(lambda d: reference_read_pgm(d, path), second) == (
+            str(exc_info.value), exc_info.value.offset)
 
 
 def _last_rows_read_from(top):
@@ -414,10 +416,8 @@ def test_reading_from_row_top_gives_those_rows_of_a_whole_read(tmp_path_factory,
                                                                 data, top, before,
                                                                 other):
     folder = tmp_path_factory.mktemp("clip")
-    path = folder / "000001.pgm"
-    path.write_bytes(data)
-    want = _outcome(lambda d: reference_read_pgm(d)[top:], data)
-    want_path = (f"{path}: {want[0]}", want[1]) if isinstance(want[0], str) else want
+    path = file_of(data, folder / "000001.pgm")
+    want = _outcome(lambda d: reference_read_pgm(d, path)[top:], data)
     # frame 0 of the clip: none, one whose header differs (but for a chance
     # draw), or one with the same header bytes, after which a file that
     # starts with write_pgm's header and is as long as its payload reads only
@@ -432,8 +432,8 @@ def test_reading_from_row_top_gives_those_rows_of_a_whole_read(tmp_path_factory,
             read_pgm(str(first))
         except PgmError:
             first.unlink()
-    assert _outcome(lambda s: read_pgm(s).pixels[top:], stdio.BytesIO(data)) == want
-    assert _outcome(_last_rows_read_from(top), folder) == want_path
+    assert _outcome(lambda s: read_pgm(s).pixels[top:], path) == want
+    assert _outcome(_last_rows_read_from(top), folder) == want
 
 
 def _count_whole_reads(monkeypatch):
@@ -585,10 +585,11 @@ def test_a_partial_frame_is_not_written(tmp_path):
     (b"P5 1 " + b"y" * 32 + b" 255\n\0", "non-numeric height b'" + "y" * 32
      + "' (byte offset 5)"),
 ], ids=["magic", "width-33-bytes", "height-32-bytes"])
-def test_pgm_errors_quote_at_most_32_bytes_of_a_token(data, message):
+def test_pgm_errors_quote_at_most_32_bytes_of_a_token(tmp_path, data, message):
+    path = file_of(data, tmp_path / "frame.pgm")
     with pytest.raises(PgmError) as exc_info:
-        read_pgm(stdio.BytesIO(data))
-    assert str(exc_info.value) == message
+        read_pgm(path)
+    assert str(exc_info.value) == f"{path}: {message}"
 
 
 _FRAME_300x200 = b"P5\n300 200\n255\n" + (bytes(range(256)) * 235)[:60000]
@@ -745,47 +746,46 @@ def test_pgm_pipe_longer_than_any_frame_stops_at_the_bound(tmp_path):
         writer.join()
 
 
-def test_pgm_stream_longer_than_any_frame_stops_at_the_bound():
-    bound = sltrack.geometry.MAX_PIXELS + 2**16
-
-    class Endless:
-        """Zero bytes without end, at most 1 MiB a read; records each size
-        it is asked for."""
-
-        def __init__(self):
-            self.asked = []
-
-        def read(self, size=-1):
-            self.asked.append(size)
-            return bytes(2**20 if size < 0 else min(size, 2**20))
-
-    stream = Endless()
-    with pytest.raises(PgmError) as exc_info:
-        read_pgm(stream)
-    assert all(0 <= size <= bound + 1 for size in stream.asked)
-    assert str(exc_info.value) == (
-        f"file of over {bound} bytes is longer than any frame (byte offset {bound})")
-    assert exc_info.value.path is None
-
-
 class _ShortReads:
-    """A file object over ``data`` whose reads return at most the next of
-    ``sizes``, cycled, bytes or characters; records each size asked for."""
+    """A file opened as ``open`` opens it, whose reads return at most the
+    next of ``sizes``, cycled, bytes or characters; records each size asked
+    for and how far it has read."""
 
-    def __init__(self, data, sizes):
-        self.data, self.pos, self.sizes, self.asked = data, 0, itertools.cycle(sizes), []
+    def __init__(self, fh, sizes):
+        self.fh, self.pos, self.sizes, self.asked = fh, 0, itertools.cycle(sizes), []
 
     def read(self, size=-1):
         self.asked.append(size)
-        step = min(next(self.sizes), len(self.data) if size < 0 else size)
-        chunk = self.data[self.pos:self.pos + step]
+        chunk = self.fh.read(next(self.sizes) if size < 0 else min(next(self.sizes), size))
         self.pos += len(chunk)
         return chunk
 
+    def fileno(self):
+        return self.fh.fileno()
 
-def _config_or_error(source):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _short_reads(monkeypatch, sizes):
+    """Make ``sltrack.io`` open each file it reads as :class:`_ShortReads`;
+    the list of those opened."""
+    opened = []
+
+    def short_open(file, mode="r", **kwargs):
+        opened.append(_ShortReads(open(file, mode, **kwargs), sizes))
+        return opened[-1]
+
+    monkeypatch.setattr(sltrack.io, "open", short_open, raising=False)
+    return opened
+
+
+def _config_or_error(path):
     try:
-        return load_config(source)
+        return load_config(path)
     except ConfigError as exc:
         return str(exc)
 
@@ -794,20 +794,25 @@ def _config_or_error(source):
 @given(width=st.integers(1, 6), height=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
        comment=st.booleans(), cut=st.integers(-8, 2), text_cut=st.integers(0, 2000),
        tail=st.text(max_size=3), k=st.integers(1, 64), draw=st.data())
-def test_short_reads_read_what_one_whole_read_reads(width, height, seed, comment, cut,
-                                                    text_cut, tail, k, draw):
+def test_short_reads_read_what_one_whole_read_reads(tmp_path_factory, width, height,
+                                                    seed, comment, cut, text_cut, tail,
+                                                    k, draw):
     sizes = draw.draw(st.lists(st.integers(1, k), min_size=1, max_size=8))
     header = b"P5\n# note\n%d %d\n255\n" if comment else b"P5\n%d %d\n255\n"
     pixels = np.random.default_rng(seed).integers(0, 256, width * height, np.uint8)
     data = header % (width, height) + pixels.tobytes() + b"\xff\x00"
     data = data[:len(data) - 2 + cut]  # cut short, whole, or with bytes after
-    short = _ShortReads(data, sizes)
-    assert _outcome(_read_pixels, short) == _outcome(_read_pixels, stdio.BytesIO(data))
+    # one file of each kind, rewritten by each example
+    frame = file_of(data, tmp_path_factory.getbasetemp() / "short-reads.pgm")
     # a config whole, or cut and followed by any characters
     full = json.dumps(reference_dict(), indent=1)
     text = full if text_cut >= len(full) else full[:text_cut] + tail
-    short = _ShortReads(text, sizes)
-    assert _config_or_error(short) == _config_or_error(stdio.StringIO(text))
+    config = file_of(text, tmp_path_factory.getbasetemp() / "short-reads.json")
+    want = _outcome(_read_pixels, frame), _config_or_error(config)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        opened = _short_reads(monkeypatch, sizes)
+        assert (_outcome(_read_pixels, frame), _config_or_error(config)) == want
+    assert len(opened) == 2
 
 
 # reads of 1 to 2**17 bytes or characters, at least every fifth of 2**17:
@@ -818,27 +823,45 @@ _SHORT_READ_SIZES = st.lists(st.integers(1, 2**17), min_size=1, max_size=4).map(
 
 @settings(max_examples=20, deadline=None)
 @given(sizes=_SHORT_READ_SIZES, past=st.integers(0, 3))
-def test_short_reads_stop_one_byte_past_the_frame_bound(sizes, past):
+def test_short_reads_stop_one_byte_past_the_frame_bound(tmp_path_factory, sizes, past):
     bound = sltrack.geometry.MAX_PIXELS + 2**16
     header = b"P5\n#" + b"x" * (2**16 - 19) + b"\n4096 4096\n255\n"
     assert len(header) + 4096 * 4096 == bound
-    short = _ShortReads(header + bytes(4096 * 4096 + past), sizes)
-    outcome = _outcome(_read_pixels, short)
+    # sparse: the zero payload takes no disk
+    path = file_of(header, tmp_path_factory.getbasetemp() / "bound.pgm")
+    os.truncate(path, bound + past)
+    real = os.fstat
+
+    def fstat(fd):  # a size of 0, as a pipe's: the read loop finds the end
+        info = list(real(fd))
+        info[stat.ST_SIZE] = 0
+        return os.stat_result(info)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(sltrack.io.os, "fstat", fstat)
+        opened = _short_reads(monkeypatch, sizes)
+        outcome = _outcome(_read_pixels, path)
+    [short] = opened
     # no read asks for, and the reader takes, no more than one byte past it
     assert max(short.asked) <= bound + 1 and short.pos == min(bound + past, bound + 1)
     if past:
-        assert outcome == (f"file of over {bound} bytes is longer than any frame "
-                           f"(byte offset {bound})", bound)
+        assert outcome == (f"{path}: file of over {bound} bytes is longer than any "
+                           f"frame (byte offset {bound})", bound)
     else:
         assert outcome[0] == (4096, 4096)
 
 
 @settings(max_examples=20, deadline=None)
 @given(sizes=_SHORT_READ_SIZES, past=st.integers(0, 3))
-def test_short_reads_stop_one_character_past_the_config_bound(sizes, past):
+def test_short_reads_stop_one_character_past_the_config_bound(tmp_path_factory, sizes,
+                                                              past):
     text = json.dumps(reference_dict())
-    short = _ShortReads(text + " " * (2**20 - len(text) + past), sizes)
-    outcome = _config_or_error(short)
+    path = file_of(text + " " * (2**20 - len(text) + past),
+                   tmp_path_factory.getbasetemp() / "bound.json")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        opened = _short_reads(monkeypatch, sizes)
+        outcome = _config_or_error(path)
+    [short] = opened
     assert max(short.asked) <= 2**20 + 1 and short.pos == min(2**20 + past, 2**20 + 1)
     assert outcome == ("config: longer than 1048576 characters" if past
                        else load_config(REFERENCE_CONFIG))
@@ -914,8 +937,14 @@ def reference_dict() -> dict:
         return json.load(fh)
 
 
+def load_text(text: str):
+    """:func:`load_config` of a file that holds ``text``."""
+    with tempfile.TemporaryDirectory() as folder:
+        return load_config(file_of(text, Path(folder) / "config.json"))
+
+
 def load_from_dict(cfg: dict):
-    return load_config(stdio.StringIO(json.dumps(cfg)))
+    return load_text(json.dumps(cfg))
 
 
 def test_reference_config_is_the_reference_rig():
@@ -995,7 +1024,7 @@ def test_config_trajectory_kind_specific_keys():
 
 def test_config_not_json():
     with pytest.raises(ConfigError):
-        load_config(stdio.StringIO("rig: {d: 40}"))
+        load_text("rig: {d: 40}")
 
 
 # Golden messages. One base config per trajectory kind: the reference
@@ -1102,17 +1131,30 @@ def test_config_message_for_every_key(kind, section, key, type_message):
         cfg = base_config(kind)
         cfg[section][key] = ["@", 200.0] if type_message == POINT else "@"
         with pytest.raises(ConfigError) as exc_info:
-            load_config(stdio.StringIO(json.dumps(cfg).replace('"@"', literal)))
+            load_text(json.dumps(cfg).replace('"@"', literal))
         assert str(exc_info.value) == f"{section}.{key}: {too_long}"
+
+
+@pytest.mark.parametrize("old,new,key", [
+    ('"min_run": 3', '"min_run": 3, "min_run": 10', "min_run"),
+    ('"smoother": {', '"smoother": {"alpha": 0.5}, "smoother": {', "smoother"),
+], ids=["key", "section"])
+def test_a_repeated_config_key_is_refused_by_name(old, new, key):
+    # json.loads alone keeps the last value, and the config loaded
+    text = Path(REFERENCE_CONFIG).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    with pytest.raises(ConfigError) as exc_info:
+        load_text(text.replace(old, new))
+    assert str(exc_info.value) == f"config: duplicate key {key!r}"
 
 
 def test_config_longer_than_the_bound_fails_unparsed():
     text = json.dumps(reference_dict())
     with pytest.raises(ConfigError) as exc_info:
-        load_config(stdio.StringIO(text + " " * (2**20 + 1 - len(text))))
+        load_text(text + " " * (2**20 + 1 - len(text)))
     assert str(exc_info.value) == "config: longer than 1048576 characters"
     # a config padded to the bound still loads
-    assert load_config(stdio.StringIO(text + " " * (2**20 - len(text)))) == \
+    assert load_text(text + " " * (2**20 - len(text))) == \
         load_config(REFERENCE_CONFIG)
 
 
@@ -1215,43 +1257,42 @@ def make_estimates():
     ]
 
 
-def test_estimates_csv_format():
-    buf = stdio.StringIO()
-    write_estimates_csv(make_estimates(), buf)
-    lines = buf.getvalue().splitlines()
+def test_estimates_csv_format(tmp_path):
+    path = tmp_path / "estimates.csv"
+    write_estimates_csv(make_estimates(), str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "frame,timestamp_ms,detected,u_f,v_f,x_cm,z_cm"
     assert lines[1] == "0,0,1,180.250,200,50.000,200.000"
     assert lines[2] == "1,50,0,,,,"
     assert lines[3] == "2,100,1,145.500,170,-12.346,333.333"
 
 
-def test_estimates_csv_refuses_a_position_without_a_detection():
+def test_estimates_csv_refuses_a_position_without_a_detection(tmp_path):
     # a detected row needs u_f and v_f; "1,50,0,,,," would lose the position
     estimates = [PositionEstimate(0, 0),
                  PositionEstimate(1, 50, WorldPosition(10.0, 200.0))]
     with pytest.raises(ValueError, match="frame 1: a position without a detection"):
-        write_estimates_csv(estimates, stdio.StringIO())
+        write_estimates_csv(estimates, str(tmp_path / "estimates.csv"))
 
 
-def test_estimates_csv_numbers_rows_by_position_and_reads_back():
+def test_estimates_csv_numbers_rows_by_position_and_reads_back(tmp_path):
     # frame is the row's position, whatever frame_index the estimates carry
     estimates = [PositionEstimate(i, 50 * i) for i in (5, 6, 7)]
-    buf = stdio.StringIO()
-    write_estimates_csv(estimates, buf)
-    assert buf.getvalue().splitlines()[1:] == ["0,250,0,,,,", "1,300,0,,,,",
-                                               "2,350,0,,,,"]
-    buf.seek(0)
-    assert [(r.frame, r.timestamp_ms) for r in read_estimates_csv(buf)] == [
+    path = tmp_path / "estimates.csv"
+    write_estimates_csv(estimates, str(path))
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == [
+        "0,250,0,,,,", "1,300,0,,,,", "2,350,0,,,,"]
+    assert [(r.frame, r.timestamp_ms) for r in read_estimates_csv(str(path))] == [
         (0, 250), (1, 300), (2, 350)]
 
 
-def test_estimates_csv_empty_stream_is_header_only():
-    buf = stdio.StringIO()
-    write_estimates_csv([], buf)
-    assert buf.getvalue() == "frame,timestamp_ms,detected,u_f,v_f,x_cm,z_cm\n"
+def test_estimates_csv_empty_stream_is_header_only(tmp_path):
+    path = tmp_path / "estimates.csv"
+    write_estimates_csv([], str(path))
+    assert path.read_bytes() == b"frame,timestamp_ms,detected,u_f,v_f,x_cm,z_cm\n"
 
 
-def test_estimates_csv_round_trip_1000_random():
+def test_estimates_csv_round_trip_1000_random(tmp_path):
     rng = np.random.default_rng(23)
     estimates = []
     for i in range(1000):
@@ -1265,10 +1306,9 @@ def test_estimates_csv_round_trip_1000_random():
             estimates.append(PositionEstimate(
                 i, 50 * i, WorldPosition(x, z),
                 Detection(u_f=u, v_f=v, run_len=5, mass=100.0)))
-    buf = stdio.StringIO()
-    write_estimates_csv(estimates, buf)
-    buf.seek(0)
-    rows = read_estimates_csv(buf)
+    path = str(tmp_path / "estimates.csv")
+    write_estimates_csv(estimates, path)
+    rows = read_estimates_csv(path)
     assert len(rows) == 1000
     for est, row in zip(estimates, rows):
         assert (row.frame, row.timestamp_ms) == (est.frame_index, est.timestamp_ms)
@@ -1291,20 +1331,20 @@ def truth_states():
     ]
 
 
-def test_truth_csv_round_trip():
+def test_truth_csv_round_trip(tmp_path):
     states = truth_states()
-    buf = stdio.StringIO()
-    write_truth_csv(states, buf)
-    buf.seek(0)
-    back = read_truth_csv(buf)
+    path = str(tmp_path / "truth.csv")
+    write_truth_csv(states, path)
+    back = read_truth_csv(path)
     assert back == states
 
 
-def test_csv_header_validation():
+def test_csv_header_validation(tmp_path):
+    path = file_of("nope\n", tmp_path / "table.csv")
     with pytest.raises(ValueError):
-        read_estimates_csv(stdio.StringIO("nope\n"))
+        read_estimates_csv(path)
     with pytest.raises(ValueError):
-        read_truth_csv(stdio.StringIO("nope\n"))
+        read_truth_csv(path)
 
 
 ESTIMATES = "frame,timestamp_ms,detected,u_f,v_f,x_cm,z_cm\n"
@@ -1339,9 +1379,9 @@ TRUTH = "frame,timestamp_ms,present,x_cm,z_cm,foot_width_cm\n"
         "estimates-frame-not-its-position",
         "truth-header", "truth-long-row", "truth-invariant",
         "truth-frame-not-its-position"])
-def test_csv_errors_name_table_and_line(read, text, message):
+def test_csv_errors_name_table_and_line(tmp_path, read, text, message):
     with pytest.raises(ValueError) as exc_info:
-        read(stdio.StringIO(text))
+        read(file_of(text, tmp_path / "table.csv"))
     assert str(exc_info.value) == message
 
 
@@ -1358,14 +1398,14 @@ def test_csv_errors_name_table_and_line(read, text, message):
     ("u_f", "nan", "u_f: must be finite, got 'nan'"),
     ("u_f", "inf", "u_f: must be finite, got 'inf'"),
 ])
-def test_estimates_csv_fields_are_strict(field, value, message):
+def test_estimates_csv_fields_are_strict(tmp_path, field, value, message):
     # int() and float() alone read 1_0 as 10, +5 as 5 and " 200" as 200
     row = dict(zip(ESTIMATES.strip().split(","),
                    ["1", "5", "1", "160.5", "200", "10.0", "200.0"]))
     row[field] = value
     text = ESTIMATES + "0,0,0,,,,\n" + ",".join(row.values()) + "\n"
     with pytest.raises(ValueError) as exc_info:
-        read_estimates_csv(stdio.StringIO(text))
+        read_estimates_csv(file_of(text, tmp_path / "estimates.csv"))
     assert str(exc_info.value) == f"estimates CSV line 3: {message}"
 
 
@@ -1380,13 +1420,13 @@ def test_estimates_csv_fields_are_strict(field, value, message):
     ("foot_width_cm", "inf", "foot_width_cm: must be finite, got 'inf'"),
     ("foot_width_cm", "nan", "foot_width_cm: must be finite, got 'nan'"),
 ])
-def test_truth_csv_fields_are_strict(field, value, message):
+def test_truth_csv_fields_are_strict(tmp_path, field, value, message):
     row = dict(zip(TRUTH.strip().split(","),
                    ["1", "50", "1", "10.0", "200.0", "25.0"]))
     row[field] = value
     text = TRUTH + "0,0,0,,,25.0\n" + ",".join(row.values()) + "\n"
     with pytest.raises(ValueError) as exc_info:
-        read_truth_csv(stdio.StringIO(text))
+        read_truth_csv(file_of(text, tmp_path / "truth.csv"))
     assert str(exc_info.value) == f"truth CSV line 3: {message}"
 
 
@@ -1394,7 +1434,8 @@ def test_truth_csv_fields_are_strict(field, value, message):
     ("estimates", "frame"), ("estimates", "timestamp_ms"), ("estimates", "v_f"),
     ("truth", "frame"), ("truth", "timestamp_ms"),
 ])
-def test_csv_whole_number_of_5000_digits_fails_naming_its_field(table, field):
+def test_csv_whole_number_of_5000_digits_fails_naming_its_field(tmp_path, table,
+                                                               field):
     # int() alone refuses it, naming neither the field nor its limit
     read, header, values = {
         "estimates": (read_estimates_csv, ESTIMATES,
@@ -1404,7 +1445,7 @@ def test_csv_whole_number_of_5000_digits_fails_naming_its_field(table, field):
     row = dict(zip(header.strip().split(","), values))
     row[field] = "1" * 5000
     with pytest.raises(ValueError) as exc_info:
-        read(stdio.StringIO(header + ",".join(row.values()) + "\n"))
+        read(file_of(header + ",".join(row.values()) + "\n", tmp_path / "table.csv"))
     assert str(exc_info.value) == f"{table} CSV line 2: {field} too large: 5000 digits"
 
 
@@ -1423,12 +1464,12 @@ def test_csv_whole_number_of_5000_digits_fails_naming_its_field(table, field):
      "truth CSV line 3: z_cm: expected empty with present 0, got '200.0'"),
 ], ids=["estimates-u_f", "estimates-v_f", "estimates-x_cm", "estimates-z_cm",
         "truth-x_cm", "truth-z_cm"])
-def test_a_row_without_a_position_leaves_its_position_fields_empty(read, row,
+def test_a_row_without_a_position_leaves_its_position_fields_empty(tmp_path, read, row,
                                                                    message):
     header, first = ((ESTIMATES, "0,0,0,,,,") if read is read_estimates_csv
                      else (TRUTH, "0,0,0,,,25.0"))
     with pytest.raises(ValueError) as exc_info:
-        read(stdio.StringIO(f"{header}{first}\n{row}\n"))
+        read(file_of(f"{header}{first}\n{row}\n", tmp_path / "table.csv"))
     assert str(exc_info.value) == message
 
 
@@ -1443,67 +1484,64 @@ def test_a_row_without_a_position_leaves_its_position_fields_empty(read, row,
     (TRUTH + "0,0,0,,,25.0\r1,50,0,,,25.0\n",
      "truth CSV line 2: expected 6 fields, got 11"),
 ], ids=["form-feed", "line-separator", "lone-carriage-return"])
-def test_csv_rows_end_only_at_newline(text, message):
+def test_csv_rows_end_only_at_newline(tmp_path, text, message):
     with pytest.raises(ValueError) as exc_info:
-        read_truth_csv(stdio.StringIO(text))
+        read_truth_csv(file_of(text, tmp_path / "truth.csv"))
     assert str(exc_info.value) == message
 
 
-def test_csv_with_crlf_row_ends_still_reads():
-    buf = stdio.StringIO()
-    write_truth_csv(truth_states(), buf)
-    crlf = buf.getvalue().replace("\n", "\r\n")
-    assert read_truth_csv(stdio.StringIO(crlf)) == truth_states()
+def test_csv_with_crlf_row_ends_still_reads(tmp_path):
+    path = tmp_path / "truth.csv"
+    write_truth_csv(truth_states(), str(path))
+    crlf = path.read_bytes().replace(b"\n", b"\r\n")
+    assert read_truth_csv(file_of(crlf, path)) == truth_states()
 
 
-def test_the_loose_estimates_row_fails_on_its_line():
+def test_the_loose_estimates_row_fails_on_its_line(tmp_path):
+    text = ESTIMATES + "1_0,+5,1,1_60.5, 200,1_0.0,2_00\n"
     with pytest.raises(ValueError, match="^estimates CSV line 2: "):
-        read_estimates_csv(stdio.StringIO(ESTIMATES + "1_0,+5,1,1_60.5, 200,1_0.0,2_00\n"))
+        read_estimates_csv(file_of(text, tmp_path / "estimates.csv"))
 
 
-_ROWS = "".join(f"{i},{50 * i},0,,,25.0\n" for i in range(5000))  # over 2**16 characters
+_ROWS = "".join(f"{i},{50 * i},0,,,25.0\n" for i in range(5000))  # over 2**16 bytes
 
 
 @pytest.mark.parametrize("before,line", [("", 1), (TRUTH, 2), (TRUTH + _ROWS, 5002)],
                          ids=["header", "first-row", "after-5000-rows"])
 @pytest.mark.parametrize("ending", ["\n", "\r\n", ""], ids=["lf", "crlf", "eof"])
-def test_a_csv_line_past_its_bound_fails_naming_it(before, line, ending):
-    bound = sltrack.io._MAX_LINE_CHARS
+def test_a_csv_line_past_its_bound_fails_naming_it(tmp_path, before, line, ending):
+    bound = sltrack.io._MAX_LINE_BYTES
+    path = tmp_path / "truth.csv"
     # a line end is not part of the line: one of the bound's length is a row
     with pytest.raises(ValueError) as exc_info:
-        read_truth_csv(stdio.StringIO(before + "x" * bound + ending))
+        read_truth_csv(file_of(before + "x" * bound + ending, path))
     assert str(exc_info.value) == (
         f"truth CSV line {line}: " + ("expected header " + repr(TRUTH.strip())
                                       if line == 1 else "expected 6 fields, got 1"))
     with pytest.raises(ValueError) as exc_info:
-        read_truth_csv(stdio.StringIO(before + "x" * (bound + 1) + ending))
-    assert str(exc_info.value) == f"truth CSV line {line}: longer than {bound} characters"
+        read_truth_csv(file_of(before + "x" * (bound + 1) + ending, path))
+    assert str(exc_info.value) == f"truth CSV line {line}: longer than {bound} bytes"
 
 
 def test_a_csv_line_past_its_bound_is_read_only_that_far(tmp_path, monkeypatch):
-    source = stdio.StringIO("x" * 2**20)
-    with pytest.raises(ValueError, match="^estimates CSV line 1: longer than 65536 "):
-        read_estimates_csv(source)
-    assert source.tell() <= sltrack.io._MAX_LINE_CHARS + 2
-    # a path: count the characters its opened file hands back
-    path = tmp_path / "long.csv"
-    path.write_text("x" * 2**20, encoding="utf-8")
+    # count the bytes the opened file hands back
+    path = file_of(b"x" * 2**20, tmp_path / "long.csv")
     handed = []
 
-    class Counted(stdio.TextIOWrapper):
+    class Counted(stdio.BufferedReader):
         def readline(self, size=-1):
             handed.append(len(line := super().readline(size)))
             return line
 
         def read(self, size=-1):
-            handed.append(len(text := super().read(size)))
-            return text
+            handed.append(len(data := super().read(size)))
+            return data
 
     monkeypatch.setattr(sltrack.io, "open", lambda file, mode, **kwargs:
-                        Counted(stdio.open(file, "rb"), **kwargs), raising=False)
+                        Counted(stdio.FileIO(file, mode)), raising=False)
     with pytest.raises(ValueError, match="^estimates CSV line 1: longer than 65536 "):
-        read_estimates_csv(str(path))
-    assert 0 < sum(handed) <= sltrack.io._MAX_LINE_CHARS + 2
+        read_estimates_csv(path)
+    assert 0 < sum(handed) <= sltrack.io._MAX_LINE_BYTES + 2
 
 
 _ESTIMATE_ROWS = "".join(f"{i},{50 * i},0,,,,\n" for i in range(5000))
@@ -1516,19 +1554,18 @@ _ESTIMATE_ROWS = "".join(f"{i},{50 * i},0,,,,\n" for i in range(5000))
 @pytest.mark.parametrize("line", [1, 2, 5001], ids=["header", "first-row", "past-64-kib"])
 def test_a_csv_that_is_not_utf8_fails_naming_its_line(tmp_path, read, what, header,
                                                       rows, line):
-    # the decoder's own message named neither table nor line, and its byte
-    # position was counted from the start of the chunk it was handed
+    # each line is decoded on its own, so the decoder's byte position is
+    # the byte's in its line, not in the chunk of the file it was handed
     lines = (header + rows).encode("utf-8").splitlines(keepends=True)
     lines[line - 1] = lines[line - 1].replace(b",", b",\xff", 1)
     data = b"".join(lines)
     assert (data.index(b"\xff") > 2**16) == (line > 2)
-    path = tmp_path / "table.csv"
-    path.write_bytes(data)
-    message = f"^{what} CSV line {line}: not UTF-8$"
-    with pytest.raises(ValueError, match=message):
-        read(str(path))
-    with pytest.raises(ValueError, match=message):
-        read(stdio.StringIO(data.decode("utf-8", "surrogateescape")))
+    with pytest.raises(ValueError) as exc_info:
+        read(file_of(data, tmp_path / "table.csv"))
+    position = lines[line - 1].index(b"\xff")
+    assert str(exc_info.value) == (
+        f"{what} CSV line {line}: 'utf-8' codec can't decode byte 0xff in position "
+        f"{position}: invalid start byte")
 
 
 def _reference_lines(text):
@@ -1542,13 +1579,13 @@ def _reference_lines(text):
 def _reference_read_table(text, header, what, parse):
     """The reference CSV reader: the rows of :func:`_reference_lines`, or
     the reader's message naming the first bad line."""
-    bound = sltrack.io._MAX_LINE_CHARS
+    bound = sltrack.io._MAX_LINE_BYTES
     rows = []
     for number, line in enumerate(_reference_lines(text), 1):
         values = line.split(",")
         try:
-            if len(line) > bound:
-                raise ValueError(f"longer than {bound} characters")
+            if len(line.encode("utf-8")) > bound:
+                raise ValueError(f"longer than {bound} bytes")
             if number == 1:
                 if line != header:
                     raise ValueError(f"expected header {header!r}")
@@ -1580,7 +1617,7 @@ def _csv_texts(draw, header, good_rows):
     """A header or something like it, then lines that are rows numbered from
     0 or any few characters, each maybe padded to 2**16 - 1 .. 2**16 + 2
     characters, between any line breaks."""
-    bound = sltrack.io._MAX_LINE_CHARS
+    bound = sltrack.io._MAX_LINE_BYTES
     # mostly what write_*_csv write, so that many texts read to their end
     breaks = (st.sampled_from(["\n"] * 4 + ["\r\n"] * 2 + ["\r", "\r\r\n", ""])
               | st.text(_BREAKS, max_size=3))
@@ -1612,33 +1649,30 @@ def test_csv_lines_split_as_the_reference_rule_splits_them(tmp_path_factory, rea
     # one file per table, rewritten by each example
     path = tmp_path_factory.getbasetemp() / f"reference-rule-{what}.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert _rows_or_message(read, stdio.StringIO(text)) == want
     assert _rows_or_message(read, str(path)) == want
 
 
 # --- output files: rewritten in place, then cut to length ----------------------
 
-def in_memory(write, data, buffer) -> bytes:
-    """What ``write`` puts in a fresh in-memory sink, as bytes."""
-    buf = buffer()
-    write(data, buf)
-    value = buf.getvalue()
-    return value.encode("utf-8") if isinstance(value, str) else value
+def in_new_file(write, data) -> bytes:
+    """What ``write`` puts in a file that did not exist."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "new"
+        write(data, str(path))
+        return path.read_bytes()
 
 
-@pytest.mark.parametrize("write,long,short,buffer", [
-    (write_pgm, frame_from([7] * 76800, 320, 240),
-     frame_from([0, 255, 128, 7], 2, 2), stdio.BytesIO),
-    (write_estimates_csv, make_estimates(), make_estimates()[1:2], stdio.StringIO),
-    (write_truth_csv, truth_states(), truth_states()[1:2], stdio.StringIO),
+@pytest.mark.parametrize("write,long,short", [
+    (write_pgm, frame_from([7] * 76800, 320, 240), frame_from([0, 255, 128, 7], 2, 2)),
+    (write_estimates_csv, make_estimates(), make_estimates()[1:2]),
+    (write_truth_csv, truth_states(), truth_states()[1:2]),
 ], ids=["pgm", "estimates", "truth"])
-def test_a_shorter_rewrite_holds_exactly_the_new_bytes(tmp_path, write, long,
-                                                       short, buffer):
+def test_a_shorter_rewrite_holds_exactly_the_new_bytes(tmp_path, write, long, short):
     path = tmp_path / "out"
     write(long, str(path))
-    assert path.read_bytes() == in_memory(write, long, buffer)
+    assert path.read_bytes() == in_new_file(write, long)
     write(short, str(path))
-    assert path.read_bytes() == in_memory(write, short, buffer)
+    assert path.read_bytes() == in_new_file(write, short)
 
 
 def test_a_write_that_raises_leaves_the_bytes_written_and_no_old_tail(tmp_path):
@@ -1651,8 +1685,7 @@ def test_a_write_that_raises_leaves_the_bytes_written_and_no_old_tail(tmp_path):
 
     with pytest.raises(OSError):
         write_estimates_csv(failing(), str(path))
-    assert path.read_bytes() == in_memory(write_estimates_csv, make_estimates(),
-                                          stdio.StringIO)
+    assert path.read_bytes() == in_new_file(write_estimates_csv, make_estimates())
 
 
 # The file-size limit makes the kernel take only the first 1000 bytes and
@@ -1685,14 +1718,12 @@ def test_a_file_the_kernel_takes_in_part_ends_at_the_last_byte_taken(tmp_path,
     path = tmp_path / "out"
     if kind == "pgm":
         write_pgm(frame_from([7] * 76800, 320, 240), str(path))
-        new = in_memory(write_pgm, frame_from([9] * 76800, 320, 240),
-                        stdio.BytesIO)
+        new = in_new_file(write_pgm, frame_from([9] * 76800, 320, 240))
     else:
         write_estimates_csv([PositionEstimate(i, 50 * i) for i in range(5000)],
                             str(path))
-        new = in_memory(write_estimates_csv,
-                        [PositionEstimate(i, 5 * i) for i in range(200)],
-                        stdio.StringIO)
+        new = in_new_file(write_estimates_csv,
+                          [PositionEstimate(i, 5 * i) for i in range(200)])
     src = str(Path(sltrack.__file__).resolve().parent.parent)
     child = subprocess.run([sys.executable, "-c", _FSIZE_CHILD, kind, str(path)],
                            env={**os.environ, "PYTHONPATH": src},
@@ -1721,3 +1752,39 @@ def test_writing_a_path_keeps_the_semantics_of_open(tmp_path):
 def test_write_pgm_to_dev_null():
     # ftruncate fails with EINVAL on a character device
     write_pgm(frame_from([1, 2], 2, 1), os.devnull)
+
+
+# --- paths only ----------------------------------------------------------------
+
+_IN_MEMORY = {
+    "read_pgm": lambda: read_pgm(stdio.BytesIO(b"P5\n1 1\n255\n\x00")),
+    "write_pgm": lambda: write_pgm(frame_from([0], 1, 1), stdio.BytesIO()),
+    "read_text": lambda: read_text(stdio.StringIO("v_b=170\n")),
+    "write_text": lambda: write_text("v_b=170\n", stdio.StringIO()),
+    "load_config": lambda: load_config(stdio.StringIO(json.dumps(reference_dict()))),
+    "read_estimates_csv": lambda: read_estimates_csv(stdio.StringIO(ESTIMATES)),
+    "write_estimates_csv": lambda: write_estimates_csv(make_estimates(),
+                                                       stdio.StringIO()),
+    "read_truth_csv": lambda: read_truth_csv(stdio.StringIO(TRUTH)),
+    "write_truth_csv": lambda: write_truth_csv(truth_states(), stdio.StringIO()),
+}
+
+
+@pytest.mark.parametrize("call", _IN_MEMORY.values(), ids=_IN_MEMORY.keys())
+def test_an_in_memory_file_object_is_refused(call):
+    # every reader and writer opens a path, as the CLI passes it
+    with pytest.raises(TypeError, match="os.PathLike"):
+        call()
+
+
+@pytest.mark.parametrize("read", [read_pgm, read_text, load_config, read_estimates_csv,
+                                  read_truth_csv])
+def test_a_file_descriptor_is_refused_unread(tmp_path, read):
+    # the builtin open takes one too, and would close it
+    fd = os.open(file_of(TRUTH, tmp_path / "truth.csv"), os.O_RDONLY)
+    try:
+        with pytest.raises(TypeError, match="os.PathLike"):
+            read(fd)
+        assert os.lseek(fd, 0, os.SEEK_CUR) == 0
+    finally:
+        os.close(fd)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sltrack import (Frame, IntensityModel, NoiseParams, RigConfig, SceneState,
                      TrajectorySpec, WorldPosition, intensity_at, project, render)
+from sltrack.synth import frame_timestamp_ms
 
 
 def user_at(x, z, foot_width=25.0, t=0):
@@ -42,6 +43,13 @@ def test_frame_refuses_dimensions_that_are_not_ints(width, height, shape):
     # in a header that read_pgm refuses
     with pytest.raises(ValueError, match=r"(width|height): must be an int, got "):
         Frame(width=width, height=height, pixels=np.zeros(shape, np.uint8))
+
+
+@pytest.mark.parametrize("seed", [1.5, True, np.int64(3)], ids=["float", "bool", "numpy"])
+def test_noise_seed_refuses_a_value_that_is_not_an_int(seed):
+    # numpy's default_rng refuses 1.5 naming no field, and reads True as 1
+    with pytest.raises(ValueError, match=r"^seed: must be an int, got "):
+        NoiseParams(background_sigma=1.0, seed=seed)
 
 
 def test_frame_holds_its_rows_from_top_down():
@@ -304,6 +312,20 @@ def test_stroll_positions_are_plain_floats(rig, b, still):
     assert {(type(s.user.x), type(s.user.z)) for s in states} == {(float, float)}
     # with a == b the stroll stands still
     assert all(s.user == states[0].user for s in states) == still
+
+
+@pytest.mark.parametrize("i,rate_hz,message", [
+    (10**15, 1.0, "frame 1000000000000000: timestamp 1e+18 ms is not below 10**18"),
+    (1, 1e-16, "frame 1: timestamp 1e+19 ms is not below 10**18"),
+    (1, 1e-308, "frame 1: timestamp inf ms is not below 10**18"),
+], ids=["10**18", "10**19", "inf"])
+def test_a_frame_timestamp_that_no_csv_reads_back_is_refused(i, rate_hz, message):
+    # round() of inf raised OverflowError; 10**19 ms was written, then refused
+    # by the CSV reader as 20 digits
+    with pytest.raises(ValueError) as exc_info:
+        frame_timestamp_ms(i, rate_hz)
+    assert str(exc_info.value) == message
+    assert frame_timestamp_ms(i - 1, rate_hz) < 10**18  # the frame before reads
 
 
 def test_trajectory_exiting_workspace_rejected(rig):
