@@ -23,9 +23,13 @@ cfg = load_config('reference.json')
 write_pgm(render(cfg.rig, SceneState(user=None), cfg.noise, cfg.intensity,
                  index=10**6), 'empty.pgm')"
 sltrack calibrate -c reference.json empty.pgm -o cal.txt
-# also streams SLT1 packets; UDP needs no listener on the port
-sltrack track -c reference.json --calibration cal.txt frames/ -o estimates.csv \
-  --stream 127.0.0.1:47800
+# also streams SLT1 packets; UDP needs no listener on the port, and every
+# frame's packet is sent
+streamed="$(sltrack track -c reference.json --calibration cal.txt frames/ \
+  -o estimates.csv --stream 127.0.0.1:47800)"
+echo "$streamed"
+grep -Fqx "streamed 200 packets to 127.0.0.1:47800 (0 dropped, 0 failed)" \
+  <<<"$streamed"
 sltrack evaluate estimates.csv frames/truth.csv --json metrics.json
 # the bytes test_track_and_evaluate_reference_digests pins for src/
 sha256sum -c - <<'DIGESTS'

@@ -10,6 +10,7 @@ edge pixels.
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -154,9 +155,6 @@ class _Workspace:
         # (after, before, out) of the run ends of the eroded mask
         out = buffers[(len(self.erosion) + 1) % 2][:max(eroded.size - 1, 0)]
         self.ends = (eroded[1:], eroded[:-1], out)
-        # one dot product with these rows gives a run's mass and moment
-        self.ones_and_cols = np.stack((np.ones(cal.width, np.int64),
-                                       np.arange(cal.width, dtype=np.int64)))
 
 
 _local = threading.local()
@@ -228,23 +226,25 @@ def detect_feet(frame: Frame, cal: Calibration, p: DetectParams) -> Detection | 
     # alternate start, end; the band is empty when v_b = height - 2 and then
     # holds no run
     after, before, out = ws.ends
-    changes = np.not_equal(after, before, out=out).nonzero()[0]
-    starts = changes[0::2]
-    if not starts.size:
+    ends = np.not_equal(after, before, out=out).nonzero()[0].tolist()
+    if not ends:
         return None
-    # starts ascend, so the first maximum of this key is the longest run,
-    # then the lowest in the image (larger v), then the leftmost start
-    key = (changes[1::2] - starts) * (frame.height + 1) + starts // ws.stride
-    best = 2 * key.argmax()
-    start, end = changes[best:best + 2].tolist()
-    length = end - start + p.min_run - 1
-    row, start = divmod(start, ws.stride)
+    # The pick and the centroid run in Python: a numpy call on a few elements
+    # costs ~5 us on a cold frame, and every frame of a 20 Hz rig is cold.
+    # Starts ascend, so the first maximum of the key is the longest run, then
+    # the lower row, then the leftmost start.
+    best, stride = -1, ws.stride
+    for start, end in zip(ends[0::2], ends[1::2]):
+        key = (end - start) * (frame.height + 1) + start // stride
+        if key > best:
+            best, first, last = key, start, end
+    length = last - first + p.min_run - 1
+    row, start = divmod(first, stride)
     v = ws.first_row + row
-
-    weights = frame.pixels[v - frame.top, start:start + length]
+    weights = frame.pixels[v - frame.top, start:start + length].tolist()
     # a run pixel has P > (P_up + P_down)/2 + thr >= 0, so P >= 1 and mass >= run_len.
-    # The sums are exact integers (a rig has at most 2**24 pixels and at least
-    # 3 rows, so the moment stays below 255 * width**2 / 2 < 2**53), and the
-    # one division rounds the centroid once.
-    mass, moment = np.dot(ws.ones_and_cols[:, start:start + length], weights).tolist()
+    # The sums are exact Python ints at any rig size, and the one division
+    # rounds the centroid once.
+    mass = sum(weights)
+    moment = sum(map(operator.mul, weights, range(start, start + length)))
     return Detection(u_f=moment / mass, v_f=v, run_len=length, mass=float(mass))
