@@ -23,6 +23,9 @@ cfg = load_config('reference.json')
 write_pgm(render(cfg.rig, SceneState(user=None), cfg.noise, cfg.intensity,
                  index=10**6), 'empty.pgm')"
 sltrack calibrate -c reference.json empty.pgm -o cal.txt
+# calibrate reads the uint8 frame; on every numpy the matrix installs it
+# finds the reference wall row
+printf 'v_b=160\n' | cmp - cal.txt
 # also streams SLT1 packets; UDP needs no listener on the port, and every
 # frame's packet is sent
 streamed="$(sltrack track -c reference.json --calibration cal.txt frames/ \

@@ -12,8 +12,8 @@ import sys as _sys
 
 # OpenBLAS starts a pool of worker threads when numpy loads it, ~60 ms of a
 # fresh process on a 2-core host, and reads its thread count only then. No
-# BLAS call in sltrack can use a thread (its one np.dot is on int64, which
-# numpy computes without BLAS), so where no variable sets the count, numpy
+# BLAS call in sltrack can use a thread (the one left is np.linalg.norm of
+# a 2-vector in synth._stroll), so where no variable sets the count, numpy
 # is loaded with one thread. os.environ, and so every child process, is
 # left as it was.
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",

@@ -78,7 +78,7 @@ class Detection:
     u_f: float  # intensity-weighted centroid column (raw, not offset by u0)
     v_f: int    # row of the selected run
     run_len: int
-    mass: float  # summed gray-levels over the run
+    mass: int  # summed gray-levels over the run
 
 
 def calibrate(frame: Frame) -> Calibration:
@@ -95,7 +95,7 @@ def calibrate(frame: Frame) -> Calibration:
     """
     if frame.top:
         raise ValueError(f"calibrate needs a whole frame, got rows {frame.top}.. only")
-    px = frame.pixels.astype(np.float64)
+    px = frame.pixels  # uint8: the sums are exact, the mean and std float64
     sums = px.sum(axis=1)
     v_b = int(np.argmax(sums))
     sigma = float(px.std())
@@ -247,4 +247,4 @@ def detect_feet(frame: Frame, cal: Calibration, p: DetectParams) -> Detection | 
     # rounds the centroid once.
     mass = sum(weights)
     moment = sum(map(operator.mul, weights, range(start, start + length)))
-    return Detection(u_f=moment / mass, v_f=v, run_len=length, mass=float(mass))
+    return Detection(u_f=moment / mass, v_f=v, run_len=length, mass=mass)

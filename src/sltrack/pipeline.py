@@ -111,7 +111,7 @@ def track_stream(
     it is produced, e.g. to feed a live telemetry stream.
     """
     a = smoother.alpha
-    smoothed: WorldPosition | None = None
+    last: WorldPosition | None = None  # the previous estimate's position
     estimates: list[PositionEstimate] = []
     last_ts: int | None = None
     for frame in frames:
@@ -122,15 +122,13 @@ def track_stream(
             )
         last_ts = frame.timestamp_ms
         est = track_frame(frame, rig, cal, p)
-        if smoother.enabled:
-            # a gap (no position) resets the state: no stale drag across it
-            if est.pos is not None and smoothed is not None:
-                smoothed = WorldPosition(x=a * est.pos.x + (1 - a) * smoothed.x,
-                                         z=a * est.pos.z + (1 - a) * smoothed.z)
-            else:
-                smoothed = est.pos
-            est = PositionEstimate(est.frame_index, est.timestamp_ms, smoothed,
+        # a gap (no position) resets the state: no stale drag across it
+        if smoother.enabled and est.pos is not None and last is not None:
+            pos = WorldPosition(x=a * est.pos.x + (1 - a) * last.x,
+                                z=a * est.pos.z + (1 - a) * last.z)
+            est = PositionEstimate(est.frame_index, est.timestamp_ms, pos,
                                    est.detection)
+        last = est.pos
         estimates.append(est)
         if on_estimate is not None:
             on_estimate(est)

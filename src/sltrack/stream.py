@@ -36,11 +36,10 @@ _PACKET = re.compile(PROTOCOL_TAG.encode("ascii") + rb" ([0-9]+) (-?[0-9]+) "
 
 @dataclass(frozen=True)
 class StreamPacket:
-    """Decoded SLT1 packet; x_cm/z_cm are None when not detected."""
+    """Decoded SLT1 packet; x_cm/z_cm are None when nothing was detected."""
 
     seq: int
     timestamp_ms: int
-    detected: bool
     x_cm: float | None = None
     z_cm: float | None = None
 
@@ -75,8 +74,8 @@ def decode(data: bytes) -> StreamPacket:
         raise ValueError(f"not an {PROTOCOL_TAG} packet as encode writes it: {data!r}")
     seq, ts, x, z = match.groups()
     if x is None:
-        return StreamPacket(int(seq), int(ts), False)
-    return StreamPacket(int(seq), int(ts), True, float(x), float(z))
+        return StreamPacket(int(seq), int(ts))
+    return StreamPacket(int(seq), int(ts), float(x), float(z))
 
 
 def resolve_endpoint(address: str | tuple[str, int]) -> tuple[str, int]:

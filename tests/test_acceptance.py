@@ -309,9 +309,9 @@ def test_acceptance_7_degenerates_yield_no_estimate(rig, intensity, detect_param
     # denominator negative, a reflection behind the camera; both must
     # absorb into "no position"
     corrupt = triangulate_detection(
-        rig, cal, Detection(u_f=160.0, v_f=100, run_len=5, mass=100.0))
+        rig, cal, Detection(u_f=160.0, v_f=100, run_len=5, mass=100))
     zero_denominator = triangulate_detection(
-        rig, cal, Detection(u_f=160.0, v_f=120, run_len=5, mass=100.0))
+        rig, cal, Detection(u_f=160.0, v_f=120, run_len=5, mass=100))
     ok = (len(estimates) == len(frames) and all_absent
           and corrupt is None and zero_denominator is None)
     report(7, "degenerate inputs yield no estimate, stream survives", ok,
@@ -353,7 +353,7 @@ def test_acceptance_8_golden_formats_and_round_trips(tmp_path):
                               round(float(rng.uniform(1, 400)), 3)),
                 Detection(u_f=round(float(rng.uniform(0, 319)), 3),
                           v_f=int(rng.integers(161, 239)), run_len=5,
-                          mass=100.0)))
+                          mass=100)))
     csv = str(tmp_path / "estimates.csv")
     write_estimates_csv(estimates, csv)
     rows = read_estimates_csv(csv)

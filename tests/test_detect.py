@@ -225,7 +225,7 @@ def test_detect_uniform_run_centroid_is_midpoint(detect_params):
     assert det.u_f == pytest.approx(159.5)  # (150 + 169) / 2
     assert det.v_f == 200
     assert det.run_len == 20
-    assert det.mass == 20 * 200
+    assert det.mass == 20 * 200 and type(det.mass) is int
 
 
 def test_detect_empty_scene_returns_none(rig, quiet, intensity, detect_params):
@@ -478,7 +478,7 @@ def reference_detect_feet(frame, cal, p):
     length, v, start = best
     cols = np.arange(start, start + length)
     weights = px[v, cols]
-    mass = float(weights.sum())
+    mass = int(weights.sum())
     u_f = float((cols * weights).sum() / mass)
     return Detection(u_f=u_f, v_f=v, run_len=length, mass=mass)
 

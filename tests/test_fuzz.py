@@ -178,7 +178,7 @@ def test_decode_fails_only_quoting_the_packet(data):
         assert str(exc).endswith(f": {data!r}"), str(exc)
     else:
         assert 0 <= packet.seq < 2**32
-        if packet.detected:
+        if packet.x_cm is not None:
             assert math.isfinite(packet.x_cm) and math.isfinite(packet.z_cm)
 
 
@@ -192,7 +192,8 @@ def test_decode_inverts_encode(seq, ts, pos):
     est = PositionEstimate(frame_index=0, timestamp_ms=ts,
                            pos=WorldPosition(*pos) if pos else None)
     packet = decode(encode(est, seq))
-    assert (packet.seq, packet.timestamp_ms, packet.detected) == (seq, ts, pos is not None)
+    assert ((packet.seq, packet.timestamp_ms, packet.x_cm is not None)
+            == (seq, ts, pos is not None))
     if pos is not None:
         assert (packet.x_cm, packet.z_cm) == (float(f"{pos[0]:.3f}"),
                                               float(f"{pos[1]:.3f}"))

@@ -1248,12 +1248,12 @@ def test_trajectory_leaving_the_workspace_fails_at_materialize():
 # --- CSV -----------------------------------------------------------------------
 
 def make_estimates():
-    det = Detection(u_f=180.25, v_f=200, run_len=12, mass=2400.0)
+    det = Detection(u_f=180.25, v_f=200, run_len=12, mass=2400)
     return [
         PositionEstimate(0, 0, WorldPosition(50.0, 200.0), det),
         PositionEstimate(1, 50, None, None),
         PositionEstimate(2, 100, WorldPosition(-12.3456, 333.333),
-                         Detection(u_f=145.5, v_f=170, run_len=30, mass=900.0)),
+                         Detection(u_f=145.5, v_f=170, run_len=30, mass=900)),
     ]
 
 
@@ -1305,7 +1305,7 @@ def test_estimates_csv_round_trip_1000_random(tmp_path):
             v = int(rng.integers(161, 239))
             estimates.append(PositionEstimate(
                 i, 50 * i, WorldPosition(x, z),
-                Detection(u_f=u, v_f=v, run_len=5, mass=100.0)))
+                Detection(u_f=u, v_f=v, run_len=5, mass=100)))
     path = str(tmp_path / "estimates.csv")
     write_estimates_csv(estimates, path)
     rows = read_estimates_csv(path)

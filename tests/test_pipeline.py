@@ -24,7 +24,7 @@ def noiseless_frame(rig, quiet, intensity, x, z, index=0, t=0):
 
 def estimate(i, t, x=None, z=None):
     pos = WorldPosition(x, z) if x is not None else None
-    det = Detection(u_f=160.0, v_f=200, run_len=10, mass=100.0) if pos else None
+    det = Detection(u_f=160.0, v_f=200, run_len=10, mass=100) if pos else None
     return PositionEstimate(frame_index=i, timestamp_ms=t, pos=pos, detection=det)
 
 
@@ -71,7 +71,7 @@ def test_dimension_mismatch_is_configuration_error(rig, detect_params):
 
 def test_corrupt_detection_triangulation_absorbed(rig):
     # v_f above the wall row: depth denominator goes non-positive
-    corrupt = Detection(u_f=160.0, v_f=100, run_len=5, mass=50.0)
+    corrupt = Detection(u_f=160.0, v_f=100, run_len=5, mass=50)
     assert triangulate_detection(rig, CAL, corrupt) is None
     with pytest.raises(Exception):
         triangulate_depth(rig, 100.0, 160.0)
@@ -147,18 +147,21 @@ def test_stream_smoothing_preserves_absence_and_resets(rig, quiet, intensity,
                                                        detect_params):
     import copy
     present = noiseless_frame(rig, quiet, intensity, 0.0, 200.0)
+    moved = noiseless_frame(rig, quiet, intensity, 30.0, 250.0)
     absent = render(rig, SceneState(user=None), quiet, intensity)
     frames = []
-    for i, src in enumerate([present, present, absent, present]):
+    for i, src in enumerate([present, present, absent, moved]):
         f = copy.deepcopy(src)
         f.index, f.timestamp_ms = i, 50 * i
         frames.append(f)
     out = track_stream(frames, rig, CAL, detect_params,
                        SmootherConfig(alpha=0.2, enabled=True))
     assert [e.pos is not None for e in out] == [True, True, False, True]
-    # state reset: the post-gap estimate equals its raw value
+    # state reset: the post-gap estimate equals its raw value, not one
+    # dragged toward the position before the gap
     raw = track_frame(frames[3], rig, CAL, detect_params)
     assert out[3].pos == raw.pos
+    assert raw.pos != out[1].pos
 
 
 def test_stream_all_empty_frames(rig, quiet, intensity, detect_params):
@@ -172,6 +175,29 @@ def test_stream_all_empty_frames(rig, quiet, intensity, detect_params):
     out = track_stream(frames, rig, CAL, detect_params,
                        SmootherConfig(alpha=0.2, enabled=True))
     assert all(e.pos is None and e.detection is None for e in out)
+
+
+def test_stream_hands_each_estimate_to_on_estimate_before_the_next_frame(
+        rig, quiet, intensity, detect_params):
+    # smoothing on, frames from a generator, a gap in the middle: on_estimate
+    # gets each returned estimate once, in order, before the next frame is
+    # pulled
+    events = []
+
+    def frames():
+        for i, x in enumerate([0.0, 5.0, None, 10.0, 15.0]):
+            user = WorldPosition(x, 200.0 + 10 * i) if x is not None else None
+            events.append(("pull", i))
+            yield render(rig, SceneState(user=user, timestamp_ms=50 * i), quiet,
+                         intensity, index=i)
+
+    out = track_stream(frames(), rig, CAL, detect_params,
+                       SmootherConfig(alpha=0.3),
+                       on_estimate=lambda e: events.append(("estimate", e)))
+    assert [e.pos is not None for e in out] == [True, True, False, True, True]
+    assert events == [event for i, e in enumerate(out)
+                      for event in (("pull", i), ("estimate", e))]
+    assert all(e is event[1] for e, event in zip(out, events[1::2]))
 
 
 def test_stream_rejects_out_of_order_timestamps(rig, quiet, intensity,

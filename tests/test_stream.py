@@ -91,9 +91,9 @@ def test_decode_round_trip_randomized():
         assert packet.seq == i
         assert packet.timestamp_ms == e.timestamp_ms
         if e.pos is None:
-            assert packet == StreamPacket(i, e.timestamp_ms, False)
+            assert packet == StreamPacket(i, e.timestamp_ms)
         else:
-            assert packet.detected
+            assert packet.x_cm is not None
             assert packet.x_cm == pytest.approx(e.pos.x, abs=5e-4)
             assert packet.z_cm == pytest.approx(e.pos.z, abs=5e-4)
 
@@ -147,9 +147,9 @@ def reference_decode(data: bytes) -> StreamPacket:
             for name, text in ("x", parts[4]), ("z", parts[5]):
                 if not _COORDINATE.fullmatch(text):
                     raise ValueError(f"bad {name} {text!r}")
-            return StreamPacket(seq, ts, True, float(parts[4]), float(parts[5]))
+            return StreamPacket(seq, ts, float(parts[4]), float(parts[5]))
         if detected == "0" and len(parts) == 4:
-            return StreamPacket(seq, ts, False)
+            return StreamPacket(seq, ts)
         raise ValueError("malformed packet")
     except ValueError as exc:  # UnicodeDecodeError included
         raise ValueError(f"{exc}: {data!r}") from None
@@ -243,8 +243,8 @@ def test_packets_carry_positions(receiver):
     streamer.submit(est(1, 50))
     streamer.close()
     packets = drain(receiver, 2)
-    assert packets[0] == StreamPacket(0, 0, True, 50.0, 200.0)
-    assert packets[1] == StreamPacket(1, 50, False)
+    assert packets[0] == StreamPacket(0, 0, 50.0, 200.0)
+    assert packets[1] == StreamPacket(1, 50)
 
 
 def test_paced_stream_inter_packet_interval(receiver):
