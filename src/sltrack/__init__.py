@@ -28,8 +28,7 @@ if "numpy" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREA
 from .detect import (Calibration, CalibrationError, DetectParams, Detection,
                      calibrate, detect_feet)
 from .geometry import (RigConfig, TriangulationError, WorldPosition,
-                       depth_resolution, project, triangulate_depth,
-                       triangulate_lateral)
+                       depth_resolution, project, triangulate)
 from .io import (ConfigError, PgmError, RunConfig, load_config,
                  read_estimates_csv, read_pgm, read_truth_csv,
                  write_estimates_csv, write_pgm, write_truth_csv)
@@ -52,7 +51,6 @@ __all__ = [
     "encode", "evaluate", "intensity_at", "load_config", "project",
     "read_estimates_csv", "read_pgm", "read_truth_csv", "render",
     "render_trajectory", "resolve_endpoint", "track_frame",
-    "track_stream", "triangulate_depth", "triangulate_detection",
-    "triangulate_lateral", "write_estimates_csv", "write_pgm",
-    "write_truth_csv",
+    "track_stream", "triangulate", "triangulate_detection",
+    "write_estimates_csv", "write_pgm", "write_truth_csv",
 ]

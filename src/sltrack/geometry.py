@@ -106,41 +106,37 @@ class WorldPosition:
             raise ValueError("z: must be > 0")
 
 
-def triangulate_depth(rig: RigConfig, v_f: float, v_b: float) -> float:
-    """Depth from vertical disparity by triangle similarity:
+def triangulate(rig: RigConfig, u: float, v: float, v_b: float) -> WorldPosition:
+    """Floor position of the raw image point ``(u, v)``, the reflection
+    seen against the wall row ``v_b``, by triangle similarity:
 
-        z = d * f * z_b / (d * f + z_b * (v_f - v_b))
+        z = d * f * z_b / (d * f + z_b * (v - v_b))
+        x = (u - u0) * z / f
 
-    Zero disparity returns ``z_b`` exactly. A non-positive denominator has
-    no physical reading and raises :class:`TriangulationError`.
+    The algebraic inverse of :func:`project` when ``v_b`` is
+    ``rig.back_wall_row``. Zero disparity returns ``z_b`` exactly. A
+    non-positive denominator has no physical reading and raises
+    :class:`TriangulationError`.
     """
-    if v_f == v_b:
-        return rig.z_b
-    denom = rig.d * rig.f + rig.z_b * (v_f - v_b)
-    if denom <= 0:
-        raise TriangulationError(
-            f"non-positive depth denominator {denom:.6g} "
-            f"(disparity {v_f - v_b:.3f} px): reflection behind camera"
-        )
-    return rig.d * rig.f * rig.z_b / denom
-
-
-def triangulate_lateral(rig: RigConfig, u_f: float, z_f: float) -> float:
-    """Lateral offset from the principal column scaled out to depth ``z_f``.
-
-    ``u_f`` is the column offset from ``u0`` (raw column minus ``u0``).
-    """
-    if not z_f > 0:
-        raise ValueError("z_f: must be > 0")
-    return u_f * z_f / rig.f
+    if v == v_b:
+        z = rig.z_b
+    else:
+        denom = rig.d * rig.f + rig.z_b * (v - v_b)
+        if denom <= 0:
+            raise TriangulationError(
+                f"non-positive depth denominator {denom:.6g} "
+                f"(disparity {v - v_b:.3f} px): reflection behind camera"
+            )
+        z = rig.d * rig.f * rig.z_b / denom
+    return WorldPosition(x=(u - rig.u0) * z / rig.f, z=z)
 
 
 def project(rig: RigConfig, pos: WorldPosition) -> tuple[float, float]:
     """Image a floor position through the pinhole model as a sub-pixel
     ``(u, v)`` pair, which may fall outside the sensor.
 
-    Algebraic inverse of the two triangulation equations:
-    ``u = u0 + f*x/z`` and ``v = v0 + d*f/z``.
+    ``u = u0 + f*x/z`` and ``v = v0 + d*f/z``; :func:`triangulate` inverts
+    it.
     """
     if pos.z > rig.z_b:
         raise ValueError(f"z={pos.z:.3f} lies behind the back wall (z_b={rig.z_b:.3f})")

@@ -10,7 +10,7 @@ import numpy as np
 
 from .detect import Calibration, DetectParams, Detection, detect_feet
 from .geometry import (RigConfig, TriangulationError, WorldPosition,
-                       triangulate_depth, triangulate_lateral)
+                       triangulate)
 from .synth import Frame, SceneState
 
 
@@ -18,9 +18,11 @@ from .synth import Frame, SceneState
 class PositionEstimate:
     """Per-frame tracker output.
 
-    ``pos`` is absent when nothing was detected *or* when the detection
-    triangulated to an impossible depth; in the latter case the raw
-    detection is kept for diagnostics.
+    An estimate from :func:`track_frame` or :func:`track_stream` has a
+    ``pos`` exactly when it has a ``detection``: every row
+    :func:`~sltrack.detect.detect_feet` returns lies at least one row below
+    the wall row, so its depth denominator is at least ``d*f + z_b > 0`` and
+    triangulation never rejects it.
     """
 
     frame_index: int
@@ -62,17 +64,17 @@ class Metrics:
 def triangulate_detection(
     rig: RigConfig, cal: Calibration, det: Detection
 ) -> WorldPosition | None:
-    """Detection -> floor position; None when the disparity is corrupt.
+    """Detection -> floor position against the calibrated wall row.
 
-    A live tracker has to survive garbage detections, so the impossible
-    -depth case is absorbed into "no position" rather than raised.
+    None only for a caller-built ``Detection`` at or above row
+    ``v_b - d*f/z_b``, where the depth denominator is not positive: the
+    impossible-depth case is absorbed into "no position" rather than
+    raised. :func:`~sltrack.detect.detect_feet` returns no such row.
     """
     try:
-        z = triangulate_depth(rig, det.v_f, cal.v_b)
+        return triangulate(rig, det.u_f, det.v_f, cal.v_b)
     except TriangulationError:
         return None
-    x = triangulate_lateral(rig, det.u_f - rig.u0, z)
-    return WorldPosition(x=x, z=z)
 
 
 def track_frame(

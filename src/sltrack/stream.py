@@ -36,12 +36,13 @@ _PACKET = re.compile(PROTOCOL_TAG.encode("ascii") + rb" ([0-9]+) (-?[0-9]+) "
 
 @dataclass(frozen=True)
 class StreamPacket:
-    """Decoded SLT1 packet; x_cm/z_cm are None when nothing was detected."""
+    """Decoded SLT1 packet; ``pos`` is ``(x_cm, z_cm)``, None when nothing
+    was detected. A plain pair, not a ``WorldPosition``: :func:`decode`
+    takes a depth of 0.000 or below, which ``WorldPosition`` refuses."""
 
     seq: int
     timestamp_ms: int
-    x_cm: float | None = None
-    z_cm: float | None = None
+    pos: tuple[float, float] | None = None
 
 
 def encode(est: PositionEstimate, seq: int) -> bytes:
@@ -75,7 +76,7 @@ def decode(data: bytes) -> StreamPacket:
     seq, ts, x, z = match.groups()
     if x is None:
         return StreamPacket(int(seq), int(ts))
-    return StreamPacket(int(seq), int(ts), float(x), float(z))
+    return StreamPacket(int(seq), int(ts), (float(x), float(z)))
 
 
 def resolve_endpoint(address: str | tuple[str, int]) -> tuple[str, int]:

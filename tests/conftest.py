@@ -26,6 +26,19 @@ def rig() -> RigConfig:
 
 
 @pytest.fixture
+def full_depth_rig() -> RigConfig:
+    """The reference rig with its sensor extended from 240 to 480 rows, for
+    acceptance criteria 2 and 3, whose depth windows reach 60 cm.
+
+    Everything the geometry depends on is the reference rig's, so the wall
+    still images at row 160 and depth resolution is unchanged; the extra
+    rows image foot reflections down to 16000/358 ~ 44.7 cm.
+    """
+    return RigConfig(d=40.0, f=400.0, z_b=400.0, width=320, height=480,
+                     u0=160.0, v0=120.0)
+
+
+@pytest.fixture
 def quiet() -> NoiseParams:
     return NoiseParams(background_sigma=0.0, background_mean=0.0, seed=0)
 

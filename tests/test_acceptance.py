@@ -28,12 +28,11 @@ import pytest
 
 from conftest import REFERENCE_CONFIG, edge_test
 from sltrack import (Calibration, DetectParams, Detection, Frame, NoiseParams,
-                     PositionEstimate, RigConfig, SceneState, TrajectorySpec,
-                     WorldPosition, calibrate, depth_resolution, encode,
-                     evaluate, read_estimates_csv, read_pgm, render,
-                     render_trajectory, track_frame, track_stream,
-                     triangulate_depth, triangulate_detection,
-                     triangulate_lateral, write_estimates_csv, write_pgm)
+                     PositionEstimate, SceneState, TrajectorySpec, WorldPosition,
+                     calibrate, depth_resolution, encode, evaluate,
+                     read_estimates_csv, read_pgm, render, render_trajectory,
+                     track_frame, track_stream, triangulate,
+                     triangulate_detection, write_estimates_csv, write_pgm)
 from sltrack.cli import main
 
 RNG_SEED = 20240817
@@ -52,21 +51,9 @@ def reference_calibration(rig, intensity) -> Calibration:
     return calibrate(empty)
 
 
-@pytest.fixture
-def full_depth_rig() -> RigConfig:
-    """The reference rig with its sensor extended from 240 to 480 rows.
-
-    Everything the geometry depends on is the reference rig's, so the wall
-    still images at row 160 and depth resolution is unchanged; the extra
-    rows image foot reflections down to 16000/358 ~ 44.7 cm.
-    """
-    return RigConfig(d=40.0, f=400.0, z_b=400.0, width=320, height=480,
-                     u0=160.0, v0=120.0)
-
-
 def nearest_imaged_depth(rig, cal) -> float:
     """Depth imaged on the last scannable row, height - 2."""
-    return triangulate_depth(rig, float(rig.height - 2), float(cal.v_b))
+    return triangulate(rig, rig.u0, float(rig.height - 2), float(cal.v_b)).z
 
 
 def assert_rig_images_window(rig, cal, z_near) -> None:
@@ -86,11 +73,12 @@ def assert_rig_images_window(rig, cal, z_near) -> None:
 def test_acceptance_1_triangulation_exactness(rig):
     ok = True
     detail = []
-    z = triangulate_depth(rig, 200.0, 160.0)
+    # row 200 is 40 px below the wall row 160, column 260 is 100 px right of u0
+    pos = triangulate(rig, 260.0, 200.0, 160.0)
+    z, x = pos.z, pos.x
     ok &= abs(z - 200.0) <= 200.0 * 1e-9
-    x = triangulate_lateral(rig, 100.0, 200.0)
     ok &= abs(x - 50.0) <= 50.0 * 1e-9
-    exact = triangulate_depth(rig, 160.0, 160.0)
+    exact = triangulate(rig, 160.0, 160.0, 160.0).z
     ok &= exact == 400.0
     detail.append(f"depth {z!r}, lateral {x!r}, zero-disparity {exact!r}")
     report(1, "triangulation exactness", ok, "; ".join(detail))

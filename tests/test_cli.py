@@ -22,7 +22,8 @@ import pytest
 
 from conftest import REFERENCE_CONFIG
 import sltrack
-from sltrack import PositionEstimate, read_estimates_csv, write_estimates_csv
+from sltrack import (PositionEstimate, decode, read_estimates_csv,
+                     write_estimates_csv)
 from sltrack.cli import entrypoint, main
 
 
@@ -523,16 +524,22 @@ def test_track_with_live_stream(tmp_path):
     port = receiver.getsockname()[1]
     try:
         cfg = stationary_config(tmp_path)
-        full_run(tmp_path, cfg, stream=f"127.0.0.1:{port}")
+        est_csv, _ = full_run(tmp_path, cfg, stream=f"127.0.0.1:{port}")
         packets = []
         while len(packets) < 20:
             try:
                 data, _ = receiver.recvfrom(256)
             except socket.timeout:
                 break
-            packets.append(data)
-        assert len(packets) > 0
-        assert all(p.startswith(b"SLT1 ") for p in packets)
+            packets.append(decode(data))
+        packets.sort(key=lambda packet: packet.seq)
+        rows = read_estimates_csv(str(est_csv))
+        assert [packet.seq for packet in packets] == list(range(20))
+        assert len(rows) == 20
+        for packet, row in zip(packets, rows):
+            assert packet.timestamp_ms == row.timestamp_ms
+            # both are three-decimal text of the same estimate, read as floats
+            assert packet.pos == (None if row.pos is None else (row.pos.x, row.pos.z))
     finally:
         receiver.close()
 

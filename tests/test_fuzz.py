@@ -178,8 +178,8 @@ def test_decode_fails_only_quoting_the_packet(data):
         assert str(exc).endswith(f": {data!r}"), str(exc)
     else:
         assert 0 <= packet.seq < 2**32
-        if packet.x_cm is not None:
-            assert math.isfinite(packet.x_cm) and math.isfinite(packet.z_cm)
+        if packet.pos is not None:
+            assert all(math.isfinite(c) for c in packet.pos)
 
 
 _cm = st.floats(-1e6, 1e6, allow_nan=False)
@@ -192,11 +192,10 @@ def test_decode_inverts_encode(seq, ts, pos):
     est = PositionEstimate(frame_index=0, timestamp_ms=ts,
                            pos=WorldPosition(*pos) if pos else None)
     packet = decode(encode(est, seq))
-    assert ((packet.seq, packet.timestamp_ms, packet.x_cm is not None)
+    assert ((packet.seq, packet.timestamp_ms, packet.pos is not None)
             == (seq, ts, pos is not None))
     if pos is not None:
-        assert (packet.x_cm, packet.z_cm) == (float(f"{pos[0]:.3f}"),
-                                              float(f"{pos[1]:.3f}"))
+        assert packet.pos == (float(f"{pos[0]:.3f}"), float(f"{pos[1]:.3f}"))
 
 
 # --- the command line over corrupted input files ----------------------------

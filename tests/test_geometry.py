@@ -8,59 +8,123 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sltrack import (RigConfig, TriangulationError, WorldPosition,
-                     depth_resolution, project, triangulate_depth,
-                     triangulate_lateral)
+                     depth_resolution, project, triangulate)
+
+
+def reference_triangulate(rig, u, v, v_b):
+    """The two formulas ``triangulate`` replaced, as they read: depth from
+    the row disparity, then the column offset from ``u0`` scaled out to that
+    depth, then the position."""
+    def depth(v_f, v_b):
+        if v_f == v_b:
+            return rig.z_b
+        denom = rig.d * rig.f + rig.z_b * (v_f - v_b)
+        if denom <= 0:
+            raise TriangulationError(
+                f"non-positive depth denominator {denom:.6g} "
+                f"(disparity {v_f - v_b:.3f} px): reflection behind camera"
+            )
+        return rig.d * rig.f * rig.z_b / denom
+
+    def lateral(u_f, z_f):
+        if not z_f > 0:
+            raise ValueError("z_f: must be > 0")
+        return u_f * z_f / rig.f
+
+    z = depth(v, v_b)
+    return WorldPosition(x=lateral(u - rig.u0, z), z=z)
 
 
 def test_depth_zero_disparity_returns_wall_depth_exactly(rig):
-    assert triangulate_depth(rig, 160.0, 160.0) == 400.0
+    assert triangulate(rig, 160.0, 160.0, 160.0).z == 400.0
     # exactness must not depend on round numbers
     odd = RigConfig(d=37.3, f=411.7, z_b=389.9, width=320, height=240)
-    assert triangulate_depth(odd, 123.456, 123.456) == 389.9
+    assert triangulate(odd, 160.0, 123.456, 123.456).z == 389.9
 
 
 def test_depth_hand_evaluated_case(rig):
     # 40*400*400 / (40*400 + 400*40) = 6_400_000 / 32_000 = 200
-    assert triangulate_depth(rig, 200.0, 160.0) == pytest.approx(200.0, rel=1e-9)
+    assert triangulate(rig, 160.0, 200.0, 160.0).z == pytest.approx(200.0, rel=1e-9)
 
 
 def test_depth_denominator_zero_raises(rig):
     # disparity -40: denominator 16000 + 400*(-40) = 0
+    with pytest.raises(TriangulationError, match="non-positive depth denominator 0 "):
+        triangulate(rig, 160.0, 120.0, 160.0)
     with pytest.raises(TriangulationError):
-        triangulate_depth(rig, 120.0, 160.0)
-    with pytest.raises(TriangulationError):
-        triangulate_depth(rig, 100.0, 160.0)  # negative denominator
+        triangulate(rig, 160.0, 100.0, 160.0)  # negative denominator
 
 
 def test_depth_strictly_decreasing_in_row(rig):
     rows = np.linspace(160.0, 238.0, 300)
-    depths = [triangulate_depth(rig, v, 160.0) for v in rows]
+    depths = [triangulate(rig, 160.0, v, 160.0).z for v in rows]
     assert all(a > b for a, b in zip(depths, depths[1:]))
 
 
 def test_lateral_hand_evaluated_cases(rig):
-    assert triangulate_lateral(rig, 0.0, 250.0) == 0.0
-    # 100 * 200 / 400 = 50
-    assert triangulate_lateral(rig, 100.0, 200.0) == pytest.approx(50.0, rel=1e-9)
-    assert triangulate_lateral(rig, -100.0, 200.0) == pytest.approx(-50.0, rel=1e-9)
+    # row 184: 6_400_000 / (16000 + 400*24) = 250
+    assert triangulate(rig, 160.0, 184.0, 160.0) == WorldPosition(0.0, 250.0)
+    # (260 - 160) * 200 / 400 = 50
+    assert triangulate(rig, 260.0, 200.0, 160.0).x == pytest.approx(50.0, rel=1e-9)
+    assert triangulate(rig, 60.0, 200.0, 160.0).x == pytest.approx(-50.0, rel=1e-9)
 
 
 def test_lateral_linear_and_odd(rig):
     rng = np.random.default_rng(42)
     for _ in range(200):
         u = float(rng.uniform(-160, 160))
-        z = float(rng.uniform(1.0, 400.0))
+        v = float(rng.uniform(160.0, 16_120.0))  # depths from ~1 cm to the wall
         k = float(rng.uniform(-3, 3))
-        base = triangulate_lateral(rig, u, z)
-        assert triangulate_lateral(rig, -u, z) == pytest.approx(-base, abs=1e-12)
-        assert triangulate_lateral(rig, k * u, z) == pytest.approx(k * base, rel=1e-12, abs=1e-12)
+        base = triangulate(rig, rig.u0 + u, v, 160.0).x
+        assert triangulate(rig, rig.u0 - u, v, 160.0).x == pytest.approx(-base, abs=1e-12)
+        assert (triangulate(rig, rig.u0 + k * u, v, 160.0).x
+                == pytest.approx(k * base, rel=1e-12, abs=1e-12))
 
 
-def test_lateral_requires_positive_depth(rig):
-    with pytest.raises(ValueError):
-        triangulate_lateral(rig, 10.0, 0.0)
+@st.composite
+def _rigs(draw) -> RigConfig:
+    """A rig of random baseline, focal length, depth, principal point and
+    sensor, its wall row on the sensor."""
+    d = draw(st.floats(0.5, 100.0))
+    f = draw(st.floats(10.0, 2000.0))
+    z_b = draw(st.floats(50.0, 1000.0))
+    v0 = draw(st.floats(0.0, 500.0))
+    height = int(v0 + d * f / z_b) + draw(st.integers(1, 500))
+    width = draw(st.integers(1, 2**24 // height))
+    u0 = draw(st.floats(0.0, width, exclude_max=True))
+    return RigConfig(d=d, f=f, z_b=z_b, width=width, height=height, u0=u0, v0=v0)
+
+
+def _outcome(fn, *args):
+    try:
+        pos = fn(*args)
+    except TriangulationError as exc:
+        return "TriangulationError", str(exc)
+    except ValueError:
+        return "ValueError"
+    return pos.x.hex(), pos.z.hex()
+
+
+# ints as detect_feet and calibrate give rows, floats as project gives them
+_coordinate = st.one_of(st.integers(-500, 5000), st.floats(-500.0, 5000.0))
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(rig=_rigs(), u=_coordinate, v=_coordinate, v_b=_coordinate,
+       same_row=st.booleans())
+# a denominator of exactly zero: 16000 + 400 * (120 - 160)
+@example(rig=RigConfig(d=40.0, f=400.0, z_b=400.0, width=320, height=240),
+         u=160.0, v=120, v_b=160, same_row=False)
+def test_triangulate_is_the_reference_formulas_to_the_bit(rig, u, v, v_b, same_row):
+    # the CSV's three decimals hide a one-ulp change; this compares every bit
+    if same_row:
+        v = v_b
+    assert _outcome(triangulate, rig, u, v, v_b) == _outcome(
+        reference_triangulate, rig, u, v, v_b)
 
 
 def test_project_back_wall_point_on_axis(rig):
@@ -84,15 +148,14 @@ def test_project_rejects_bad_depth(rig):
 def test_project_triangulate_round_trip_10k(rig):
     # project followed by triangulation is the algebraic identity
     rng = np.random.default_rng(7)
-    v_b = rig.v0 + rig.d * rig.f / rig.z_b
+    v_b = rig.back_wall_row
     for _ in range(10_000):
         z = float(rng.uniform(1.0, rig.z_b))
         x = float(rng.uniform(-500.0, 500.0))
         u, v = project(rig, WorldPosition(x=x, z=z))
-        z_hat = triangulate_depth(rig, v, v_b)
-        x_hat = triangulate_lateral(rig, u - rig.u0, z_hat)
-        assert z_hat == pytest.approx(z, rel=1e-9)
-        assert x_hat == pytest.approx(x, rel=1e-9, abs=1e-9)
+        pos = triangulate(rig, u, v, v_b)
+        assert pos.z == pytest.approx(z, rel=1e-9)
+        assert pos.x == pytest.approx(x, rel=1e-9, abs=1e-9)
 
 
 def test_depth_resolution_hand_evaluated(rig):

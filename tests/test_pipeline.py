@@ -7,12 +7,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sltrack.pipeline
-from sltrack import (Calibration, Detection, PositionEstimate, SceneState,
-                     SmootherConfig, WorldPosition, calibrate,
-                     depth_resolution, evaluate, render, track_frame,
-                     track_stream, triangulate_depth, triangulate_detection)
+from sltrack import (Calibration, Detection, NoiseParams, PositionEstimate,
+                     SceneState, SmootherConfig, TriangulationError,
+                     WorldPosition, calibrate, depth_resolution, evaluate,
+                     render, track_frame, track_stream, triangulate,
+                     triangulate_detection)
 
 CAL = Calibration(v_b=160, width=320, height=240)
 
@@ -73,8 +76,27 @@ def test_corrupt_detection_triangulation_absorbed(rig):
     # v_f above the wall row: depth denominator goes non-positive
     corrupt = Detection(u_f=160.0, v_f=100, run_len=5, mass=50)
     assert triangulate_detection(rig, CAL, corrupt) is None
-    with pytest.raises(Exception):
-        triangulate_depth(rig, 100.0, 160.0)
+    with pytest.raises(TriangulationError):
+        triangulate(rig, 160.0, 100.0, 160.0)
+
+
+# the rig fixtures are frozen values, so one per test serves every example
+@pytest.mark.parametrize("rig_name", ["rig", "full_depth_rig"])
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sigma=st.floats(0.0, 40.0), seed=st.integers(0, 2**32 - 1),
+       user=st.none() | st.builds(WorldPosition, st.floats(-150.0, 150.0),
+                                  st.floats(45.0, 400.0)))
+def test_every_detection_of_a_noisy_frame_has_a_position(
+        request, rig_name, intensity, detect_params, sigma, seed, user):
+    # detect_feet returns rows below the wall row only, where the depth
+    # denominator is positive: triangulation cannot reject its detections
+    rig = request.getfixturevalue(rig_name)
+    cal = Calibration(v_b=160, width=rig.width, height=rig.height)
+    noise = NoiseParams(background_sigma=sigma, background_mean=10.0, seed=seed)
+    frame = render(rig, SceneState(user=user), noise, intensity)
+    est = track_frame(frame, rig, cal, detect_params)
+    assert (est.pos is None) == (est.detection is None)
 
 
 # --- track_stream --------------------------------------------------------------
@@ -287,7 +309,7 @@ def test_noiseless_recovery_across_trackable_workspace(rig, quiet, intensity,
     cal = calibrate(empty)
     rng = np.random.default_rng(2024)
     # nearest depth whose reflection row is scannable (row <= 238)
-    z_near = triangulate_depth(rig, 238.0, 160.0)
+    z_near = triangulate(rig, rig.u0, 238.0, 160.0).z
     n_detected = 0
     for _ in range(1000):
         z = float(rng.uniform(z_near + 1.0, 390.0))

@@ -93,9 +93,8 @@ def test_decode_round_trip_randomized():
         if e.pos is None:
             assert packet == StreamPacket(i, e.timestamp_ms)
         else:
-            assert packet.x_cm is not None
-            assert packet.x_cm == pytest.approx(e.pos.x, abs=5e-4)
-            assert packet.z_cm == pytest.approx(e.pos.z, abs=5e-4)
+            assert packet.pos is not None
+            assert packet.pos == pytest.approx((e.pos.x, e.pos.z), abs=5e-4)
 
 
 def test_decode_rejects_garbage():
@@ -147,7 +146,7 @@ def reference_decode(data: bytes) -> StreamPacket:
             for name, text in ("x", parts[4]), ("z", parts[5]):
                 if not _COORDINATE.fullmatch(text):
                     raise ValueError(f"bad {name} {text!r}")
-            return StreamPacket(seq, ts, float(parts[4]), float(parts[5]))
+            return StreamPacket(seq, ts, (float(parts[4]), float(parts[5])))
         if detected == "0" and len(parts) == 4:
             return StreamPacket(seq, ts)
         raise ValueError("malformed packet")
@@ -243,7 +242,7 @@ def test_packets_carry_positions(receiver):
     streamer.submit(est(1, 50))
     streamer.close()
     packets = drain(receiver, 2)
-    assert packets[0] == StreamPacket(0, 0, 50.0, 200.0)
+    assert packets[0] == StreamPacket(0, 0, (50.0, 200.0))
     assert packets[1] == StreamPacket(1, 50)
 
 
