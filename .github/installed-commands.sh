@@ -4,7 +4,11 @@
 # reference digests pin, and CRLF copies of the CSVs that evaluate reads.
 set -euo pipefail
 
-sltrack bench -c configs/reference.json -n 20
+benched="$(sltrack bench -c configs/reference.json -n 20)"
+echo "$benched"
+# acceptance 4 reads the fps between "->" and "fps" on this one line
+grep -Eqx '20 frames in [0-9]+\.[0-9]{4} s -> ([0-9]+\.[0-9]|inf) fps \(20 detections\)' \
+  <<<"$benched"
 # a fresh interpreter leaves the BLAS thread variables as it found them
 env -u OPENBLAS_NUM_THREADS -u GOTO_NUM_THREADS -u OMP_NUM_THREADS \
   -u OPENBLAS_DEFAULT_NUM_THREADS \

@@ -25,8 +25,8 @@ if "numpy" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREA
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
-from .detect import (Calibration, CalibrationError, DetectParams, Detection,
-                     calibrate, detect_feet)
+from .detect import (Calibration, CalibrationError, DetectParams, calibrate,
+                     detect_feet)
 from .geometry import (RigConfig, TriangulationError, WorldPosition,
                        depth_resolution, project, triangulate)
 from .io import (ConfigError, PgmError, RunConfig, load_config,
@@ -43,7 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Calibration", "CalibrationError", "ConfigError", "DetectParams",
-    "Detection", "Frame", "IntensityModel", "Metrics",
+    "Frame", "IntensityModel", "Metrics",
     "NoiseParams", "PgmError", "PositionEstimate", "PositionStreamer",
     "RigConfig", "RunConfig", "SceneState", "SmootherConfig", "StreamPacket",
     "TrajectorySpec", "TriangulationError", "WorldPosition",

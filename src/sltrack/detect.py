@@ -71,16 +71,6 @@ class DetectParams:
             raise ValueError("min_run: must be >= 1")
 
 
-@dataclass(frozen=True)
-class Detection:
-    """Image-plane localization of the feet reflection."""
-
-    u_f: float  # intensity-weighted centroid column (raw, not offset by u0)
-    v_f: int    # row of the selected run
-    run_len: int
-    mass: int  # summed gray-levels over the run
-
-
 def calibrate(frame: Frame) -> Calibration:
     """Locate the wall line row in an empty-scene frame.
 
@@ -191,17 +181,18 @@ def _edge_mask(frame: Frame, ws: _Workspace) -> np.ndarray:
     return ws.mask
 
 
-def detect_feet(frame: Frame, cal: Calibration, p: DetectParams) -> Detection | None:
+def detect_feet(frame: Frame, cal: Calibration,
+                p: DetectParams) -> tuple[float, int] | None:
     """Find the feet reflection below the wall line, if any.
 
     Scans every row strictly between v_b and the last row, collects
     contiguous runs of edge-test pixels at least min_run long, and keeps
     the longest (ties: the lower row in the image, i.e. the larger v, then
-    the leftmost start). Returns the run's intensity-weighted column
-    centroid and its row, or None -- an empty room is a value, not an
-    error. The edge test reads only rows v_b..height-1, so the frame may
-    start at any ``top`` up to v_b; one starting below v_b raises
-    ``ValueError``.
+    the leftmost start). Returns the run's image point ``(u_f, v_f)``: its
+    intensity-weighted column centroid (a raw column, not offset by u0) and
+    its row; or None -- an empty room is a value, not an error. The edge
+    test reads only rows v_b..height-1, so the frame may start at any
+    ``top`` up to v_b; one starting below v_b raises ``ValueError``.
     """
     if (cal.width, cal.height) != (frame.width, frame.height):
         raise ValueError(
@@ -242,9 +233,9 @@ def detect_feet(frame: Frame, cal: Calibration, p: DetectParams) -> Detection | 
     row, start = divmod(first, stride)
     v = ws.first_row + row
     weights = frame.pixels[v - frame.top, start:start + length].tolist()
-    # a run pixel has P > (P_up + P_down)/2 + thr >= 0, so P >= 1 and mass >= run_len.
+    # a run pixel has P > (P_up + P_down)/2 + thr >= 0, so P >= 1 and mass >= length.
     # The sums are exact Python ints at any rig size, and the one division
     # rounds the centroid once.
     mass = sum(weights)
     moment = sum(map(operator.mul, weights, range(start, start + length)))
-    return Detection(u_f=moment / mass, v_f=v, run_len=length, mass=mass)
+    return moment / mass, v

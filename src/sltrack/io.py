@@ -552,11 +552,9 @@ def write_estimates_csv(estimates: Sequence[PositionEstimate],
                 raise ValueError(f"frame {i}: a position without "
                                  "a detection has no u_f, v_f to write")
             else:
-                fh.write(
-                    f"{i},{est.timestamp_ms},1,"
-                    f"{est.detection.u_f:.3f},{est.detection.v_f},"
-                    f"{est.pos.x:.3f},{est.pos.z:.3f}\n"
-                )
+                u_f, v_f = est.detection
+                fh.write(f"{i},{est.timestamp_ms},1,{u_f:.3f},{v_f},"
+                         f"{est.pos.x:.3f},{est.pos.z:.3f}\n")
 
 
 def _csv_float(text: str, name: str = "") -> float:

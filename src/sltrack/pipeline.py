@@ -8,7 +8,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .detect import Calibration, DetectParams, Detection, detect_feet
+from .detect import Calibration, DetectParams, detect_feet
 from .geometry import (RigConfig, TriangulationError, WorldPosition,
                        triangulate)
 from .synth import Frame, SceneState
@@ -22,13 +22,14 @@ class PositionEstimate:
     ``pos`` exactly when it has a ``detection``: every row
     :func:`~sltrack.detect.detect_feet` returns lies at least one row below
     the wall row, so its depth denominator is at least ``d*f + z_b > 0`` and
-    triangulation never rejects it.
+    triangulation never rejects it. ``detection`` is the chosen run's
+    ``(u_f, v_f)`` image point.
     """
 
     frame_index: int
     timestamp_ms: int
     pos: WorldPosition | None = None
-    detection: Detection | None = None
+    detection: tuple[float, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -62,17 +63,18 @@ class Metrics:
 
 
 def triangulate_detection(
-    rig: RigConfig, cal: Calibration, det: Detection
+    rig: RigConfig, cal: Calibration, det: tuple[float, int]
 ) -> WorldPosition | None:
-    """Detection -> floor position against the calibrated wall row.
+    """A detected ``(u_f, v_f)`` image point -> floor position against the
+    calibrated wall row.
 
-    None only for a caller-built ``Detection`` at or above row
+    None only for a caller-built point at or above row
     ``v_b - d*f/z_b``, where the depth denominator is not positive: the
     impossible-depth case is absorbed into "no position" rather than
     raised. :func:`~sltrack.detect.detect_feet` returns no such row.
     """
     try:
-        return triangulate(rig, det.u_f, det.v_f, cal.v_b)
+        return triangulate(rig, *det, cal.v_b)
     except TriangulationError:
         return None
 

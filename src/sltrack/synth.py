@@ -95,10 +95,10 @@ class IntensityModel:
 
 
 def intensity_at(im: IntensityModel, z: float) -> float:
-    """Expected reflection intensity at depth z, clamped to [0, 255]."""
+    """Expected reflection intensity at depth z, capped at 255."""
     if not z > 0:
         raise ValueError("z: must be > 0")
-    return min(max(im.i_ref * (im.z_ref / z) ** 2, 0.0), 255.0)
+    return min(im.i_ref * (im.z_ref / z) ** 2, 255.0)
 
 
 def _run_columns(center_u: float, width_px: float, frame_width: int) -> slice:

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE_CONFIG, edge_test
-from sltrack import (Calibration, DetectParams, Detection, Frame, NoiseParams,
+from sltrack import (Calibration, DetectParams, Frame, NoiseParams,
                      PositionEstimate, SceneState, TrajectorySpec, WorldPosition,
                      calibrate, depth_resolution, encode, evaluate,
                      read_estimates_csv, read_pgm, render, render_trajectory,
@@ -296,10 +296,8 @@ def test_acceptance_7_degenerates_yield_no_estimate(rig, intensity, detect_param
     # row 120, where the depth denominator is exactly zero) makes the
     # denominator negative, a reflection behind the camera; both must
     # absorb into "no position"
-    corrupt = triangulate_detection(
-        rig, cal, Detection(u_f=160.0, v_f=100, run_len=5, mass=100))
-    zero_denominator = triangulate_detection(
-        rig, cal, Detection(u_f=160.0, v_f=120, run_len=5, mass=100))
+    corrupt = triangulate_detection(rig, cal, (160.0, 100))
+    zero_denominator = triangulate_detection(rig, cal, (160.0, 120))
     ok = (len(estimates) == len(frames) and all_absent
           and corrupt is None and zero_denominator is None)
     report(7, "degenerate inputs yield no estimate, stream survives", ok,
@@ -339,9 +337,8 @@ def test_acceptance_8_golden_formats_and_round_trips(tmp_path):
                 i, 50 * i,
                 WorldPosition(round(float(rng.uniform(-150, 150)), 3),
                               round(float(rng.uniform(1, 400)), 3)),
-                Detection(u_f=round(float(rng.uniform(0, 319)), 3),
-                          v_f=int(rng.integers(161, 239)), run_len=5,
-                          mass=100)))
+                (round(float(rng.uniform(0, 319)), 3),
+                 int(rng.integers(161, 239)))))
     csv = str(tmp_path / "estimates.csv")
     write_estimates_csv(estimates, csv)
     rows = read_estimates_csv(csv)
@@ -352,8 +349,8 @@ def test_acceptance_8_golden_formats_and_round_trips(tmp_path):
         and (est.pos is None
              or (abs(row.pos.x - est.pos.x) < 5e-4
                  and abs(row.pos.z - est.pos.z) < 5e-4
-                 and abs(row.u_f - est.detection.u_f) < 5e-4
-                 and row.v_f == est.detection.v_f)))
+                 and abs(row.u_f - est.detection[0]) < 5e-4
+                 and row.v_f == est.detection[1])))
 
     ok = pgm_ok and slt_ok and pgm_rt == 1000 and csv_rt == 1000
     report(8, "golden bytes and lossless round-trips", ok,

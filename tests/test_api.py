@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import ast
+import types
 from pathlib import Path
 
 import sltrack
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sltrack"
+
+
+def test_all_lists_exactly_the_public_names_bound_on_the_package():
+    # a stale entry fails the star import; a stale import widens the API unlisted
+    assert [name for name in sltrack.__all__ if not hasattr(sltrack, name)] == []
+    assert len(set(sltrack.__all__)) == len(sltrack.__all__)
+    bound = {name for name, value in vars(sltrack).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert bound == set(sltrack.__all__)
 
 
 def test_every_public_name_has_its_own_docstring():

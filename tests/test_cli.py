@@ -916,12 +916,11 @@ def test_evaluate_identical_files_rms_zero(tmp_path, capsys):
 def test_evaluate_six_eight_offset_rms_10(tmp_path, capsys):
     from sltrack import (PositionEstimate, SceneState, WorldPosition,
                          write_estimates_csv, write_truth_csv)
-    from sltrack.detect import Detection
 
     truth = [SceneState(user=WorldPosition(0.0, 200.0), timestamp_ms=50 * i)
              for i in range(5)]
     ests = [PositionEstimate(i, 50 * i, WorldPosition(6.0, 208.0),
-                             Detection(160.0, 200, 10, 100.0))
+                             (160.0, 200))
             for i in range(5)]
     est_csv, truth_csv = tmp_path / "e.csv", tmp_path / "t.csv"
     write_estimates_csv(ests, str(est_csv))
@@ -933,12 +932,11 @@ def test_evaluate_six_eight_offset_rms_10(tmp_path, capsys):
 
 def test_evaluate_prints_and_writes_each_metric_once(tmp_path, capsys):
     from sltrack import SceneState, WorldPosition, write_truth_csv
-    from sltrack.detect import Detection
 
     truth = [SceneState(user=WorldPosition(0.0, 200.0), timestamp_ms=50 * i)
              for i in range(4)]
     ests = [PositionEstimate(i, 50 * i, WorldPosition(6.0, 208.0),
-                             Detection(160.0, 200, 10, 100.0)) for i in range(3)]
+                             (160.0, 200)) for i in range(3)]
     ests.append(PositionEstimate(3, 150))
     est_csv, truth_csv = tmp_path / "e.csv", tmp_path / "t.csv"
     write_estimates_csv(ests, str(est_csv))
@@ -1104,13 +1102,12 @@ def test_bench_zero_frames_usage_error(ref_config):
 
 def test_a_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
     from sltrack import SceneState, WorldPosition, write_truth_csv
-    from sltrack.detect import Detection
 
     truth = [SceneState(user=WorldPosition(0.0, 200.0), timestamp_ms=50 * i)
              for i in range(3)]
     ests = [PositionEstimate(0, 0), *(
         PositionEstimate(i, 50 * i, WorldPosition(3.0 * i, 204.0),
-                         Detection(160.0, 200, 10, 100.0)) for i in (1, 2))]
+                         (160.0, 200)) for i in (1, 2))]
     est_csv, truth_csv = tmp_path / "e.csv", tmp_path / "t.csv"
     write_estimates_csv(ests, str(est_csv))
     write_truth_csv(truth, str(truth_csv))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 import threading
@@ -14,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_CONFIG, ath, edge_test, file_of
-from sltrack import (Calibration, CalibrationError, DetectParams, Detection,
-                     Frame, NoiseParams, SceneState, calibrate, detect_feet,
+from sltrack import (Calibration, CalibrationError, DetectParams, Frame,
+                     NoiseParams, SceneState, calibrate, detect_feet,
                      load_config, read_pgm, render, render_trajectory, write_pgm)
 from sltrack.detect import _edge_mask, _workspace
 from sltrack.io import iter_pgm_dir
@@ -220,12 +221,9 @@ def test_edge_test_refuses_a_row_not_read(detect_params):
 # --- run localization ----------------------------------------------------------
 
 def test_detect_uniform_run_centroid_is_midpoint(detect_params):
-    det = detect_feet(frame_with_run(200, 150, 20), CAL, detect_params)
-    assert det is not None
-    assert det.u_f == pytest.approx(159.5)  # (150 + 169) / 2
-    assert det.v_f == 200
-    assert det.run_len == 20
-    assert det.mass == 20 * 200 and type(det.mass) is int
+    u_f, v_f = detect_feet(frame_with_run(200, 150, 20), CAL, detect_params)
+    assert u_f == 159.5 and type(u_f) is float  # (150 + 169) / 2, all 20 columns
+    assert v_f == 200 and type(v_f) is int
 
 
 def test_detect_empty_scene_returns_none(rig, quiet, intensity, detect_params):
@@ -240,22 +238,21 @@ def test_detect_uniform_frame_returns_none(detect_params):
 def test_detect_two_runs_picks_longest(detect_params):
     frame = frame_with_run(200, 50, 20)
     frame.pixels[200, 150:162] = 200  # second, shorter run on the same row
-    det = detect_feet(frame, CAL, detect_params)
-    assert det.run_len == 20
-    assert det.u_f == pytest.approx((50 + 69) / 2)
+    # the 12-pixel run would center at 155.5
+    assert detect_feet(frame, CAL, detect_params) == ((50 + 69) / 2, 200)
 
 
 def test_detect_tie_breaks_lower_row_then_left_start(detect_params):
     frame = frame_with_run(200, 50, 15)
     frame.pixels[210, 80:95] = 200  # same length, lower row wins
-    det = detect_feet(frame, CAL, detect_params)
-    assert (det.v_f, det.run_len) == (210, 15)
+    u_f, v_f = detect_feet(frame, CAL, detect_params)
+    assert (v_f, u_f) == (210, 87.0)  # (80 + 94) / 2
 
     frame2 = frame_with_run(200, 100, 15)
     frame2.pixels[200, 30:45] = 200  # same row, same length: leftmost wins
     frame2.pixels[200, 200:215] = 200
-    det2 = detect_feet(frame2, CAL, detect_params)
-    assert det2.u_f == pytest.approx((30 + 44) / 2)
+    u_f, _ = detect_feet(frame2, CAL, detect_params)
+    assert u_f == pytest.approx((30 + 44) / 2)
 
 
 def test_detect_discards_runs_shorter_than_min_run(detect_params):
@@ -266,18 +263,18 @@ def test_detect_discards_runs_shorter_than_min_run(detect_params):
 def test_detect_weighted_centroid_follows_mass(detect_params):
     frame = blank_frame()
     frame.pixels[200, 100:104] = (100, 100, 100, 200)
-    det = detect_feet(frame, CAL, detect_params)
+    u_f, _ = detect_feet(frame, CAL, detect_params)
     expected = (100 * 100 + 101 * 100 + 102 * 100 + 103 * 200) / 500
-    assert det.u_f == pytest.approx(expected)
+    assert u_f == pytest.approx(expected)
 
 
 def test_detect_translation_covariance(detect_params):
-    base = detect_feet(frame_with_run(200, 100, 21), CAL, detect_params)
+    base_u, base_v = detect_feet(frame_with_run(200, 100, 21), CAL, detect_params)
     for k in (1, 7, 38):  # row 238 is the last scannable row
-        shifted = detect_feet(frame_with_run(200, 100 + k, 21), CAL, detect_params)
-        assert shifted.u_f == pytest.approx(base.u_f + k, abs=1e-9)
-        down = detect_feet(frame_with_run(200 + k, 100, 21), CAL, detect_params)
-        assert down.v_f == base.v_f + k
+        u_f, _ = detect_feet(frame_with_run(200, 100 + k, 21), CAL, detect_params)
+        assert u_f == pytest.approx(base_u + k, abs=1e-9)
+        _, v_f = detect_feet(frame_with_run(200 + k, 100, 21), CAL, detect_params)
+        assert v_f == base_v + k
 
 
 def test_detect_threshold_monotonicity(detect_params):
@@ -301,10 +298,10 @@ def test_detect_threshold_monotonicity(detect_params):
 
 
 def test_detect_run_touching_column_borders_is_still_localized(detect_params):
-    det = detect_feet(frame_with_run(200, 0, 10), CAL, detect_params)
-    assert det.u_f == pytest.approx(4.5)
-    det = detect_feet(frame_with_run(200, 310, 10), CAL, detect_params)
-    assert det.u_f == pytest.approx(314.5)
+    u_f, _ = detect_feet(frame_with_run(200, 0, 10), CAL, detect_params)
+    assert u_f == pytest.approx(4.5)
+    u_f, _ = detect_feet(frame_with_run(200, 310, 10), CAL, detect_params)
+    assert u_f == pytest.approx(314.5)
 
 
 def uneven_levels(length):
@@ -329,7 +326,10 @@ def test_centroid_at_the_extremes_equals_the_reference(width, height, row, start
     frame.pixels[row, start:start + length] = 255 if full else uneven_levels(length)
     cal = Calibration(v_b=160 if height == 240 else 2, width=width, height=height)
     det = detect_feet(frame, cal, DetectParams())
-    assert (det.v_f, det.run_len) == (row, length)
+    # the whole run, divided once from its exact integer sums
+    weights = frame.pixels[row, start:start + length].tolist()
+    moment = sum(w * u for w, u in zip(weights, range(start, start + length)))
+    assert det == (moment / sum(weights), row)
     assert det == reference_detect_feet(frame, cal, DetectParams())
 
 
@@ -340,11 +340,11 @@ def test_detect_runs_on_neighbor_rows_do_not_join_across_the_row_end(detect_para
     # the pads stay zero from frame to frame
     stripes = blank_frame()
     stripes.pixels[1::2] = 255
-    assert detect_feet(stripes, CAL, detect_params).run_len == 320
+    assert detect_feet(stripes, CAL, detect_params) == (159.5, 237)  # full width
     frame = frame_with_run(200, 312, 8)
     frame.pixels[201, 0:7] = 200
     det = detect_feet(frame, CAL, detect_params)
-    assert (det.v_f, det.run_len, det.u_f) == (200, 8, pytest.approx(315.5))
+    assert det == (315.5, 200)  # (312 + 319) / 2: the 8 pixels to the row end
     assert det == reference_detect_feet(frame, CAL, detect_params)
 
 
@@ -364,7 +364,7 @@ def test_detect_under_interleaved_calibrations_and_params():
                 det = detect_feet(frame, cal, p)
                 assert det == reference_detect_feet(frame, cal, p), (cal, p)
                 found.add(det)
-    assert {det.v_f for det in found} == {200, 210, 220, 230}
+    assert {v_f for _, v_f in found} == {200, 210, 220, 230}
 
 
 def test_threads_detect_at_once_with_their_own_calibration_and_params():
@@ -464,7 +464,7 @@ def reference_detect_feet(frame, cal, p):
     response = px[lo:hi] - (px[lo - 1:hi - 1] + px[lo + 1:hi + 1]) / 2.0
     mask = response - thresholds[:, None] > 0.0
 
-    best = None  # (run_len, v, start)
+    best = None  # (length, v, start)
     for i, v in enumerate(rows):
         for start, end in _row_runs(mask[i]):
             length = int(end - start)
@@ -479,8 +479,7 @@ def reference_detect_feet(frame, cal, p):
     cols = np.arange(start, start + length)
     weights = px[v, cols]
     mass = int(weights.sum())
-    u_f = float((cols * weights).sum() / mass)
-    return Detection(u_f=u_f, v_f=v, run_len=length, mass=mass)
+    return float((cols * weights).sum() / mass), v
 
 
 @st.composite
@@ -507,13 +506,13 @@ def _frame_cal_params(draw):
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(_frame_cal_params())
-def test_detection_mass_is_at_least_its_run_length(case):
+def test_detection_lies_in_the_scan_band(case):
     frame, cal, params = case
     det = detect_feet(frame, cal, params)
     if det is not None:
-        assert cal.v_b < det.v_f < frame.height - 1
-        assert det.run_len >= params.min_run
-        assert det.mass >= det.run_len
+        u_f, v_f = det
+        assert cal.v_b < v_f < frame.height - 1
+        assert math.isfinite(u_f) and 0 <= u_f <= frame.width - 1
 
 
 @settings(max_examples=300, deadline=None, database=None)

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sltrack
-from sltrack import (ConfigError, Detection, Frame, PgmError, PositionEstimate,
+from sltrack import (ConfigError, Frame, PgmError, PositionEstimate,
                      SceneState, WorldPosition, load_config,
                      read_estimates_csv, read_pgm, read_truth_csv,
                      write_estimates_csv, write_pgm, write_truth_csv)
@@ -1248,12 +1248,10 @@ def test_trajectory_leaving_the_workspace_fails_at_materialize():
 # --- CSV -----------------------------------------------------------------------
 
 def make_estimates():
-    det = Detection(u_f=180.25, v_f=200, run_len=12, mass=2400)
     return [
-        PositionEstimate(0, 0, WorldPosition(50.0, 200.0), det),
+        PositionEstimate(0, 0, WorldPosition(50.0, 200.0), (180.25, 200)),
         PositionEstimate(1, 50, None, None),
-        PositionEstimate(2, 100, WorldPosition(-12.3456, 333.333),
-                         Detection(u_f=145.5, v_f=170, run_len=30, mass=900)),
+        PositionEstimate(2, 100, WorldPosition(-12.3456, 333.333), (145.5, 170)),
     ]
 
 
@@ -1303,9 +1301,7 @@ def test_estimates_csv_round_trip_1000_random(tmp_path):
             z = float(np.round(rng.uniform(1, 400), 3))
             u = float(np.round(rng.uniform(0, 319), 3))
             v = int(rng.integers(161, 239))
-            estimates.append(PositionEstimate(
-                i, 50 * i, WorldPosition(x, z),
-                Detection(u_f=u, v_f=v, run_len=5, mass=100)))
+            estimates.append(PositionEstimate(i, 50 * i, WorldPosition(x, z), (u, v)))
     path = str(tmp_path / "estimates.csv")
     write_estimates_csv(estimates, path)
     rows = read_estimates_csv(path)
@@ -1318,8 +1314,8 @@ def test_estimates_csv_round_trip_1000_random(tmp_path):
             assert row.pos is not None
             assert row.pos.x == pytest.approx(est.pos.x, abs=5e-4)
             assert row.pos.z == pytest.approx(est.pos.z, abs=5e-4)
-            assert row.u_f == pytest.approx(est.detection.u_f, abs=5e-4)
-            assert row.v_f == est.detection.v_f
+            assert row.u_f == pytest.approx(est.detection[0], abs=5e-4)
+            assert row.v_f == est.detection[1]
 
 
 def truth_states():

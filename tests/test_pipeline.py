@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sltrack.pipeline
-from sltrack import (Calibration, Detection, NoiseParams, PositionEstimate,
+from sltrack import (Calibration, NoiseParams, PositionEstimate,
                      SceneState, SmootherConfig, TriangulationError,
                      WorldPosition, calibrate, depth_resolution, evaluate,
                      render, track_frame, track_stream, triangulate,
@@ -27,7 +27,7 @@ def noiseless_frame(rig, quiet, intensity, x, z, index=0, t=0):
 
 def estimate(i, t, x=None, z=None):
     pos = WorldPosition(x, z) if x is not None else None
-    det = Detection(u_f=160.0, v_f=200, run_len=10, mass=100) if pos else None
+    det = (160.0, 200) if pos else None
     return PositionEstimate(frame_index=i, timestamp_ms=t, pos=pos, detection=det)
 
 
@@ -74,7 +74,7 @@ def test_dimension_mismatch_is_configuration_error(rig, detect_params):
 
 def test_corrupt_detection_triangulation_absorbed(rig):
     # v_f above the wall row: depth denominator goes non-positive
-    corrupt = Detection(u_f=160.0, v_f=100, run_len=5, mass=50)
+    corrupt = (160.0, 100)
     assert triangulate_detection(rig, CAL, corrupt) is None
     with pytest.raises(TriangulationError):
         triangulate(rig, 160.0, 100.0, 160.0)

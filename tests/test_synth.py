@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sltrack import (Frame, IntensityModel, NoiseParams, RigConfig, SceneState,
-                     TrajectorySpec, WorldPosition, intensity_at, project, render)
+                     TrajectorySpec, WorldPosition, depth_resolution, intensity_at,
+                     project, render)
 from sltrack.synth import frame_timestamp_ms
 
 
@@ -83,7 +84,7 @@ def test_intensity_at_reference_depth(intensity):
 
 def test_intensity_inverse_square_hand_cases(intensity):
     assert intensity_at(intensity, 200.0) == 240.0   # 60 * (400/200)^2
-    assert intensity_at(intensity, 100.0) == 255.0   # 60 * 16 = 960, clamped
+    assert intensity_at(intensity, 100.0) == 255.0   # 60 * 16 = 960, capped
 
 
 def test_intensity_monotone_non_increasing(intensity):
@@ -345,3 +346,26 @@ def test_trajectory_input_validation():
         trajectory("moonwalk", 10.0, 1.0)
     with pytest.raises(ValueError):
         trajectory("stationary", 0.0, 1.0, position=(0, 200))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda rig: RigConfig(d=40.0, f=400.0, z_b=400.0, width=320, height=240,
+                           v0=240.0), r"v0: must lie in \[0, height\)"),
+    (lambda rig: depth_resolution(rig, 0.0), r"z: must lie in \(0, z_b\]"),
+    (lambda rig: depth_resolution(rig, rig.z_b + 1.0), r"z: must lie in \(0, z_b\]"),
+    (lambda rig: SceneState(user=None, foot_width=0.0), "foot_width: must be > 0"),
+    (lambda rig: NoiseParams(background_sigma=-1.0), "background_sigma: must be >= 0"),
+    (lambda rig: NoiseParams(background_mean=256.0),
+     r"background_mean: must lie in \[0, 255\]"),
+    (lambda rig: IntensityModel(i_ref=0.0), r"i_ref: must lie in \(0, 255\]"),
+    (lambda rig: IntensityModel(i_ref=256.0), r"i_ref: must lie in \(0, 255\]"),
+    (lambda rig: intensity_at(IntensityModel(), 0.0), "z: must be > 0"),
+    # each field is finite; only the frame count is not
+    (lambda rig: trajectory("stationary", 10.0, 1e308, position=(0.0, 200.0)),
+     "duration_s: must give a finite frame count"),
+], ids=["rig-v0-past-the-height", "depth-resolution-z-0", "depth-resolution-past-z_b",
+        "foot-width-0", "negative-sigma", "mean-past-255", "i_ref-0", "i_ref-past-255",
+        "intensity-at-z-0", "infinite-frame-count"])
+def test_out_of_range_values_are_refused_by_field_name(rig, build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(rig)
