@@ -21,6 +21,16 @@ sltrack simulate -c reference.json -o frames/
 # the bytes test_simulate_reference_digest pins: the frames in name order, then truth.csv
 test "$(cat frames/*.pgm frames/truth.csv | sha256sum)" = \
   "d98f13deded8a60ba1cc5e5eeeb00c904f51b011895ad517627d2b1954cba953  -"
+# frame 0 holds the user, whose near foot outshines the wall line: calibrate
+# refuses it as a usage error, with one line on stderr and none on stdout
+status=0
+refused="$(sltrack calibrate -c reference.json frames/000000.pgm 2>refused.err)" \
+  || status=$?
+test "$status" -eq 2
+test -z "$refused"
+test "$(wc -l <refused.err)" -eq 1
+grep -Eqx 'error: no wall line: brightest row 22[4-7] is lit across 0\.2[0-9]{2} of its width, want at least 0\.5 \(is the scene empty\?\)' \
+  refused.err
 python -c "
 from sltrack import SceneState, load_config, render, write_pgm
 cfg = load_config('reference.json')

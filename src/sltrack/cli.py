@@ -18,7 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import io as slio
-from .detect import Calibration, CalibrationError, calibrate
+from .detect import Calibration, calibrate
 from .geometry import RigConfig
 from .pipeline import evaluate, track_stream
 from .stream import PositionStreamer, resolve_endpoint
@@ -220,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CalibrationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except FileNotFoundError as exc:

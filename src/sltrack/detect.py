@@ -20,8 +20,8 @@ from .geometry import require_ints
 from .synth import Frame
 
 
-class CalibrationError(RuntimeError):
-    """No usable wall line in the calibration frame."""
+class CalibrationError(ValueError):
+    """No usable wall line in the calibration frame, or one on a border row."""
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,8 @@ class Calibration:
     def __post_init__(self) -> None:
         require_ints(self, "v_b", "width", "height")
         if not 0 < self.v_b < self.height - 1:
-            raise ValueError("v_b: must leave room for row neighbors above and below")
+            raise CalibrationError(f"v_b: wall row {self.v_b} must lie in "
+                                   f"[1, {self.height - 2}], with a row above and below")
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,9 @@ def calibrate(frame: Frame) -> Calibration:
     exceed the mean row-sum by more than 3 sigma * width, with sigma the
     pixel std-dev of the whole frame. Fails when the row is lit across less
     than half its width (pixels above the frame's mean + 3 sigma), as a foot
-    near the camera is, which can outshine the wall line. The winning row
-    must leave room for the edge test's vertical neighbors. The frame must
-    be whole: one read from a row ``top > 0`` raises ``ValueError``.
+    near the camera is, which can outshine the wall line. ``Calibration``
+    refuses a winning row on the border. The frame must be whole: one read
+    from a row ``top > 0`` raises ``ValueError``.
     """
     if frame.top:
         raise ValueError(f"calibrate needs a whole frame, got rows {frame.top}.. only")
@@ -96,8 +97,6 @@ def calibrate(frame: Frame) -> Calibration:
         raise CalibrationError(
             f"no wall line: brightest row {v_b} is lit across {coverage:.3f} of "
             f"its width, want at least 0.5 (is the scene empty?)")
-    if not 0 < v_b < frame.height - 1:
-        raise CalibrationError(f"wall line at border row {v_b} leaves no scan domain")
     return Calibration(v_b=v_b, width=frame.width, height=frame.height)
 
 
@@ -202,15 +201,13 @@ def detect_feet(frame: Frame, cal: Calibration,
     if frame.top > cal.v_b:
         raise ValueError(f"frame {frame.index} starts at row {frame.top}, "
                          f"below the wall row {cal.v_b} the edge test reads")
-    if p.min_run > frame.width:  # no run fits in a row; min_run may be huge
-        return None
     ws = _workspace(cal, p)
     _edge_mask(frame, ws)
     # Erode the flattened mask: position i stays true iff all min_run pixels
     # from i are edges. A run of at least min_run keeps its start and loses
     # min_run - 1 pixels; a shorter one, most of the noise, vanishes. A window
-    # across a row end holds false padding, and the shifts double, so this
-    # takes O(log min_run) passes.
+    # across a row end holds false padding, so a min_run past the width leaves
+    # nothing, and the shifts double, so this takes O(log min_run) passes.
     for left, right, out in ws.erosion:
         np.logical_and(left, right, out=out)
     # the eroded mask still begins and ends with padding, so its changes

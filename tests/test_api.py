@@ -42,3 +42,13 @@ def test_only_geometry_reads_the_principal_point():
         if isinstance(node, ast.Attribute) and node.attr in ("u0", "v0")
     ]
     assert reads == []
+
+
+def test_every_exception_sltrack_defines_is_a_value_error():
+    # one family for "this input is refused": the CLI maps it to exit 2
+    public = {name: getattr(sltrack, name) for name in sltrack.__all__}
+    errors = {name: cls for name, cls in public.items()
+              if isinstance(cls, type) and issubclass(cls, BaseException)}
+    assert sorted(errors) == ["CalibrationError", "ConfigError", "PgmError",
+                              "TriangulationError"]
+    assert [name for name, cls in errors.items() if not issubclass(cls, ValueError)] == []

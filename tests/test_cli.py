@@ -24,7 +24,7 @@ from conftest import REFERENCE_CONFIG
 import sltrack
 from sltrack import (PositionEstimate, decode, read_estimates_csv,
                      write_estimates_csv)
-from sltrack.cli import entrypoint, main
+from sltrack.cli import _usable_cpus, entrypoint, main
 
 
 @pytest.fixture
@@ -507,14 +507,18 @@ def test_track_empty_scene_all_undetected(tmp_path):
     assert not any(r.pos is not None for r in rows)
 
 
-def test_track_mismatched_calibration_exit_2(tmp_path):
+def test_track_mismatched_calibration_exit_2(tmp_path, capsys):
     cfg = stationary_config(tmp_path)
     out_dir = tmp_path / "frames"
     assert main(["simulate", "-c", cfg, "-o", str(out_dir)]) == 0
     cal = tmp_path / "cal.txt"
     cal.write_text("v_b=239\n", encoding="utf-8")  # no room below
+    capsys.readouterr()
     assert main(["track", "-c", cfg, "--calibration", str(cal), str(out_dir),
                  "-o", str(tmp_path / "est.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: calibration file {cal}: v_b: wall row 239 must lie in [1, 238], "
+        "with a row above and below\n")
 
 
 def test_track_with_live_stream(tmp_path):
@@ -900,6 +904,55 @@ def test_a_directory_given_for_a_file_exit_2_naming_it(tmp_path, capsys, command
     }[command]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: is a directory: {folder}\n"
+
+
+@pytest.mark.parametrize("exc,code,err", [
+    *[(cls("refused"), 2, "error: refused\n")
+      for cls in (sltrack.CalibrationError, sltrack.ConfigError,
+                  sltrack.TriangulationError, ValueError)],
+    (sltrack.PgmError("refused", 7, "in.csv"), 2,
+     "error: in.csv: refused (byte offset 7)\n"),
+    (FileNotFoundError(errno.ENOENT, "No such file or directory", "in.csv"), 2,
+     "error: no such file: in.csv\n"),
+    (IsADirectoryError(errno.EISDIR, "Is a directory", "in.csv"), 2,
+     "error: is a directory: in.csv\n"),
+    (PermissionError(errno.EACCES, "Permission denied", "in.csv"), 1,
+     "error: [Errno 13] Permission denied: 'in.csv'\n"),
+    (OSError(errno.EIO, "Input/output error"), 1,
+     "error: [Errno 5] Input/output error\n"),
+], ids=["CalibrationError", "ConfigError", "TriangulationError", "ValueError",
+        "PgmError", "FileNotFoundError", "IsADirectoryError", "PermissionError",
+        "OSError"])
+def test_each_error_class_exits_with_its_code_and_one_line(monkeypatch, capsys,
+                                                           exc, code, err):
+    # a refusal of the input (a ValueError) and a missing or misnamed path are
+    # usage errors; any other OSError is a runtime fault
+    def failing_read(path):
+        raise exc
+
+    monkeypatch.setattr(sltrack.io, "read_estimates_csv", failing_read)
+    assert main(["evaluate", "est.csv", "truth.csv"]) == code
+    assert capsys.readouterr() == ("", err)
+
+
+def test_an_error_of_no_known_class_propagates(monkeypatch):
+    # a bug is not a usage error or a runtime fault: it keeps its traceback
+    def failing_read(path):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(sltrack.io, "read_estimates_csv", failing_read)
+    with pytest.raises(RuntimeError, match="^bug$"):
+        main(["evaluate", "est.csv", "truth.csv"])
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    # sched_getaffinity is missing on macOS and Windows, and cpu_count may
+    # not know
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _usable_cpus() == 1
 
 
 def test_evaluate_identical_files_rms_zero(tmp_path, capsys):

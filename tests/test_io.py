@@ -1237,6 +1237,14 @@ def test_config_without_enabled_smooths_iff_alpha_below_1(alpha):
     assert load_from_dict(cfg).smoother.enabled is (alpha < 1)
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_config_reads_enabled_as_the_boolean_it_holds(enabled):
+    # both perfbench configs set it
+    cfg = base_config("stroll")
+    cfg["smoother"] = {"alpha": 0.3, "enabled": enabled}
+    assert load_from_dict(cfg).smoother.enabled is enabled
+
+
 def test_trajectory_leaving_the_workspace_fails_at_materialize():
     cfg = base_config("stroll")
     cfg["trajectory"]["b"] = [0.0, 500.0]  # beyond the 400 cm back wall

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from types import SimpleNamespace
 
@@ -11,11 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sltrack.pipeline
+from conftest import REFERENCE_CONFIG, file_of
 from sltrack import (Calibration, NoiseParams, PositionEstimate,
                      SceneState, SmootherConfig, TriangulationError,
                      WorldPosition, calibrate, depth_resolution, evaluate,
-                     render, track_frame, track_stream, triangulate,
-                     triangulate_detection)
+                     load_config, render, render_trajectory, track_frame,
+                     track_stream, triangulate, triangulate_detection)
 
 CAL = Calibration(v_b=160, width=320, height=240)
 
@@ -163,6 +165,26 @@ def test_smoother_left_unset_is_on_iff_alpha_below_1(rig, detect_params,
     assert smoothed == stream(SmootherConfig(alpha=0.3, enabled=True))
     assert [e.pos.z for e in smoothed][:2] == [200.0, 0.3 * 210.0 + 0.7 * 200.0]
     assert stream(SmootherConfig(alpha=0.3, enabled=False)) == ests
+
+
+def test_a_config_with_smoothing_disabled_tracks_as_alpha_1(tmp_path):
+    # perfbench's replay_stroll.json sets alpha 0.3 with enabled false
+    with open(REFERENCE_CONFIG, encoding="utf-8") as fh:
+        doc = json.load(fh)
+
+    def hexes(smoother):
+        doc["smoother"] = smoother
+        cfg = load_config(file_of(json.dumps(doc), tmp_path / "config.json"))
+        frames = render_trajectory(cfg.rig, cfg.trajectory.materialize(cfg.rig)[:40],
+                                   cfg.noise, cfg.intensity)
+        return [(e.pos.x.hex(), e.pos.z.hex(), e.detection[0].hex(), e.detection[1])
+                if e.pos else None
+                for e in track_stream(frames, cfg.rig, CAL, cfg.detect, cfg.smoother)]
+
+    raw = hexes({"alpha": 1.0})
+    assert sum(e is not None for e in raw) >= 30
+    assert hexes({"alpha": 0.3, "enabled": False}) == raw
+    assert hexes({"alpha": 0.3, "enabled": True}) != raw
 
 
 def test_stream_smoothing_preserves_absence_and_resets(rig, quiet, intensity,
