@@ -51,7 +51,7 @@ sltrack evaluate estimates.csv frames/truth.csv --json metrics.json
 # the bytes test_track_and_evaluate_reference_digests pins for src/
 sha256sum -c - <<'DIGESTS'
 af3af51628b908d2e7a4adb99e80c853ea240e7f8fc09b853ae13e93a0a20c93  estimates.csv
-9d1f708bc8d73fa907436ec40ddd948ed48ba7dbadda261e74eeb6c1721b7710  metrics.json
+54963b8ba36a62f92117d9ba4c93c1c239a5a5ecfe20394f379980300dccd359  metrics.json
 DIGESTS
 # rows that end in \r\n read as the same rows
 sed 's/$/\r/' estimates.csv > estimates-crlf.csv

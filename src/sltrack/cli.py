@@ -132,6 +132,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = [
         ("frames", "frames", len(rows)),
         ("detection_rate", "detection rate", metrics.detection_rate),
+        ("phantom_rate", "phantom rate", metrics.phantom_rate),
         ("rms_error_cm", "rms error (cm)", metrics.rms_error),
         ("max_error_cm", "max error (cm)", metrics.max_error),
         ("p95_error_cm", "p95 error (cm)", metrics.p95_error),

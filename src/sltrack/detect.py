@@ -51,14 +51,17 @@ class DetectParams:
     min(ath_base + ath_slope * (v - v_b), ath_max): rows that would hold
     closer (brighter) reflections demand a stronger edge. ``ath_min`` is an
     optional floor that is checked but never binds: it lies at or below
-    ``ath_base`` and the slope is not negative.
+    ``ath_base`` and the slope is not negative. The default ``min_run`` is
+    the reference config's 10: a foot on the reference rig images 29-67 px
+    long, and the runs that background noise leaves in an empty room are
+    shorter.
     """
 
     ath_base: float = 10.0
     ath_slope: float = 0.5
     ath_min: float | None = None
     ath_max: float = 255.0
-    min_run: int = 3
+    min_run: int = 10
 
     def __post_init__(self) -> None:
         if not 0 <= self.ath_base <= self.ath_max:

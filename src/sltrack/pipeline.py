@@ -52,7 +52,9 @@ class Metrics:
     """Floor-plane accuracy summary.
 
     Error fields are NaN when no frame had both a truth position and an
-    estimate.
+    estimate. ``detection_rate`` is over the frames whose truth has a user,
+    ``phantom_rate`` over those whose truth has none; each is NaN when
+    there is no such frame.
     """
 
     rms_error: float
@@ -60,6 +62,7 @@ class Metrics:
     p95_error: float
     within_10cm_fraction: float
     detection_rate: float
+    phantom_rate: float
 
 
 def triangulate_detection(
@@ -151,16 +154,19 @@ def evaluate(
 
     Euclidean floor-plane error over frames where both sides have a
     position; detection rate over frames where the truth has a user, NaN
-    when no frame has one.
+    when no frame has one; phantom rate, the share of frames with no user
+    in the truth that have a position, NaN when every frame has a user.
     """
     if len(estimates) != len(truth):
         raise ValueError(
             f"{len(estimates)} estimates vs {len(truth)} truth frames"
         )
     errors = []
-    eligible = detected = 0
+    eligible = detected = empty = phantoms = 0
     for est, ref in zip(estimates, truth):
         if ref.user is None:
+            empty += 1
+            phantoms += est.pos is not None
             continue
         eligible += 1
         if est.pos is None:
@@ -183,4 +189,5 @@ def evaluate(
         p95_error=p95,
         within_10cm_fraction=within,
         detection_rate=(detected / eligible) if eligible else math.nan,
+        phantom_rate=(phantoms / empty) if empty else math.nan,
     )

@@ -133,7 +133,45 @@ def test_track_and_evaluate_reference_digests(ref_config, tmp_path, capsys):
     assert hashlib.sha256(est_csv.read_bytes()).hexdigest() == (
         "af3af51628b908d2e7a4adb99e80c853ea240e7f8fc09b853ae13e93a0a20c93")
     assert hashlib.sha256(metrics_json.read_bytes()).hexdigest() == (
-        "9d1f708bc8d73fa907436ec40ddd948ed48ba7dbadda261e74eeb6c1721b7710")
+        "54963b8ba36a62f92117d9ba4c93c1c239a5a5ecfe20394f379980300dccd359")
+
+
+def test_a_user_who_enters_strolls_and_leaves_gives_no_phantom(ref_config, tmp_path,
+                                                               capsys):
+    # the paper's user walks into the room and out again: 1 s empty, the
+    # reference stroll, 1 s empty, at the reference noise. The session
+    # calibrates on its own first frame, and the empty frames' truth rows
+    # have present=0
+    from sltrack import SceneState, load_config, render, write_pgm, write_truth_csv
+    from sltrack.synth import frame_timestamp_ms
+
+    cfg = load_config(ref_config)
+    rate = cfg.trajectory.rate_hz
+    stroll = cfg.trajectory.materialize(cfg.rig)
+    gone = [SceneState(user=None, foot_width=stroll[0].foot_width)] * round(rate)
+    states = [replace(s, timestamp_ms=frame_timestamp_ms(i, rate))
+              for i, s in enumerate(gone + stroll + gone)]
+    clip = tmp_path / "visit"
+    clip.mkdir()
+    for i, state in enumerate(states):
+        write_pgm(render(cfg.rig, state, cfg.noise, cfg.intensity, index=i),
+                  str(clip / f"{i:06d}.pgm"))
+    write_truth_csv(states, str(clip / "truth.csv"))
+    cal, est_csv = tmp_path / "cal.txt", tmp_path / "estimates.csv"
+    metrics_json = tmp_path / "metrics.json"
+    assert main(["calibrate", "-c", ref_config, str(clip / "000000.pgm"),
+                 "-o", str(cal)]) == 0
+    assert main(["track", "-c", ref_config, "--calibration", str(cal), str(clip),
+                 "-o", str(est_csv)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", str(est_csv), str(clip / "truth.csv"),
+                 "--json", str(metrics_json)]) == 0
+    report = json.loads(metrics_json.read_text(encoding="utf-8"))
+    assert report["frames"] == len(stroll) + 2 * round(rate) == 240
+    assert report["detection_rate"] == 1.0
+    phantoms = report["phantom_rate"]
+    assert phantoms <= 1 / 200, f"phantom rate {phantoms} over {2 * round(rate)} frames"
+    assert f"\nphantom rate:      {phantoms:.3f}\n" in capsys.readouterr().out
 
 
 def test_simulate_frames_equal_a_serial_render(tmp_path):
@@ -1000,18 +1038,20 @@ def test_evaluate_prints_and_writes_each_metric_once(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "frames:            4\n"
         "detection rate:    0.750\n"
+        "phantom rate:      n/a\n"
         "rms error (cm):    10.000\n"
         "max error (cm):    10.000\n"
         "p95 error (cm):    10.000\n"
         "within 10 cm:      1.000\n")
     assert metrics_json.read_text(encoding="utf-8") == (
-        '{\n  "frames": 4,\n  "detection_rate": 0.75,\n  "rms_error_cm": 10.0,\n'
-        '  "max_error_cm": 10.0,\n  "p95_error_cm": 10.0,\n'
+        '{\n  "frames": 4,\n  "detection_rate": 0.75,\n  "phantom_rate": null,\n'
+        '  "rms_error_cm": 10.0,\n  "max_error_cm": 10.0,\n  "p95_error_cm": 10.0,\n'
         '  "within_10cm_fraction": 1.0\n}\n')
 
 
 def test_evaluate_an_empty_room_scores_nothing(tmp_path, capsys):
-    # no frame holds a user: there is no detection rate to report, not 0
+    # no frame holds a user: there is no detection rate to report, not 0,
+    # and no frame has a position, so the phantom rate is 0
     est_csv, truth_csv = tmp_path / "e.csv", tmp_path / "t.csv"
     est_csv.write_text("frame,timestamp_ms,detected,u_f,v_f,x_cm,z_cm\n"
                        "0,0,0,,,,\n1,50,0,,,,\n2,100,0,,,,\n", encoding="utf-8")
@@ -1024,13 +1064,15 @@ def test_evaluate_an_empty_room_scores_nothing(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "frames:            3\n"
         "detection rate:    n/a\n"
+        "phantom rate:      0.000\n"
         "rms error (cm):    n/a\n"
         "max error (cm):    n/a\n"
         "p95 error (cm):    n/a\n"
         "within 10 cm:      n/a\n")
     assert json.loads(metrics_json.read_text(encoding="utf-8")) == {
-        "frames": 3, "detection_rate": None, "rms_error_cm": None,
-        "max_error_cm": None, "p95_error_cm": None, "within_10cm_fraction": None}
+        "frames": 3, "detection_rate": None, "phantom_rate": 0.0,
+        "rms_error_cm": None, "max_error_cm": None, "p95_error_cm": None,
+        "within_10cm_fraction": None}
 
 
 def test_evaluate_impossible_position_names_its_line_exit_2(tmp_path, capsys):

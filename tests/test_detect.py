@@ -583,8 +583,6 @@ def test_min_run_past_the_width_finds_no_run():
         assert detect_feet(frame, CAL, DetectParams(min_run=min_run)) is None
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP direction 12: noise runs pass the "
-                   "reference min_run on 200 of 200 empty frames")
 def test_an_empty_room_gives_no_position():
     cfg = load_config(REFERENCE_CONFIG)
 
@@ -595,7 +593,14 @@ def test_an_empty_room_gives_no_position():
     cal = calibrate(empty(10**6))
     detections = sum(detect_feet(empty(10**6 + i), cal, cfg.detect) is not None
                      for i in range(1, 201))
-    assert detections <= 1
+    assert detections <= 1, f"{detections} of 200 empty frames give a position"
+
+
+def test_the_default_detect_params_are_the_reference_configs():
+    # a caller who builds DetectParams() gets the reference min_run of 10,
+    # not a 3 that noise runs pass on every empty frame
+    assert DetectParams() == load_config(REFERENCE_CONFIG).detect
+    assert DetectParams().min_run == 10
 
 
 def test_min_run_2_62_from_a_config_finds_nothing_like_the_reference(tmp_path):

@@ -954,7 +954,7 @@ def test_reference_config_is_the_reference_rig():
     assert (cfg.rig.u0, cfg.rig.v0) == (160.0, 120.0)
     assert cfg.detect.ath_base == 10.0
     assert cfg.detect.ath_slope == 0.5
-    assert cfg.detect.min_run == 3
+    assert cfg.detect.min_run == 10
     assert cfg.intensity.i_ref == 60.0 and cfg.intensity.z_ref == 400.0
     assert cfg.trajectory.foot_width == 25.0
     states = cfg.trajectory.materialize(cfg.rig)
@@ -1136,7 +1136,7 @@ def test_config_message_for_every_key(kind, section, key, type_message):
 
 
 @pytest.mark.parametrize("old,new,key", [
-    ('"min_run": 3', '"min_run": 3, "min_run": 10', "min_run"),
+    ('"min_run": 10', '"min_run": 10, "min_run": 3', "min_run"),
     ('"smoother": {', '"smoother": {"alpha": 0.5}, "smoother": {', "smoother"),
 ], ids=["key", "section"])
 def test_a_repeated_config_key_is_refused_by_name(old, new, key):

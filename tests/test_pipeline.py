@@ -260,6 +260,7 @@ def test_evaluate_perfect_estimates(rig):
     assert m.rms_error == 0.0 and m.max_error == 0.0
     assert m.within_10cm_fraction == 1.0
     assert m.detection_rate == 1.0
+    assert math.isnan(m.phantom_rate)  # no frame without a user to count
 
 
 def test_evaluate_three_four_five_triangle():
@@ -284,17 +285,20 @@ def test_evaluate_without_a_user_in_any_frame_has_no_detection_rate():
     m = evaluate([estimate(0, 0), estimate(1, 50, 0.0, 200.0), estimate(2, 100)], refs)
     assert math.isnan(m.detection_rate)
     assert math.isnan(m.rms_error) and math.isnan(m.within_10cm_fraction)
+    assert m.phantom_rate == 1 / 3  # frame 1 reports a user who is not there
 
 
 def test_evaluate_leaves_empty_truth_frames_out_of_the_detection_rate():
     # frames 4 and 5 hold no user: neither the miss on 4 nor the position
-    # on 5 counts, so 3 of 4 frames with a user were detected, all exactly
+    # on 5 counts, so 3 of 4 frames with a user were detected, all exactly;
+    # the position on 5 is a phantom on 1 of the 2 empty frames
     refs = truth(4) + [SceneState(user=None, timestamp_ms=50 * i) for i in (4, 5)]
     ests = [estimate(0, 0, 0.0, 200.0), estimate(1, 50), estimate(2, 100, 0.0, 200.0),
             estimate(3, 150, 0.0, 200.0), estimate(4, 200), estimate(5, 250, 9.0, 90.0)]
     m = evaluate(ests, refs)
     assert m.detection_rate == 0.75
     assert m.rms_error == 0.0 and m.max_error == 0.0
+    assert m.phantom_rate == 0.5
 
 
 def test_evaluate_length_mismatch():
