@@ -133,21 +133,19 @@ def render(
     row, extent and brightness follow the projection and intensity models. A
     foot row that projects outside the frame is simply not drawn.
 
-    The noise stream is derived from (noise.seed, index), so identical
-    arguments render bit-identical frames and frames can be rendered
-    concurrently, as ``sltrack simulate`` does on one thread per CPU. A user
-    behind the back wall raises ``ValueError``.
+    The noise stream is derived from (noise.seed, index) at every sigma, 0
+    included, so identical arguments render bit-identical frames and frames
+    can be rendered concurrently, as ``sltrack simulate`` does on one
+    thread per CPU. A negative ``index`` raises ``ValueError``, as does a
+    user behind the back wall.
     """
     h, w = rig.height, rig.width
-    if noise.background_sigma > 0:
-        # scaled in place: the same bits as rng.normal(mean, sigma, (h, w)),
-        # which computes mean + sigma * standard_normal per draw
-        rng = np.random.default_rng((noise.seed, index))
-        img = rng.standard_normal((h, w))
-        np.multiply(img, noise.background_sigma, out=img)
-        np.add(img, noise.background_mean, out=img)
-    else:
-        img = np.full((h, w), float(noise.background_mean))
+    # scaled in place: the same bits as rng.normal(mean, sigma, (h, w)),
+    # which computes mean + sigma * standard_normal per draw; at sigma 0
+    # each is +-0.0 + mean, exactly mean (+0.0 at mean 0)
+    img = np.random.default_rng((noise.seed, index)).standard_normal((h, w))
+    np.multiply(img, noise.background_sigma, out=img)
+    np.add(img, noise.background_mean, out=img)
 
     wall = np.ones(w, dtype=bool)
     if scene.user is not None:

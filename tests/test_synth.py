@@ -160,10 +160,10 @@ def test_user_behind_wall_rejected(rig, quiet, intensity):
 # --- render against its reference formula ------------------------------------
 
 def reference_render(rig, scene, noise, im, index=0) -> np.ndarray:
-    """The renderer as first written: Gaussian background from
-    ``rng.normal``, the foot run stamped at its row, the wall row stamped
-    over the columns the body does not shadow (``setdiff1d``), then
-    ``clip(rint(...))``."""
+    """The renderer as first written: a constant background of the mean at
+    sigma 0, else a Gaussian one from ``rng.normal``, the foot run stamped
+    at its row, the wall row stamped over the columns the body does not
+    shadow (``setdiff1d``), then ``clip(rint(...))``."""
     h, w = rig.height, rig.width
     if noise.background_sigma > 0:
         rng = np.random.default_rng((noise.seed, index))
@@ -216,7 +216,7 @@ def _render_case(draw):
     noise = NoiseParams(
         background_sigma=draw(st.one_of(st.just(0.0), st.floats(0.01, 60.0),
                                         st.floats(1000.0, 1e6))),
-        background_mean=draw(st.one_of(st.sampled_from([0.0, 255.0]),
+        background_mean=draw(st.one_of(st.sampled_from([0.0, 0.5, 254.5, 255.0]),
                                        st.floats(0.0, 255.0))),
         seed=draw(st.integers(0, 2**63)))
     im = IntensityModel(i_ref=draw(st.floats(0.5, 255.0)),
@@ -232,13 +232,23 @@ def test_render_matches_reference_formula(case):
                           reference_render(rig, scene, noise, im, index=index))
 
 
-@pytest.mark.parametrize("sigma, mean", [(0.0, 0.0), (0.0, 255.0),
-                                         (5000.0, 0.0), (1000.0, 255.0)])
+@pytest.mark.parametrize("sigma, mean", [(0.0, 0.0), (0.0, 0.5), (0.0, 254.5),
+                                         (0.0, 255.0), (5000.0, 0.0), (1000.0, 255.0)])
 def test_render_matches_reference_at_noise_extremes(rig, intensity, sigma, mean):
+    # at sigma 0 the reference is the constant-mean frame; the half means
+    # round to even, so a sign or an ulp off the mean would show
     noise = NoiseParams(background_sigma=sigma, background_mean=mean, seed=7)
-    scene = user_at(10.0, 250.0)
-    assert np.array_equal(render(rig, scene, noise, intensity, index=2).pixels,
-                          reference_render(rig, scene, noise, intensity, index=2))
+    for scene in (user_at(10.0, 250.0), SceneState(user=None)):
+        assert np.array_equal(render(rig, scene, noise, intensity, index=2).pixels,
+                              reference_render(rig, scene, noise, intensity, index=2))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 10.0])
+def test_render_refuses_a_negative_index_at_every_sigma(rig, intensity, sigma):
+    # the index keys the noise stream at sigma 0 too, so it is refused alike
+    noise = NoiseParams(background_sigma=sigma, background_mean=20.0, seed=7)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        render(rig, SceneState(user=None), noise, intensity, index=-1)
 
 
 def test_foot_run_of_column_0_alone_is_drawn(rig, quiet, intensity):
