@@ -11,6 +11,17 @@ REFERENCE_CONFIG = str(Path(__file__).resolve().parent.parent
                        / "configs" / "reference.json")
 
 
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    """Append an expected failure's message to its reason, so that
+    ``pytest -rx`` prints what the test measured beside the reason."""
+    outcome = yield
+    rep = outcome.get_result()
+    if getattr(rep, "wasxfail", "") and call.excinfo is not None:
+        measured = str(call.excinfo.value).partition("\n")[0]
+        rep.wasxfail += f" | {measured}"
+
+
 def file_of(data: bytes | str, path: Path) -> str:
     """``data``, text as UTF-8, written to ``path``; the path as a str."""
     path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
