@@ -72,7 +72,7 @@ class NoiseParams:
 
     def __post_init__(self) -> None:
         require_ints(self, "seed")
-        if self.background_sigma < 0:
+        if not self.background_sigma >= 0:  # NaN too: render would draw NaN pixels
             raise ValueError("background_sigma: must be >= 0")
         if not 0 <= self.background_mean <= 255:
             raise ValueError("background_mean: must lie in [0, 255]")

@@ -365,6 +365,7 @@ def test_trajectory_input_validation():
     (lambda rig: depth_resolution(rig, rig.z_b + 1.0), r"z: must lie in \(0, z_b\]"),
     (lambda rig: SceneState(user=None, foot_width=0.0), "foot_width: must be > 0"),
     (lambda rig: NoiseParams(background_sigma=-1.0), "background_sigma: must be >= 0"),
+    (lambda rig: NoiseParams(background_sigma=math.nan), "background_sigma: must be >= 0"),
     (lambda rig: NoiseParams(background_mean=256.0),
      r"background_mean: must lie in \[0, 255\]"),
     (lambda rig: IntensityModel(i_ref=0.0), r"i_ref: must lie in \(0, 255\]"),
@@ -374,8 +375,8 @@ def test_trajectory_input_validation():
     (lambda rig: trajectory("stationary", 10.0, 1e308, position=(0.0, 200.0)),
      "duration_s: must give a finite frame count"),
 ], ids=["rig-v0-past-the-height", "depth-resolution-z-0", "depth-resolution-past-z_b",
-        "foot-width-0", "negative-sigma", "mean-past-255", "i_ref-0", "i_ref-past-255",
-        "intensity-at-z-0", "infinite-frame-count"])
+        "foot-width-0", "negative-sigma", "nan-sigma", "mean-past-255", "i_ref-0",
+        "i_ref-past-255", "intensity-at-z-0", "infinite-frame-count"])
 def test_out_of_range_values_are_refused_by_field_name(rig, build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build(rig)
