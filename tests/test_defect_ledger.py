@@ -11,6 +11,7 @@ another noise.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -48,17 +49,12 @@ def stroll() -> tuple[list[SceneState], list[Frame], list[Frame]]:
     return states, noisy, lines
 
 
-def with_pixels(frame: Frame, pixels: np.ndarray) -> Frame:
-    return Frame(width=frame.width, height=frame.height, pixels=pixels,
-                 timestamp_ms=frame.timestamp_ms, index=frame.index)
-
-
 def thickened(frame: Frame, lines: Frame, row: int) -> Frame:
     """``frame`` with the line pixels of ``row`` drawn again on the row below:
     a line two rows tall."""
     px = frame.pixels.astype(np.int16)
     px[row + 1] += lines.pixels[row]
-    return with_pixels(frame, np.clip(px, 0, 255).astype(np.uint8))
+    return dataclasses.replace(frame, pixels=np.clip(px, 0, 255).astype(np.uint8))
 
 
 def errors(frames: list[Frame], states: list[SceneState],
@@ -76,7 +72,7 @@ def errors(frames: list[Frame], states: list[SceneState],
 def test_a_rolled_wall_gives_no_position_off_by_more_than_10_cm(rows):
     # the rig pitched after calibration: the whole image shifts down `rows`
     states, noisy, _ = stroll()
-    rolled = [with_pixels(f, np.roll(f.pixels, rows, axis=0)) for f in noisy]
+    rolled = [dataclasses.replace(f, pixels=np.roll(f.pixels, rows, axis=0)) for f in noisy]
     off = sum(e is not None and e > 10.0 for e in errors(rolled, states))
     assert off <= len(states) / 2, (
         f"wall rolled +{rows}: {off} of {len(states)} frames off by > 10 cm")
