@@ -4,6 +4,9 @@
 # reference digests pin, and CRLF copies of the CSVs that evaluate reads.
 set -euo pipefail
 
+# the one file that pins the reference outputs, which the tests read too
+digests="$PWD/tests/reference-outputs.sha256"
+
 benched="$(sltrack bench -c configs/reference.json -n 20)"
 echo "$benched"
 # acceptance 4 reads the fps between "->" and "fps" on this one line
@@ -18,9 +21,9 @@ work="${RUNNER_TEMP:-$(mktemp -d)}"
 cp configs/reference.json "$work/reference.json"
 cd "$work"
 sltrack simulate -c reference.json -o frames/
-# the bytes test_simulate_reference_digest pins: the frames in name order, then truth.csv
-test "$(cat frames/*.pgm frames/truth.csv | sha256sum)" = \
-  "d98f13deded8a60ba1cc5e5eeeb00c904f51b011895ad517627d2b1954cba953  -"
+# simulate.bin: the frames in name order, then truth.csv
+cat frames/*.pgm frames/truth.csv > simulate.bin
+grep ' simulate\.bin$' "$digests" | sha256sum -c -
 # frame 0 holds the user, whose near foot outshines the wall line: calibrate
 # refuses it as a usage error, with one line on stderr and none on stdout
 status=0
@@ -48,11 +51,8 @@ echo "$streamed"
 grep -Fqx "streamed 200 packets to 127.0.0.1:47800 (0 dropped, 0 failed)" \
   <<<"$streamed"
 sltrack evaluate estimates.csv frames/truth.csv --json metrics.json
-# the bytes test_track_and_evaluate_reference_digests pins for src/
-sha256sum -c - <<'DIGESTS'
-af3af51628b908d2e7a4adb99e80c853ea240e7f8fc09b853ae13e93a0a20c93  estimates.csv
-54963b8ba36a62f92117d9ba4c93c1c239a5a5ecfe20394f379980300dccd359  metrics.json
-DIGESTS
+# all three reference outputs, simulate.bin again among them
+sha256sum -c "$digests"
 # rows that end in \r\n read as the same rows
 sed 's/$/\r/' estimates.csv > estimates-crlf.csv
 sed 's/$/\r/' frames/truth.csv > truth-crlf.csv

@@ -21,7 +21,7 @@ from .synth import Frame
 
 
 class CalibrationError(ValueError):
-    """No usable wall line in the calibration frame, or one on a border row."""
+    """No usable wall line in the calibration frame, or one out of range."""
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,8 @@ class Calibration:
     """Reference row of the unobstructed wall line, frozen at startup.
 
     Valid only while the rig does not move, and only for frames of the
-    dimensions it was captured at.
+    dimensions it was captured at. ``1 <= v_b <= height - 3`` leaves a row
+    above the wall row and at least one scan row, with its own row below.
     """
 
     v_b: int
@@ -38,9 +39,10 @@ class Calibration:
 
     def __post_init__(self) -> None:
         require_ints(self, "v_b", "width", "height")
-        if not 0 < self.v_b < self.height - 1:
+        if not 1 <= self.v_b <= self.height - 3:
             raise CalibrationError(f"v_b: wall row {self.v_b} must lie in "
-                                   f"[1, {self.height - 2}], with a row above and below")
+                                   f"[1, {self.height - 3}], with a row above it "
+                                   f"and a row to scan below it")
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ def calibrate(frame: Frame) -> Calibration:
     pixel std-dev of the whole frame. Fails when the row is lit across less
     than half its width (pixels above the frame's mean + 3 sigma), as a foot
     near the camera is, which can outshine the wall line. ``Calibration``
-    refuses a winning row on the border. The frame must be whole: one read
+    refuses a winning row outside its range. The frame must be whole: one read
     from a row ``top > 0`` raises ``ValueError``.
     """
     if frame.top:
@@ -135,8 +137,8 @@ class _Workspace:
         self.mask = np.empty((rows, stride), bool)
         self.mask_flat = self.mask.ravel()
         buffers = (self.mask_flat, np.empty(size, bool))
-        # (left, right, out) of each erosion pass; a band too short for a
-        # shift (v_b = height - 2 leaves it empty) gives empty views
+        # (left, right, out) of each erosion pass; a shift past the band
+        # (min_run up to 2**63 - 1) gives empty views
         self.erosion = []
         eroded, span = buffers[0], 1
         while span < p.min_run:
@@ -192,7 +194,9 @@ def detect_feet(frame: Frame, cal: Calibration,
     the longest (ties: the lower row in the image, i.e. the larger v, then
     the leftmost start). Returns the run's image point ``(u_f, v_f)``: its
     intensity-weighted column centroid (a raw column, not offset by u0) and
-    its row; or None -- an empty room is a value, not an error. The edge
+    its row; or None -- an empty room is a value, not an error. A chosen
+    run that touches column 0 or ``width - 1`` also gives None, and no
+    shorter run is tried: the frame edge may cut it short. The edge
     test reads only rows v_b..height-1, so the frame may start at any
     ``top`` up to v_b; one starting below v_b raises ``ValueError``.
     """
@@ -214,8 +218,7 @@ def detect_feet(frame: Frame, cal: Calibration,
     for left, right, out in ws.erosion:
         np.logical_and(left, right, out=out)
     # the eroded mask still begins and ends with padding, so its changes
-    # alternate start, end; the band is empty when v_b = height - 2 and then
-    # holds no run
+    # alternate start, end
     after, before, out = ws.ends
     ends = np.not_equal(after, before, out=out).nonzero()[0].tolist()
     if not ends:
@@ -231,6 +234,8 @@ def detect_feet(frame: Frame, cal: Calibration,
             best, first, last = key, start, end
     length = last - first + p.min_run - 1
     row, start = divmod(first, stride)
+    if start == 0 or start + length == frame.width:
+        return None
     v = ws.first_row + row
     weights = frame.pixels[v - frame.top, start:start + length].tolist()
     # a run pixel has P > (P_up + P_down)/2 + thr >= 0, so P >= 1 and mass >= length.

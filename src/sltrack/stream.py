@@ -114,7 +114,6 @@ class PositionStreamer:
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.setblocking(False)
         self._lock = threading.Lock()
-        self._closed = False
         self._seq = 0
         self.sent = 0
         self.dropped = 0
@@ -122,11 +121,8 @@ class PositionStreamer:
 
     def submit(self, est: PositionEstimate) -> None:
         """Send an estimate; never blocks on the network. After
-        :meth:`close` the estimate is counted as dropped instead."""
+        :meth:`close` the send fails, and is counted as a send failure."""
         with self._lock:
-            if self._closed:
-                self.dropped += 1
-                return
             packet = encode(est, self._seq % _SEQ_LIMIT)
             self._seq += 1
             try:
@@ -139,7 +135,6 @@ class PositionStreamer:
                 logger.warning("send to %s failed: %s", self.endpoint, exc)
 
     def close(self) -> None:
-        """Close the socket; later submits are counted as dropped."""
+        """Close the socket; later submits are counted as send failures."""
         with self._lock:
-            self._closed = True
             self._sock.close()

@@ -11,6 +11,18 @@ REFERENCE_CONFIG = str(Path(__file__).resolve().parent.parent
                        / "configs" / "reference.json")
 
 
+# The sha256 of each reference output, by name, from the one file that pins
+# them, in sha256sum format, which CI's installed-command script checks too.
+# simulate.bin is the reference config's simulate clip: its frames in name
+# order, then truth.csv. estimates.csv and metrics.json are track and
+# evaluate --json of that clip, calibrated on the README's empty frame.
+REFERENCE_DIGESTS = {
+    name: digest for digest, name in map(str.split, (
+        Path(__file__).resolve().parent / "reference-outputs.sha256"
+    ).read_text(encoding="ascii").splitlines())
+}
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     """Append an expected failure's message to its reason, so that

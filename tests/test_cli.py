@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_CONFIG
+from conftest import REFERENCE_CONFIG, REFERENCE_DIGESTS
 import sltrack
 from sltrack import (PositionEstimate, decode, read_estimates_csv,
                      write_estimates_csv)
@@ -112,8 +112,7 @@ def test_simulate_reference_digest(ref_config, tmp_path):
     digest = hashlib.sha256()
     for path in sorted(out.iterdir()):
         digest.update(path.read_bytes())
-    assert digest.hexdigest() == (
-        "d98f13deded8a60ba1cc5e5eeeb00c904f51b011895ad517627d2b1954cba953")
+    assert digest.hexdigest() == REFERENCE_DIGESTS["simulate.bin"]
 
 
 def test_track_and_evaluate_reference_digests(ref_config, tmp_path, capsys):
@@ -130,10 +129,10 @@ def test_track_and_evaluate_reference_digests(ref_config, tmp_path, capsys):
                  "-o", str(est_csv)]) == 0
     assert main(["evaluate", str(est_csv), str(out / "truth.csv"),
                  "--json", str(metrics_json)]) == 0
-    assert hashlib.sha256(est_csv.read_bytes()).hexdigest() == (
-        "af3af51628b908d2e7a4adb99e80c853ea240e7f8fc09b853ae13e93a0a20c93")
-    assert hashlib.sha256(metrics_json.read_bytes()).hexdigest() == (
-        "54963b8ba36a62f92117d9ba4c93c1c239a5a5ecfe20394f379980300dccd359")
+    assert (hashlib.sha256(est_csv.read_bytes()).hexdigest()
+            == REFERENCE_DIGESTS["estimates.csv"])
+    assert (hashlib.sha256(metrics_json.read_bytes()).hexdigest()
+            == REFERENCE_DIGESTS["metrics.json"])
 
 
 def test_a_user_who_enters_strolls_and_leaves_gives_no_phantom(ref_config, tmp_path,
@@ -208,8 +207,7 @@ def test_simulate_over_a_larger_clip_gives_the_reference_bytes(ref_config,
     digest = hashlib.sha256()
     for path in sorted(out.iterdir()):
         digest.update(path.read_bytes())
-    assert digest.hexdigest() == (
-        "d98f13deded8a60ba1cc5e5eeeb00c904f51b011895ad517627d2b1954cba953")
+    assert digest.hexdigest() == REFERENCE_DIGESTS["simulate.bin"]
 
 
 def test_simulate_write_error_exit_1_without_truth(tmp_path, capsys, monkeypatch):
@@ -468,6 +466,25 @@ def test_calibrate_frame_of_another_size_exit_2_naming_the_file(tmp_path, capsys
         f"error: {small}: frame is 4x3, rig expects 320x240\n")
 
 
+def test_calibrate_a_wall_row_that_leaves_no_scan_row_exit_2(tmp_path, capsys):
+    # with v0 198 the wall images at row 238 of 240, and no row below it
+    # can be scanned: calibrate refuses it rather than write a v_b that
+    # track would scan nothing under
+    path = Path(stationary_config(tmp_path))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["rig"]["v0"] = 198.0
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cal = tmp_path / "cal.txt"
+    capsys.readouterr()
+    assert main(["calibrate", "-c", str(path), make_empty_frame(tmp_path, str(path)),
+                 "-o", str(cal)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: v_b: wall row 238 must lie in [1, 237], with a "
+                            "row above it and a row to scan below it\n")
+    assert captured.out == ""
+    assert not cal.exists()
+
+
 def test_track_frame_of_another_size_exit_2_naming_the_frame(tmp_path, capsys):
     from sltrack import Frame, write_pgm
 
@@ -550,13 +567,13 @@ def test_track_mismatched_calibration_exit_2(tmp_path, capsys):
     out_dir = tmp_path / "frames"
     assert main(["simulate", "-c", cfg, "-o", str(out_dir)]) == 0
     cal = tmp_path / "cal.txt"
-    cal.write_text("v_b=239\n", encoding="utf-8")  # no room below
+    cal.write_text("v_b=238\n", encoding="utf-8")  # no row left to scan
     capsys.readouterr()
     assert main(["track", "-c", cfg, "--calibration", str(cal), str(out_dir),
                  "-o", str(tmp_path / "est.csv")]) == 2
     assert capsys.readouterr().err == (
-        f"error: calibration file {cal}: v_b: wall row 239 must lie in [1, 238], "
-        "with a row above and below\n")
+        f"error: calibration file {cal}: v_b: wall row 238 must lie in [1, 237], "
+        "with a row above it and a row to scan below it\n")
 
 
 def test_track_with_live_stream(tmp_path):

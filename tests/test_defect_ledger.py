@@ -2,9 +2,10 @@
 ±10 cm claim, as a strict xfail that asserts the direction's done-criterion.
 
 A test here XPASSes exactly when its direction lands, and its strict mark
-then fails the suite until the change that lands it removes the mark. Each
-assertion message prints the measured value, so ``pytest -rxX`` lists the
-open directions and how far off each one is. Scenes are test-local, at most
+then fails the suite until the change that lands it removes the mark; the
+test stays, unmarked, as the landed direction's check. Each assertion
+message prints the measured value, so ``pytest -rxX`` lists the open
+directions and how far off each one is. Scenes are test-local, at most
 200 frames each, on the reference rig and config unless a test names
 another noise.
 """
@@ -20,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_CONFIG, file_of
+from conftest import REFERENCE_CONFIG, REFERENCE_DIGESTS, file_of
 from sltrack import (Calibration, CalibrationError, Frame, IntensityModel,
                      NoiseParams, SceneState, WorldPosition, calibrate, detect_feet,
                      evaluate, load_config, project, render, track_stream)
@@ -67,15 +68,20 @@ def errors(frames: list[Frame], states: list[SceneState],
 
 # --- 24: the wall line is measured in every frame -----------------------------
 
-@xfail(24, "a wall moved by whole rows is tracked against the calibrated row")
+@xfail(24, "a wall moved by whole rows is scanned from the calibrated row, where "
+           "its line is the longest run and touches both edges: no position")
 @pytest.mark.parametrize("rows", [1, 2, 5])
 def test_a_rolled_wall_gives_no_position_off_by_more_than_10_cm(rows):
-    # the rig pitched after calibration: the whole image shifts down `rows`
+    # the rig pitched after calibration: the whole image shifts down `rows`.
+    # 24's criterion: at least 99% of frames placed within 10 cm
     states, noisy, _ = stroll()
     rolled = [dataclasses.replace(f, pixels=np.roll(f.pixels, rows, axis=0)) for f in noisy]
-    off = sum(e is not None and e > 10.0 for e in errors(rolled, states))
-    assert off <= len(states) / 2, (
-        f"wall rolled +{rows}: {off} of {len(states)} frames off by > 10 cm")
+    errs = errors(rolled, states)
+    detected = sum(e is not None for e in errs)
+    within = sum(e is not None and e <= 10.0 for e in errs)
+    assert within >= 0.99 * len(states), (
+        f"wall rolled +{rows}: detection {detected / len(states):.3f}, "
+        f"{within} of {len(states)} frames within 10 cm")
 
 
 @xfail(24, "the second row of a 2-row wall reads as a foot")
@@ -151,9 +157,8 @@ def test_two_feet_20_cm_apart_at_a_30_cm_stride_track_within_10_cm():
         f"two feet: {within} of {len(states)} frames within 10 cm")
 
 
-# --- 13: a foot cut by the frame edge is not a whole foot -----------------------
+# --- 13, landed: a foot cut by the frame edge is not a whole foot ---------------
 
-@xfail(13, "the sliver of a foot cut by the right edge triangulates as a whole foot")
 def test_a_foot_cut_by_the_right_edge_is_placed_within_1_5_px_or_not_at_all():
     # a 25 cm (50 px) foot at z 200 steps right 5 px every 10 frames, from
     # u 270-320 to u 320-370: its imaged part shrinks from 50 columns to none
@@ -188,7 +193,8 @@ def test_track_runs_from_a_config_of_the_rig_side_sections(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert status == 0, f"track from the rig-side sections exits {status}: {err}"
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest.startswith("af3af516"), f"estimates CSV digest {digest[:8]}..."
+    assert digest == REFERENCE_DIGESTS["estimates.csv"], (
+        f"estimates CSV digest {digest[:8]}...")
 
 
 # --- 12's residue: an empty room at low signal --------------------------------

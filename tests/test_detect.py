@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from conftest import REFERENCE_CONFIG, ath, edge_test, file_of
 from sltrack import (Calibration, CalibrationError, DetectParams, Frame,
-                     NoiseParams, SceneState, calibrate, detect_feet,
-                     load_config, read_pgm, render, render_trajectory, write_pgm)
+                     NoiseParams, SceneState, WorldPosition, calibrate, detect_feet,
+                     load_config, read_pgm, render, render_trajectory, track_stream,
+                     write_pgm)
 from sltrack.detect import _edge_mask, _workspace
 from sltrack.io import iter_pgm_dir
 
@@ -88,12 +89,14 @@ def test_calibrate_on_each_reference_stroll_frame_finds_the_wall_or_raises():
 
 
 def test_calibrate_line_at_border_row_fails():
-    # Calibration states the rule; calibrate names the row it found
-    for row in (0, 239):
+    # Calibration states the rule; calibrate names the row it found. Row 238
+    # has a row below, but that row has none below it to scan against
+    for row in (0, 238, 239):
         frame = blank_frame()
         frame.pixels[row] = 200
         with pytest.raises(CalibrationError, match=fr"^v_b: wall row {row} must lie "
-                           r"in \[1, 238\], with a row above and below$"):
+                           r"in \[1, 237\], with a row above it and a row to scan "
+                           r"below it$"):
             calibrate(frame)
 
 
@@ -300,11 +303,18 @@ def test_detect_threshold_monotonicity(detect_params):
     assert high <= low
 
 
-def test_detect_run_touching_column_borders_is_still_localized(detect_params):
-    u_f, _ = detect_feet(frame_with_run(200, 0, 10), CAL, detect_params)
-    assert u_f == pytest.approx(4.5)
-    u_f, _ = detect_feet(frame_with_run(200, 310, 10), CAL, detect_params)
-    assert u_f == pytest.approx(314.5)
+def test_a_run_touching_a_column_border_gives_no_position(detect_params):
+    # the frame edge may cut the run short, so its centroid is not the foot's
+    assert detect_feet(frame_with_run(200, 0, 10), CAL, detect_params) is None
+    assert detect_feet(frame_with_run(200, 310, 10), CAL, detect_params) is None
+    # one column in from either border, the run is whole
+    assert detect_feet(frame_with_run(200, 1, 10), CAL, detect_params) == (5.5, 200)
+    assert detect_feet(frame_with_run(200, 309, 10), CAL, detect_params) == (313.5, 200)
+    # the touching run is the longest, and no shorter run is tried in its place
+    frame = frame_with_run(200, 0, 12)
+    frame.pixels[210, 100:110] = 200
+    assert detect_feet(frame, CAL, detect_params) is None
+    assert reference_detect_feet(frame, CAL, detect_params) is None
 
 
 def uneven_levels(length):
@@ -325,29 +335,37 @@ def uneven_levels(length):
         "width-5000-last-column"])
 def test_centroid_at_the_extremes_equals_the_reference(width, height, row, start,
                                                         length, full):
-    frame = blank_frame(width, height)
-    frame.pixels[row, start:start + length] = 255 if full else uneven_levels(length)
     cal = Calibration(v_b=160 if height == 240 else 2, width=width, height=height)
+    touching = blank_frame(width, height)
+    touching.pixels[row, start:start + length] = 255 if full else uneven_levels(length)
+    assert detect_feet(touching, cal, DetectParams()) is None
+    assert reference_detect_feet(touching, cal, DetectParams()) is None
+    # the same run with each end at a border moved one column in
+    start, end = max(start, 1), min(start + length, width - 1)
+    frame = blank_frame(width, height)
+    frame.pixels[row, start:end] = 255 if full else uneven_levels(end - start)
     det = detect_feet(frame, cal, DetectParams())
     # the whole run, divided once from its exact integer sums
-    weights = frame.pixels[row, start:start + length].tolist()
-    moment = sum(w * u for w, u in zip(weights, range(start, start + length)))
+    weights = frame.pixels[row, start:end].tolist()
+    moment = sum(w * u for w, u in zip(weights, range(start, end)))
     assert det == (moment / sum(weights), row)
     assert det == reference_detect_feet(frame, cal, DetectParams())
 
 
 def test_detect_runs_on_neighbor_rows_do_not_join_across_the_row_end(detect_params):
     # in the flattened mask, row 200's last column sits next to row 201's
-    # first; the padding keeps the two runs apart (joined they would be 15).
-    # The frame before has an edge at every pixel of every other scan row:
-    # the pads stay zero from frame to frame
+    # first; the padding keeps the two runs apart (joined they would be 15
+    # and beat the 12-pixel run). The frame before has an edge at every
+    # pixel of every other scan row: the pads stay zero from frame to frame
     stripes = blank_frame()
     stripes.pixels[1::2] = 255
-    assert detect_feet(stripes, CAL, detect_params) == (159.5, 237)  # full width
+    assert detect_feet(stripes, CAL, detect_params) is None  # full width: touching
+    assert reference_detect_feet(stripes, CAL, detect_params) is None
     frame = frame_with_run(200, 312, 8)
     frame.pixels[201, 0:7] = 200
+    frame.pixels[220, 100:112] = 200
     det = detect_feet(frame, CAL, detect_params)
-    assert det == (315.5, 200)  # (312 + 319) / 2: the 8 pixels to the row end
+    assert det == (105.5, 220)  # (100 + 111) / 2
     assert det == reference_detect_feet(frame, CAL, detect_params)
 
 
@@ -444,9 +462,17 @@ def test_detect_refuses_a_frame_read_from_below_the_wall_row(detect_params):
                                                                    detect_params)
 
 
-def test_detect_empty_scan_domain_returns_none(detect_params):
-    cal = Calibration(v_b=238, width=320, height=240)
-    assert detect_feet(blank_frame(fill=0), cal, detect_params) is None
+def test_a_calibration_that_leaves_no_scan_row_is_refused(detect_params):
+    # row 239, the only one below 238, has no row below it to scan against
+    with pytest.raises(CalibrationError, match=r"^v_b: wall row 238 must lie in "
+                       r"\[1, 237\], with a row above it and a row to scan below it$"):
+        Calibration(v_b=238, width=320, height=240)
+    # 237 leaves the one scan row 238
+    cal = Calibration(v_b=237, width=320, height=240)
+    frame = frame_with_run(238, 100, 20)
+    det = detect_feet(frame, cal, detect_params)
+    assert det == (109.5, 238)
+    assert det == reference_detect_feet(frame, cal, detect_params)
 
 
 def _row_runs(mask):
@@ -458,7 +484,8 @@ def _row_runs(mask):
 
 def reference_detect_feet(frame, cal, p):
     """Plain per-row detector: a float64 edge response, runs collected row
-    by row, and the best kept by length, then lower row, then leftmost."""
+    by row, and the best kept by length, then lower row, then leftmost;
+    None when the best touches column 0 or the last column."""
     lo, hi = cal.v_b + 1, frame.height - 1
     px = frame.pixels.astype(np.float64)
     rows = np.arange(lo, hi)
@@ -479,6 +506,8 @@ def reference_detect_feet(frame, cal, p):
     if best is None:
         return None
     length, v, start = best
+    if start == 0 or start + length == frame.width:
+        return None  # the frame edge may cut the run short
     cols = np.arange(start, start + length)
     weights = px[v, cols]
     mass = int(weights.sum())
@@ -492,11 +521,11 @@ def _frame_cal_params(draw):
     thresholds sit exactly on an edge response; large ones reach past 255,
     where no pixel can pass. min_run reaches past the width, where no run
     fits, and up to 2**62."""
-    w, h = draw(st.integers(1, 12)), draw(st.integers(3, 10))
+    w, h = draw(st.integers(1, 12)), draw(st.integers(4, 10))
     levels = st.integers(0, 255) | st.integers(0, 3)
     pixels = np.array(draw(st.lists(levels, min_size=w * h, max_size=w * h)),
                       dtype=np.uint8).reshape(h, w)
-    cal = Calibration(v_b=draw(st.integers(1, h - 2)), width=w, height=h)
+    cal = Calibration(v_b=draw(st.integers(1, h - 3)), width=w, height=h)
     small = st.floats(0.0, 20.0) | st.integers(0, 40).map(lambda k: k / 2)
     large = small | st.floats(200.0, 600.0)
     low, up, top = draw(small), draw(large), draw(large)
@@ -515,7 +544,8 @@ def test_detection_lies_in_the_scan_band(case):
     if det is not None:
         u_f, v_f = det
         assert cal.v_b < v_f < frame.height - 1
-        assert math.isfinite(u_f) and 0 <= u_f <= frame.width - 1
+        # the run touches neither border column
+        assert math.isfinite(u_f) and 1 <= u_f <= frame.width - 2
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -559,26 +589,29 @@ def test_detect_feet_on_a_frame_read_from_the_wall_row_equals_the_whole_frame(
                                                                    params)
 
 
-@pytest.mark.parametrize("min_run", [1, 2, 3, 5, 8, 9, 319, 320, 321, 2**62])
+@pytest.mark.parametrize("min_run", [1, 2, 3, 5, 8, 9, 317, 318, 319, 320, 321, 2**62])
 def test_detect_feet_equals_the_reference_for_min_run_up_to_past_the_width(min_run):
-    # full-width rows, a run one short of the width and runs around every
-    # erosion shift; only the full rows reach min_run = 320
-    frame = frame_with_run(170, 0, 320)
-    frame.pixels[200, 0:319] = 200
-    frame.pixels[230, 0:320] = 90
+    # the longest runs that touch neither border (318 px), one a pixel
+    # shorter, and runs around every erosion shift; only the 318 px rows reach
+    # min_run = 318, and a full-width run past them would touch a border
+    frame = frame_with_run(170, 1, 318)
+    frame.pixels[200, 1:318] = 200
+    frame.pixels[230, 1:319] = 90
     for start, length in ((10, 1), (20, 2), (30, 3), (40, 4), (50, 7), (60, 8),
                           (70, 9), (90, 16), (120, 17)):
         frame.pixels[210, start:start + length] = 200
     p = DetectParams(min_run=min_run)
     det = detect_feet(frame, CAL, p)
     assert det == reference_detect_feet(frame, CAL, p)
-    assert (det is None) == (min_run > 320)
+    assert (det is None) == (min_run > 318)
 
 
 def test_min_run_past_the_width_finds_no_run():
     # a config may set min_run up to 2**63 - 1: every erosion window longer
-    # than a row holds a padding column, so even a full-width run is eroded
-    frame = frame_with_run(200, 0, 320)
+    # than a row holds a padding column, so even the longest run that touches
+    # neither border is eroded
+    frame = frame_with_run(200, 1, 318)
+    assert detect_feet(frame, CAL, DetectParams(min_run=318)) == (159.5, 200)
     for min_run in (321, 2**62, 2**63 - 1):
         assert detect_feet(frame, CAL, DetectParams(min_run=min_run)) is None
 
@@ -594,6 +627,34 @@ def test_an_empty_room_gives_no_position():
     detections = sum(detect_feet(empty(10**6 + i), cal, cfg.detect) is not None
                      for i in range(1, 201))
     assert detections <= 1, f"{detections} of 200 empty frames give a position"
+
+
+@pytest.mark.parametrize("sigma", [0.0, 10.0], ids=["noiseless", "reference-noise"])
+@pytest.mark.parametrize("z", [200.0, 300.0])
+def test_a_user_stepping_across_the_frame_edge_is_placed_within_1_5_px_or_not_at_all(
+        z, sigma):
+    # a stationary user steps 1 px at a time from 5 px inside the left or
+    # right edge until the foot has left the sensor. The bound is lateral:
+    # depth is read off a whole row, up to 1.9 cm off at z 300 for any foot
+    cfg = load_config(REFERENCE_CONFIG)
+    rig, noise = cfg.rig, replace(cfg.noise, background_sigma=sigma)
+    cal = Calibration(v_b=160, width=rig.width, height=rig.height)
+    foot_cm = 25.0
+    half = foot_cm * rig.f / z / 2  # half the foot's width in px
+    steps = range(round(2 * half) + 12)
+    bound = 1.5 * z / rig.f
+    for side, centres in (("left", [half + 5 - k for k in steps]),
+                          ("right", [rig.width - 1 - half - 5 + k for k in steps])):
+        states = [SceneState(user=WorldPosition((u - rig.u0) * z / rig.f, z),
+                             foot_width=foot_cm) for u in centres]
+        frames = [render(rig, s, noise, cfg.intensity, index=i)
+                  for i, s in enumerate(states)]
+        ests = track_stream(frames, rig, cal, cfg.detect)
+        off = [(u, abs(e.pos.x - s.user.x)) for u, e, s in zip(centres, ests, states)
+               if e.pos is not None and abs(e.pos.x - s.user.x) > bound]
+        assert not off, f"{side} edge: off by > {bound:.3f} cm at (u, cm) {off}"
+        absent = sum(e.pos is None for e in ests)
+        assert 0 < absent < len(ests), f"{side} edge: {absent} of {len(ests)} absent"
 
 
 def test_the_default_detect_params_are_the_reference_configs():

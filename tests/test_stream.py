@@ -371,12 +371,15 @@ def test_concurrent_submits_take_distinct_seqs():
     assert (streamer.sent, streamer.dropped, streamer.send_failures) == (600, 0, 0)
 
 
-def test_submit_after_close_is_counted_as_dropped(receiver):
+def test_submit_after_close_is_counted_as_a_send_failure(receiver, caplog):
+    # the closed socket refuses the send with EBADF; dropped counts only
+    # datagrams the kernel could not take at once
     streamer = PositionStreamer(receiver.getsockname())
     streamer.submit(est(0, 0))
     streamer.close()
     streamer.submit(est(1, 50))  # must not raise into the tracking loop
-    assert (streamer.sent, streamer.dropped, streamer.send_failures) == (1, 1, 0)
+    assert (streamer.sent, streamer.dropped, streamer.send_failures) == (1, 0, 1)
+    assert "Bad file descriptor" in caplog.text
 
 
 def test_send_error_is_counted_as_a_failure(caplog):
