@@ -54,7 +54,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = slio.load_config(args.config)
     out_dir = Path(args.out_dir)
     states = cfg.trajectory.materialize(cfg.rig)
-    names = [f"{i:06d}.pgm" for i in range(len(states))]
+    # wide enough for every index, so name order is frame order
+    digits = max(6, len(str(len(states) - 1)))
+    names = [f"{i:0{digits}d}.pgm" for i in range(len(states))]
     # a clip mixed with another's frames would track and then fail to
     # evaluate, so refuse before anything is written
     if out_dir.exists():

@@ -51,7 +51,9 @@ class DetectParams:
 
     The threshold is affine in the distance below the wall row, capped,
     min(ath_base + ath_slope * (v - v_b), ath_max): rows that would hold
-    closer (brighter) reflections demand a stronger edge. ``ath_min`` is an
+    closer (brighter) reflections demand a stronger edge. ``ath_max`` is at
+    most 255: no 8-bit edge response exceeds it, so no pixel passes a
+    threshold of 255, and a larger one would change nothing. ``ath_min`` is an
     optional floor that is checked but never binds: it lies at or below
     ``ath_base`` and the slope is not negative. The default ``min_run`` is
     the reference config's 10: a foot on the reference rig images 29-67 px
@@ -66,11 +68,13 @@ class DetectParams:
     min_run: int = 10
 
     def __post_init__(self) -> None:
+        if not self.ath_max <= 255:
+            raise ValueError("ath_max: must be <= 255")
         if not 0 <= self.ath_base <= self.ath_max:
             raise ValueError("ath_base: must lie in [0, ath_max]")
         if self.ath_min is not None and not 0 <= self.ath_min <= self.ath_base:
             raise ValueError("ath_min: must lie in [0, ath_base]")
-        if self.ath_slope < 0:
+        if not self.ath_slope >= 0:  # NaN too
             raise ValueError("ath_slope: must be >= 0")
         require_ints(self, "min_run")
         if self.min_run < 1:
@@ -112,7 +116,7 @@ class _Workspace:
     The band holds the scan rows and one row above and below them, in rows
     padded to width + 2 by a zero column on each side; a frame writes only
     the interior, so the pads stay zero. ``limits`` is floor(2 * threshold)
-    of every scan row, capped at 511, repeated once per padded pixel. The
+    of every scan row, at most 510, repeated once per padded pixel. The
     erosion passes and the run ends take turns writing two bool buffers,
     the first of which is ``mask``.
     """
@@ -130,10 +134,8 @@ class _Workspace:
         self.down_here, self.down_next = self.down[:size], self.down[stride:]
         self.twice = np.empty(size, np.int16)
         delta_v = np.arange(1, rows + 1)
-        # np.minimum keeps a NaN threshold NaN, so np.fmin caps it at 511
         thresholds = np.minimum(p.ath_base + p.ath_slope * delta_v, p.ath_max)
-        limits = np.fmin(np.floor(2.0 * thresholds), 511.0).astype(np.int16)
-        self.limits = np.repeat(limits, stride)
+        self.limits = np.repeat(np.floor(2.0 * thresholds).astype(np.int16), stride)
         self.mask = np.empty((rows, stride), bool)
         self.mask_flat = self.mask.ravel()
         buffers = (self.mask_flat, np.empty(size, bool))
@@ -171,9 +173,7 @@ def _edge_mask(frame: Frame, ws: _Workspace) -> np.ndarray:
 
     Row i is image row v_b + 1 + i. Pixels are whole numbers, so
     P - (P_up + P_down)/2 > thr holds iff the integer 2P - P_up - P_down
-    exceeds floor(2 * thr). The limit is capped at 511, above any value
-    the left side can take; a NaN threshold, which no pixel passes, caps
-    there too.
+    exceeds floor(2 * thr).
     """
     # the one strided copy; the rest works on flat views a padded row apart
     np.copyto(ws.interior, frame.pixels[ws.first_row - 1 - frame.top:])

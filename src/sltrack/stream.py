@@ -103,10 +103,10 @@ class PositionStreamer:
 
     ``submit`` encodes the estimate and sends it at once on a non-blocking
     socket, so it never waits on the network. A datagram the kernel cannot
-    take now is counted as dropped, any other send error as a failure.
-    Sequence numbers are assigned at submission, so receivers can spot
-    drops as gaps. A lock keeps seqs and counts exact when several threads
-    submit.
+    take now is counted as dropped, any other send error as a failure;
+    only the first failure is logged. Sequence numbers are assigned at
+    submission, so receivers can spot drops as gaps. A lock keeps seqs and
+    counts exact when several threads submit.
     """
 
     def __init__(self, address: str | tuple[str, int]) -> None:
@@ -131,8 +131,11 @@ class PositionStreamer:
             except BlockingIOError:
                 self.dropped += 1
             except OSError as exc:
+                # a link that stays down would log every frame
                 self.send_failures += 1
-                logger.warning("send to %s failed: %s", self.endpoint, exc)
+                if self.send_failures == 1:
+                    logger.warning("send to %s failed: %s; later failures are "
+                                   "only counted", self.endpoint, exc)
 
     def close(self) -> None:
         """Close the socket; later submits are counted as send failures."""

@@ -24,9 +24,11 @@ _PathFn = Callable[[float], Point]  # time in s -> (x_cm, z_cm)
 @dataclass(eq=False)
 class Frame:
     """Single 8-bit grayscale capture, or its rows from ``top`` down.
-    ``width``, ``height`` and ``top`` must be ints, ``0 <= top <= height``,
-    and ``pixels`` a uint8 ndarray of shape (height - top, width) whose row
-    0 is image row ``top``: they are checked, never converted."""
+    ``width``, ``height``, ``top``, ``timestamp_ms`` and ``index`` must be
+    ints, ``0 <= top <= height``, ``0 <= timestamp_ms < 10**18`` (what the
+    CSVs and SLT1 read back), and ``pixels`` a uint8 ndarray of shape
+    (height - top, width) whose row 0 is image row ``top``: they are checked,
+    never converted."""
 
     width: int
     height: int
@@ -36,9 +38,12 @@ class Frame:
     top: int = 0  # image row of pixels[0]
 
     def __post_init__(self) -> None:
-        require_ints(self, "width", "height", "top")
+        require_ints(self, "width", "height", "top", "timestamp_ms", "index")
         if not 0 <= self.top <= self.height:
             raise ValueError(f"top: must lie in [0, {self.height}], got {self.top}")
+        if not 0 <= self.timestamp_ms < 10**MAX_DIGITS:
+            raise ValueError(f"timestamp_ms: must lie in [0, 10**{MAX_DIGITS}), "
+                             f"got {self.timestamp_ms}")
         if not (isinstance(self.pixels, np.ndarray) and self.pixels.dtype == np.uint8):
             got = getattr(self.pixels, "dtype", type(self.pixels).__name__)
             raise ValueError(f"pixel buffer must be a uint8 ndarray, got {got}")
@@ -51,13 +56,18 @@ class Frame:
 
 @dataclass(frozen=True)
 class SceneState:
-    """Ground truth for one frame: user position (None = empty room)."""
+    """Ground truth for one frame: user position (None = empty room).
+    ``timestamp_ms`` must be an int in [0, 10**18), as for a ``Frame``."""
 
     user: WorldPosition | None
     foot_width: float = 25.0
     timestamp_ms: int = 0
 
     def __post_init__(self) -> None:
+        require_ints(self, "timestamp_ms")
+        if not 0 <= self.timestamp_ms < 10**MAX_DIGITS:
+            raise ValueError(f"timestamp_ms: must lie in [0, 10**{MAX_DIGITS}), "
+                             f"got {self.timestamp_ms}")
         if not self.foot_width > 0:
             raise ValueError("foot_width: must be > 0")
 

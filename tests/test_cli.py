@@ -291,8 +291,61 @@ def test_track_bad_trajectory_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: trajectory.speed: must be > 0\n"
 
 
+def test_simulate_names_sort_in_frame_order_past_a_million_frames(tmp_path,
+                                                                  monkeypatch):
+    # at six digits 1000000.pgm sorts before 100001.pgm, and track reads a
+    # clip in name order; every stage but the naming is a cheap serial fake
+    import sltrack.cli
+    import sltrack.io
+    from sltrack import SceneState, TrajectorySpec
+
+    class SerialPool:
+        def __init__(self, workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    last = [""]  # the last name written; a list of a million would double
+    # the test's memory
+
+    def write_pgm(index, path):
+        name = os.path.basename(path)
+        assert int(name[:-4]) == index and name > last[0], (name, last[0])
+        last[0] = name
+
+    states = [SceneState(user=None)] * (10**6 + 2)
+    monkeypatch.setattr(TrajectorySpec, "materialize", lambda self, rig: states)
+    monkeypatch.setattr(sltrack.cli, "render", lambda *args, index: index)
+    monkeypatch.setattr(sltrack.cli, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(sltrack.io, "write_pgm", write_pgm)
+    monkeypatch.setattr(sltrack.io, "write_truth_csv", lambda truth, path: None)
+    assert main(["simulate", "-c", stationary_config(tmp_path),
+                 "-o", str(tmp_path / "run")]) == 0
+    assert last[0] == "1000001.pgm"
+
+
+def test_a_threshold_past_255_in_a_config_exit_2(tmp_path, capsys):
+    with open(REFERENCE_CONFIG, encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["detect"]["ath_max"] = 255.5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["simulate", "-c", str(bad), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: detect.ath_max: must be <= 255\n"
+    assert not out.exists()
+
+
 def test_simulate_non_finite_config_number_exit_2(tmp_path, capsys):
-    # json.loads reads NaN; a NaN ath_slope would cap every row's limit
+    # json.loads reads NaN; the loader refuses it before DetectParams, which
+    # refuses a NaN ath_slope too
     with open(REFERENCE_CONFIG, encoding="utf-8") as fh:
         cfg = json.load(fh)
     cfg["detect"]["ath_slope"] = float("nan")

@@ -184,7 +184,7 @@ def test_a_config_without_a_floor_gets_the_row_limits_of_the_old_floor():
     delta_v = np.arange(1, rows + 1)
     floored = np.clip(p.ath_base + p.ath_slope * delta_v, 1.0, p.ath_max)
     limits = _workspace(CAL, p).limits.reshape(rows, -1)
-    assert (limits == np.fmin(np.floor(2.0 * floored), 511.0)[:, None]).all()
+    assert (limits == np.floor(2.0 * floored)[:, None]).all()
     assert np.array_equal(_workspace(CAL, replace(p, ath_min=1.0)).limits,
                           limits.ravel())
 
@@ -429,14 +429,26 @@ def test_threads_detect_at_once_with_their_own_calibration_and_params():
 
 
 @pytest.mark.parametrize("params", [
-    DetectParams(ath_slope=float("nan")),
-    DetectParams(ath_base=10.0, ath_slope=1e6, ath_max=1e9),
-], ids=["nan-slope", "past-int16"])
+    DetectParams(ath_base=255.0, ath_slope=0.0, ath_max=255.0),
+    DetectParams(ath_base=10.0, ath_slope=1e6, ath_max=255.0),
+], ids=["base-255", "slope-capped-at-255"])
 def test_detect_unreachable_threshold_finds_nothing(params):
-    # the row limit is capped at 511 before its int16 cast, NaN included
+    # a full-white pixel between black ones has the largest edge response
+    # there is, 255, which does not exceed a threshold of 255
     frame = frame_with_run(200, 100, 20, level=255)
+    assert _workspace(CAL, params).limits.max() == 510
     assert detect_feet(frame, CAL, params) is None
     assert reference_detect_feet(frame, CAL, params) is None
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"ath_slope": float("nan")}, "ath_slope: must be >= 0"),
+    ({"ath_base": 10.0, "ath_slope": 1e6, "ath_max": 1e9}, "ath_max: must be <= 255"),
+], ids=["nan-slope", "past-255"])
+def test_detect_params_refuse_a_threshold_past_255_or_nan(fields, message):
+    # either gave the same mask as a threshold of 255: nothing passes
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DetectParams(**fields)
 
 
 def test_edge_mask_is_boolean(detect_params):
@@ -518,20 +530,20 @@ def reference_detect_feet(frame, cal, p):
 def _frame_cal_params(draw):
     """A small frame of dim levels, a calibration and a threshold schedule
     whose floor may be 0, so runs can sit on nearly black pixels. Half-integer
-    thresholds sit exactly on an edge response; large ones reach past 255,
-    where no pixel can pass. min_run reaches past the width, where no run
-    fits, and up to 2**62."""
+    thresholds sit exactly on an edge response; large ones reach 255, where
+    no pixel can pass. min_run reaches past the width, where no run fits,
+    and up to 2**62."""
     w, h = draw(st.integers(1, 12)), draw(st.integers(4, 10))
     levels = st.integers(0, 255) | st.integers(0, 3)
     pixels = np.array(draw(st.lists(levels, min_size=w * h, max_size=w * h)),
                       dtype=np.uint8).reshape(h, w)
     cal = Calibration(v_b=draw(st.integers(1, h - 3)), width=w, height=h)
     small = st.floats(0.0, 20.0) | st.integers(0, 40).map(lambda k: k / 2)
-    large = small | st.floats(200.0, 600.0)
-    low, up, top = draw(small), draw(large), draw(large)
+    large = st.floats(200.0, 255.0) | st.integers(400, 510).map(lambda k: k / 2)
+    low, base, top = sorted([draw(small), draw(small | large), draw(small | large)])
     slope = st.floats(0.0, 5.0) | st.sampled_from([0.1, 1 / 3, 2 / 3, 60.0])
-    params = DetectParams(ath_base=low + up, ath_slope=draw(slope),
-                          ath_min=low, ath_max=low + up + top,
+    params = DetectParams(ath_base=base, ath_slope=draw(slope),
+                          ath_min=low, ath_max=top,
                           min_run=draw(st.integers(1, w + 2) | st.just(2**62)))
     return Frame(width=w, height=h, pixels=pixels), cal, params
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,9 +16,10 @@ import sltrack.pipeline
 from conftest import REFERENCE_CONFIG, file_of
 from sltrack import (Calibration, NoiseParams, PositionEstimate,
                      SceneState, SmootherConfig, TriangulationError,
-                     WorldPosition, calibrate, depth_resolution, evaluate,
-                     load_config, render, render_trajectory, track_frame,
-                     track_stream, triangulate, triangulate_detection)
+                     WorldPosition, calibrate, decode, depth_resolution, encode,
+                     evaluate, load_config, read_estimates_csv, render,
+                     render_trajectory, track_frame, track_stream, triangulate,
+                     triangulate_detection, write_estimates_csv)
 
 CAL = Calibration(v_b=160, width=320, height=240)
 
@@ -99,6 +101,29 @@ def test_every_detection_of_a_noisy_frame_has_a_position(
     frame = render(rig, SceneState(user=user), noise, intensity)
     est = track_frame(frame, rig, cal, detect_params)
     assert (est.pos is None) == (est.detection is None)
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(timestamp_ms=st.integers(0, 10**18 - 1) | st.integers(-10**19, 10**19)
+       | st.floats(-1e19, 1e19),
+       user=st.sampled_from([None, WorldPosition(0.0, 200.0)]))
+def test_every_timestamp_a_frame_takes_reads_back_from_slt1_and_csv(
+        tmp_path, rig, quiet, intensity, detect_params, timestamp_ms, user):
+    frame = render(rig, SceneState(user=user), quiet, intensity)
+    try:
+        frame = replace(frame, timestamp_ms=timestamp_ms)
+    except ValueError:
+        return  # refused: no estimate is made of it
+    est = track_frame(frame, rig, CAL, detect_params)
+    assert (est.pos is None) == (user is None)
+    packet = decode(encode(est, 0))
+    assert packet.timestamp_ms == timestamp_ms
+    assert (packet.pos is None) == (user is None)
+    path = tmp_path / "estimates.csv"
+    write_estimates_csv([est], path)
+    [row] = read_estimates_csv(path)
+    assert (row.frame, row.timestamp_ms) == (0, timestamp_ms)
 
 
 # --- track_stream --------------------------------------------------------------

@@ -377,9 +377,11 @@ def test_submit_after_close_is_counted_as_a_send_failure(receiver, caplog):
     streamer = PositionStreamer(receiver.getsockname())
     streamer.submit(est(0, 0))
     streamer.close()
-    streamer.submit(est(1, 50))  # must not raise into the tracking loop
-    assert (streamer.sent, streamer.dropped, streamer.send_failures) == (1, 0, 1)
-    assert "Bad file descriptor" in caplog.text
+    for i in range(1, 6):
+        streamer.submit(est(i, 50 * i))  # must not raise into the tracking loop
+    assert (streamer.sent, streamer.dropped, streamer.send_failures) == (1, 0, 5)
+    [record] = caplog.records  # the first failure logs, the rest only count
+    assert "Bad file descriptor" in record.getMessage()
 
 
 def test_send_error_is_counted_as_a_failure(caplog):
@@ -394,10 +396,15 @@ def test_send_error_is_counted_as_a_failure(caplog):
             real_sock.close()
 
     streamer._sock = UnreachableSock()
-    streamer.submit(est(0, 0))  # must not raise into the tracking loop
+    for i in range(20):  # one second of a 20 Hz rig on a dropped link
+        streamer.submit(est(i, 50 * i))  # must not raise into the tracking loop
     streamer.close()
-    assert (streamer.sent, streamer.dropped, streamer.send_failures) == (0, 0, 1)
-    assert "Network is unreachable" in caplog.text
+    assert (streamer.sent, streamer.dropped, streamer.send_failures) == (0, 0, 20)
+    [record] = caplog.records
+    assert record.levelname == "WARNING"
+    assert record.getMessage() == ("send to ('127.0.0.1', 1) failed: [Errno "
+                                   f"{errno.ENETUNREACH}] Network is unreachable; "
+                                   "later failures are only counted")
 
 
 def test_throughput_unaffected_by_absent_consumer(rig, quiet, intensity,

@@ -71,6 +71,38 @@ def test_frame_refuses_a_top_outside_its_rows(top, message):
         Frame(width=3, height=4, pixels=np.zeros((3, 3), np.uint8), top=top)
 
 
+TIMESTAMP_RANGE = r"timestamp_ms: must lie in \[0, 10\*\*18\), got "
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"timestamp_ms": 2500.25}, "timestamp_ms: must be an int, got 2500.25"),
+    ({"timestamp_ms": True}, "timestamp_ms: must be an int, got True"),
+    ({"timestamp_ms": -5}, TIMESTAMP_RANGE + "-5"),
+    ({"timestamp_ms": 10**18}, TIMESTAMP_RANGE + "1000000000000000000"),
+    ({"index": 4.0}, "index: must be an int, got 4.0"),
+], ids=["float-timestamp", "bool-timestamp", "negative-timestamp",
+        "19-digit-timestamp", "float-index"])
+def test_frame_refuses_a_timestamp_or_index_that_no_format_reads_back(fields,
+                                                                      message):
+    # 2500.25 tracked to an SLT1 packet decode refuses and an estimates row
+    # read_estimates_csv refuses; 4.0 became a frame_index of 4.0
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Frame(width=3, height=4, pixels=np.zeros((4, 3), np.uint8), **fields)
+    assert Frame(width=3, height=4, pixels=np.zeros((4, 3), np.uint8),
+                 timestamp_ms=10**18 - 1).timestamp_ms == 10**18 - 1
+
+
+@pytest.mark.parametrize("timestamp_ms,message", [
+    (1.5, "timestamp_ms: must be an int, got 1.5"),
+    (-1, TIMESTAMP_RANGE + "-1"),
+    (10**18, TIMESTAMP_RANGE + "1000000000000000000"),
+], ids=["float", "negative", "19-digits"])
+def test_scene_state_refuses_a_timestamp_that_no_truth_csv_reads_back(timestamp_ms,
+                                                                      message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SceneState(user=None, timestamp_ms=timestamp_ms)
+
+
 def test_frame_keeps_a_non_contiguous_uint8_view_as_given():
     flipped = np.arange(12, dtype=np.uint8).reshape(3, 4)[:, ::-1]
     assert Frame(width=4, height=3, pixels=flipped).pixels is flipped
